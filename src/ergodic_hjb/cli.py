@@ -292,9 +292,13 @@ def main(argv=None) -> int:
                 if value is not None:
                     mc[key] = value
             config.mc = mc
-        # validate the penalty bracket before any stage runs
-        _penalty(config, config.problem_spec())
+        # validate the penalty bracket and the reference point before any stage
+        # runs; x_ref must be a node of the smallest box a stage solves on
+        problem = config.problem_spec()
+        _penalty(config, problem)
         _solver_options(config)
+        radius = min([config.grid["radius"], *(config.radii or ())])
+        build_grid(problem.dimension, radius, config.grid["h"]).index_of(problem.ref_point)
     except (ParameterError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -83,10 +83,17 @@ class Grid:
         return self.n_axis ** (self.dim - 1 - axis)
 
     def index_of(self, point) -> int:
-        """Flat index of the node nearest to ``point``."""
+        """Flat index of the node nearest to ``point``.
+
+        Raises ``ParameterError`` when that node would lie outside the box,
+        i.e. when ``point`` is more than half a cell beyond a face.
+        """
         point = np.atleast_1d(np.asarray(point, dtype=float))
         m = (self.n_axis - 1) // 2
-        idx = np.clip(np.rint(point / self.h).astype(int) + m, 0, self.n_axis - 1)
+        idx = np.rint(point / self.h).astype(int) + m
+        if np.any((idx < 0) | (idx >= self.n_axis)):
+            raise ParameterError(
+                f"point {point.tolist()} lies outside the box of half-width {self.radius}")
         return int(np.ravel_multi_index(tuple(idx), self.shape))
 
     def to_grid_shape(self, values: np.ndarray) -> np.ndarray:
@@ -292,12 +299,3 @@ def fields_to_csv(grid: Grid, fields: dict[str, np.ndarray], path) -> None:
                     val = arr[k - 1, i] if arr.ndim == 2 else arr[i]
                     row.append(repr(float(val)))
                 writer.writerow(row)
-
-
-def matrix_to_coo_text(matrix: sp.spmatrix, path) -> None:
-    """Debug export in (row, col, value) triplet text form."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v!r}\n")

@@ -105,13 +105,6 @@ class OccupationMeasure:
     def state_mass(self, k: int) -> float:
         return float(np.sum(self.weights[k - 1]))
 
-    def spatial_marginal(self, k: int) -> np.ndarray:
-        return np.sum(self.weights[k - 1], axis=-1)
-
-    def mean_control_magnitude(self) -> float:
-        mags = np.linalg.norm(self.mesh.controls, axis=-1)
-        return float(np.sum(self.weights * mags[None, None, :]) / max(self.mass, 1e-300))
-
     def to_dict(self) -> dict:
         return {"mass": self.mass, "stationarity_residual": self.stationarity_residual,
                 "state_mass": {str(k): self.state_mass(k) for k in STATES}}
@@ -184,15 +177,3 @@ def stationarity_residual(lp: LPData, measure: OccupationMeasure) -> float:
     """Sup-norm of the balance rows applied to an arbitrary measure (for
     checking externally constructed measures, e.g. simulation histograms)."""
     return float(np.max(np.abs(lp.stationarity @ _weights_to_flat(measure.weights))))
-
-
-def export_lp_text(lp: LPData, path) -> None:
-    """Plain-text dump: cost entries and stationarity triplets, for
-    cross-checking against external LP solvers."""
-    coo = lp.stationarity.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# vars {lp.n_vars} rows {coo.shape[0]} nnz {coo.nnz}\n")
-        fh.write("# minimize c.x  s.t.  A x = 0, sum x = 1, x >= 0\n")
-        fh.write("cost " + " ".join(repr(float(v)) for v in lp.cost) + "\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"A {r} {c} {v!r}\n")

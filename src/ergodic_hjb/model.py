@@ -64,11 +64,6 @@ def ramp_slope(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
     return np.where(v <= level, 1.0, above ** (2.0 / gamma - 1.0))
 
 
-def ramp_envelope_constants(gamma: float, floor: float) -> tuple[float, float]:
-    """(eta1, eta2) with eta1 * max(v,0)^(2/gamma) - eta2 <= ramp(v) on [-floor, inf)."""
-    return 1.0, max(gamma / 2.0, 1.0 + floor + floor ** (2.0 / gamma))
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Per-state Hamiltonian data for the power-law family."""
@@ -158,16 +153,6 @@ class HamiltonianSpec:
 
     # -- audit helpers ------------------------------------------------------
 
-    def grad_growth_constant(self, k: int, x_samples: np.ndarray, p_samples: np.ndarray) -> float:
-        """Smallest C with |grad_p H_k| <= C (1 + |p|^(gamma_k - 1)) on the samples."""
-        g = self.gamma(k)
-        best = 0.0
-        for p in p_samples:
-            gp = self.grad_p_raw(k, x_samples, np.broadcast_to(p, x_samples.shape))
-            mags = np.linalg.norm(gp, axis=-1)
-            best = max(best, float(np.max(mags / (1.0 + np.linalg.norm(p) ** (g - 1.0)))))
-        return best
-
     def growth_constant(self, k: int, x_samples: np.ndarray, p_samples: np.ndarray) -> float:
         """Smallest C >= 1 with C^{-1}|p|^g - C <= H_k <= C(|p|^g + 1) on the samples."""
         g = self.gamma(k)
@@ -188,7 +173,8 @@ def truncate_hamiltonian(spec: HamiltonianSpec, level: float,
     through the concave ramp.
 
     States with gamma <= 2 are left untouched.  ``floor`` is the lower bound
-    of the Hamiltonian range used for the envelope constants.
+    of the Hamiltonian range; it is recorded with the truncation level in
+    problem files.
     """
     if level <= 0:
         raise ParameterError("truncation level must be positive")
@@ -214,6 +200,10 @@ class ProblemSpec:
             raise ParameterError("hamiltonian dimension mismatch")
         if not self.x_ref:
             object.__setattr__(self, "x_ref", (0.0,) * self.dimension)
+        if len(self.x_ref) != self.dimension:
+            raise ParameterError(
+                f"x_ref has {len(self.x_ref)} coordinates, the problem has dimension "
+                f"{self.dimension}")
 
     def switch_rate(self, k: int) -> CoefficientField:
         _check_state(k)

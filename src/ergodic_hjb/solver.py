@@ -10,9 +10,13 @@ Two constructive routes are provided and should agree on every problem:
 
 Both use the same inner loop: evaluate the current feedback control through a
 sparse monotone linear solve, then improve it from the Hamiltonian gradient
-at the central difference of the value.  Boxes carry a steep penalty source
-near the wall (a finite stand-in for boundary blow-up) which confines the
-minimizer strictly inside the domain when the source is coercive.
+at the central difference of the value.  One evaluation serves both routes:
+the discounted matrix is factored as it is, the average-cost matrix is
+pinned at the reference node (``A + e_ref e_ref^T``), and the eigenvalue is
+the ratio of two triangular solves at that node.  Boxes carry a steep
+penalty source near the wall (a finite stand-in for boundary blow-up) which
+confines the minimizer strictly inside the domain when the source is
+coercive.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .discretize import (
     gradient_central,
 )
 from .errors import ConvergenceError, MonotonicityError, ParameterError, SolverError
-from .model import ProblemSpec, STATES, ramp
+from .model import ProblemSpec, STATES
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,6 @@ class SolverOptions:
     control_cap: float | None = None      # absolute override of the control cap
 
 
-def _pde_tolerance(problem: ProblemSpec, grid: Grid, opts: SolverOptions) -> float:
-    if opts.tol_pde is not None:
-        return opts.tol_pde
-    fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
-    return 1e-9 * (1.0 + fmax)
-
-
 def _defect_norm(defect: np.ndarray, rhs: np.ndarray, source_scale: float,
                  matrix: sp.spmatrix, u: np.ndarray, lam: float, tol: float) -> float:
     """Sup defect with row allowances for penalty scale and rounding.
@@ -144,9 +141,7 @@ def _defect_norm(defect: np.ndarray, rhs: np.ndarray, source_scale: float,
     normalized so that ``residual <= tol`` is the componentwise test.
     """
     weight = np.maximum(1.0, (1.0 + np.abs(rhs)) / source_scale)
-    absmat = matrix.copy()
-    absmat.data = np.abs(absmat.data)
-    rounding = 32.0 * np.finfo(float).eps * (absmat @ np.abs(u) + np.abs(rhs) + abs(lam))
+    rounding = 32.0 * np.finfo(float).eps * (abs(matrix) @ np.abs(u) + np.abs(rhs) + abs(lam))
     allowance = np.maximum(tol * weight, rounding)
     return tol * float(np.max(np.abs(defect) / allowance))
 
@@ -193,34 +188,58 @@ class ErgodicSolution:
         return all(mask[i] for i in self.minimizer_nodes())
 
 
-def _backward_scale(mat: sp.spmatrix, u: np.ndarray, rhs: np.ndarray) -> float:
-    """Normwise backward-error denominator ||A| |u||_inf + ||rhs||_inf."""
-    absmat = mat.copy()
-    absmat.data = np.abs(absmat.data)
-    return max(float(np.max(absmat @ np.abs(u))) + float(np.max(np.abs(rhs))), 1e-300)
-
-
-def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray) -> np.ndarray:
+def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray,
+                      ref: int | None = None) -> tuple[np.ndarray, float]:
     """Solve the frozen-control linear system to backward error <= 1e-12.
 
-    Sparse LU with one step of iterative refinement; raises ``SolverError``
-    with the achieved residual if the system is too ill-conditioned.
+    With ``ref=None`` this is the discounted system ``A u = rhs`` and the
+    returned eigenvalue is 0.  With an integer ``ref`` it is the average-cost
+    system ``A u + lam = rhs`` with ``u[ref] = 0``: the factored matrix is
+    ``A + e_ref e_ref^T`` (nonsingular since A kills constants and is
+    irreducible), and the solves against ``rhs`` and against the ones vector
+    give the eigenvalue as the ratio ``y[ref] / z[ref]``.  Iterative
+    refinement (one step discounted, two average-cost) keeps the defect near
+    roundoff; ``SolverError`` reports the achieved residual if the system is
+    too ill-conditioned.
     """
-    mat = gen.matrix.tocsc()
+    mat = gen.matrix
     rhs = np.asarray(rhs, dtype=float)
+    pinned = mat if ref is None else mat + sp.csr_matrix(([1.0], ([ref], [ref])), mat.shape)
     try:
-        lu = spla.splu(mat)
+        lu = spla.splu(pinned.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    absmat = abs(mat)
+
+    def backward_scale(u):
+        """Normwise backward-error denominator ||A| |u||_inf + ||rhs||_inf."""
+        return max(float(np.max(absmat @ np.abs(u))) + float(np.max(np.abs(rhs))), 1e-300)
+
     u = lu.solve(rhs)
-    res = rhs - mat @ u
-    if np.max(np.abs(res)) > 1e-13 * _backward_scale(mat, u, rhs):
-        u = u + lu.solve(res)
-        res = rhs - mat @ u
-    rel = float(np.max(np.abs(res))) / _backward_scale(mat, u, rhs)
+    lam = 0.0
+    if ref is not None:
+        z = lu.solve(np.ones(mat.shape[0]))
+        if abs(z[ref]) < 1e-300:
+            raise SolverError("pinned system is numerically singular")
+        lam = u[ref] / z[ref]
+        u = u - lam * z
+    for _ in range(1 if ref is None else 2):
+        defect = rhs - mat @ u - lam
+        if float(np.max(np.abs(defect))) <= 1e-13 * backward_scale(u):
+            break
+        du = lu.solve(defect)
+        if ref is not None:
+            dlam = du[ref] / z[ref]
+            du = du - dlam * z
+            lam += dlam
+        u = u + du
+    defect = rhs - mat @ u - lam
+    rel = float(np.max(np.abs(defect))) / (backward_scale(u) + abs(lam))
     if not np.all(np.isfinite(u)) or rel > 1e-12:
         raise SolverError(f"policy evaluation reached relative residual {rel:.3e} > 1e-12")
-    return u
+    if ref is not None:
+        u[ref] = 0.0
+    return u, float(lam)
 
 
 class _RampedRunningCost:
@@ -357,6 +376,13 @@ def _running_cost(problem: ProblemSpec, grid: Grid, xi: np.ndarray,
     return lag
 
 
+def _clamp(xi: np.ndarray, cap: float) -> np.ndarray:
+    """Scale every control vector longer than ``cap`` back onto the cap."""
+    mag = np.linalg.norm(xi, axis=-1)
+    factor = np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)
+    return xi * factor[..., None]
+
+
 def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float,
              ramp_costs: dict):
     """Feedback improvement from the central gradient of the current value.
@@ -379,9 +405,7 @@ def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float,
             raw = np.where(m[:, None] > 0, s[:, None] / np.where(m > 0, m, 1.0)[:, None] * ag, 0.0)
         else:
             raw = ham.grad_p(k, pts, g)
-        mag = np.linalg.norm(raw, axis=-1)
-        factor = np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)
-        xi[k - 1] = raw * factor[:, None]
+        xi[k - 1] = _clamp(raw, cap)
     return xi, _running_cost(problem, grid, xi, ramp_costs)
 
 
@@ -390,57 +414,18 @@ def _initial_policy(problem: ProblemSpec, grid: Grid,
     if warm is None:
         xi = np.zeros((2, grid.n_nodes, grid.dim))
     else:
-        xi = np.array(warm.values, dtype=float)
-        mag = np.linalg.norm(xi, axis=-1)
-        factor = np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)
-        xi = xi * factor[..., None]
+        xi = _clamp(np.array(warm.values, dtype=float), cap)
     return xi, _running_cost(problem, grid, xi, ramp_costs)
 
 
-def _ergodic_evaluation(matrix: sp.spmatrix, rhs: np.ndarray, ref: int):
-    """Solve ``A u + lam * 1 = rhs`` with ``u[ref] = 0``.
-
-    Equivalent to a bordered system but factors the purely sparse pinned
-    matrix ``A + e_ref e_ref^T`` (nonsingular since A kills constants and is
-    irreducible): two triangular solves recover u and the eigenvalue as a
-    ratio.  One step of iterative refinement keeps the defect near roundoff.
-    """
-    pinned = matrix.tolil(copy=True)
-    pinned[ref, ref] += 1.0
-    try:
-        lu = spla.splu(pinned.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    ones = np.ones(matrix.shape[0])
-    z = lu.solve(ones)
-    if abs(z[ref]) < 1e-300:
-        raise SolverError("pinned system is numerically singular")
-    y = lu.solve(rhs)
-    lam = y[ref] / z[ref]
-    u = y - lam * z
-    for _ in range(2):
-        defect = rhs - matrix @ u - lam
-        if float(np.max(np.abs(defect))) <= 1e-13 * _backward_scale(matrix, u, rhs):
-            break
-        dy = lu.solve(defect)
-        dlam = dy[ref] / z[ref]
-        u = u + (dy - dlam * z)
-        lam += dlam
-    defect = rhs - matrix @ u - lam
-    rel = float(np.max(np.abs(defect))) / (_backward_scale(matrix, u, rhs) + abs(lam))
-    if not np.all(np.isfinite(u)) or rel > 1e-12:
-        raise SolverError(f"average-cost evaluation reached relative residual {rel:.3e} > 1e-12")
-    u[ref] = 0.0
-    return u, float(lam)
-
-
 def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
-            opts: SolverOptions, warm: ControlFieldPair | None, ergodic: bool):
+            opts: SolverOptions, warm: ControlFieldPair | None, ref: int | None):
     """Shared policy-iteration driver.
 
     ``src`` is the stacked (2*n,) right-hand side without the running cost.
-    In ergodic mode the eigenvalue is an extra unknown and u_1 is pinned at
-    the reference node.  The control update is relaxed adaptively: a
+    With a reference node ``ref`` the eigenvalue is an extra unknown and u_1
+    is pinned there; with ``ref=None`` the system is discounted and the
+    returned eigenvalue is 0.  The control update is relaxed adaptively: a
     stalling residual halves the step (central-gradient improvement against
     upwind evaluation can limit-cycle at tiny amplitude), and sustained
     progress restores full steps.  Fixed points are unaffected.
@@ -448,30 +433,24 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     n = grid.n_nodes
     cap = (opts.control_cap if opts.control_cap is not None
            else opts.cap_factor * control_cap(problem, grid))
-    tol = _pde_tolerance(problem, grid, opts)
-    source_scale = 1.0 + max(float(np.max(np.abs(problem.source(k)(grid.points))))
-                             for k in STATES)
-    ref = grid.index_of(problem.ref_point)
+    fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
+    tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * (1.0 + fmax)
+    source_scale = 1.0 + fmax
     ramp_costs = _ramp_costs(problem)
     xi, lag = _initial_policy(problem, grid, warm, cap, ramp_costs)
     history = []
-    lam = 0.0
     theta = 1.0
     best = np.inf
     stall = 0
     gen = assemble_generator(grid, problem, ControlFieldPair(xi), discount)
     for it in range(1, opts.max_policy_iters + 1):
         rhs = src + lag.ravel()
-        if ergodic:
-            u, lam = _ergodic_evaluation(gen.matrix, rhs, ref)
-        else:
-            u = policy_evaluation(gen, rhs)
+        u, lam = policy_evaluation(gen, rhs, ref)
         xi_star, lag_star = _improve(problem, grid, u.reshape(2, n), cap, ramp_costs)
         gen_star = assemble_generator(grid, problem, ControlFieldPair(xi_star), discount)
         rhs_star = src + lag_star.ravel()
-        defect = gen_star.matrix @ u + (lam if ergodic else 0.0) - rhs_star
-        residual = _defect_norm(defect, rhs_star, source_scale, gen_star.matrix, u,
-                                lam if ergodic else 0.0, tol)
+        defect = gen_star.matrix @ u + lam - rhs_star
+        residual = _defect_norm(defect, rhs_star, source_scale, gen_star.matrix, u, lam, tol)
         history.append((it, residual, lam))
         if residual <= tol:
             return u.reshape(2, n), lam, ControlFieldPair(xi_star), it, residual
@@ -504,7 +483,7 @@ def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
     src = (penalty_source(problem, grid, penalty) if penalty is not None
            else np.stack([problem.source(k)(grid.points) for k in STATES])).ravel()
     w, _, controls, iters, residual = _howard(
-        problem, grid, src, discount, opts, warm, ergodic=False)
+        problem, grid, src, discount, opts, warm, ref=None)
     return DiscountedSolution(grid=grid, w=w, discount=discount, iterations=iters,
                               residual=residual, controls=controls)
 
@@ -558,11 +537,8 @@ def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
     if penalty is None:
         penalty = default_penalty(problem)
     src = penalty_source(problem, grid, penalty).ravel()
-    u, lam, controls, iters, residual = _howard(
-        problem, grid, src, 0.0, opts, warm, ergodic=True)
     ref = grid.index_of(problem.ref_point)
-    u = u - u[0, ref]
-    u[0, ref] = 0.0
+    u, lam, controls, iters, residual = _howard(problem, grid, src, 0.0, opts, warm, ref)
     return ErgodicSolution(grid=grid, u=u, lam=lam, residual=residual,
                            iterations=iters, method="ergodic_normalized",
                            history=((grid.radius, lam),))

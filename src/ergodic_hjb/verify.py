@@ -8,17 +8,18 @@ raise on failure, so pipelines can aggregate them into an exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import Grid, assemble_generator, gradient_central
+from .discretize import Grid, assemble_generator, control_cap, gradient_central
 from .model import ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
     SolverOptions,
     default_penalty,
     penalty_source,
+    policy_evaluation,
     solve_discounted,
     solve_ergodic_normalized,
 )
@@ -154,25 +155,19 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     Optional randomized trials perturb f by a nonnegative field and re-check
     the ordering of the nonlinear solves.
     """
-    from dataclasses import replace as _replace
-
-    from .discretize import control_cap
-
     pen = default_penalty(problem)
     fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
     # identical wall and control set for every source variant, else the shift
     # leaks into the cap and breaks the pointwise identity at the faces
-    pen = _replace(pen, cap=1e6 * (1.0 + fmax))
-    opts = _replace(opts, control_cap=control_cap(problem, grid))
+    pen = replace(pen, cap=1e6 * (1.0 + fmax))
+    opts = replace(opts, control_cap=control_cap(problem, grid))
     base = solve_discounted(problem, grid, discount, penalty=pen, opts=opts)
     gen = assemble_generator(grid, problem, base.controls, discount)
     src = penalty_source(problem, grid, pen).ravel()
     lag = np.concatenate([problem.hamiltonian.lagrangian(k, grid.points, base.controls.state(k))
                           for k in STATES])
-    from .solver import policy_evaluation
-
-    u = policy_evaluation(gen, src + lag)
-    v = policy_evaluation(gen, src + lag + delta)
+    u, _ = policy_evaluation(gen, src + lag)
+    v, _ = policy_evaluation(gen, src + lag + delta)
     linear_gap = float(np.min(v - u))
     worst = None
     if linear_gap < -1e-10:

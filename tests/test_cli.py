@@ -117,6 +117,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "beta < alpha_exp < (beta+1)*min(gamma, 2)" in err
 
+    @pytest.mark.parametrize("x_ref, message", [
+        ([0.0, 0.0], "x_ref has 2 coordinates, the problem has dimension 1"),
+        ([7.0], "point [7.0] lies outside the box of half-width 4.0"),
+    ], ids=["wrong-length", "outside-box"])
+    def test_bad_reference_point_exit_2(self, tmp_path, capsys, x_ref, message):
+        config = small_config(problem={**SMALL_PROBLEM, "x_ref": x_ref}, mc=None, lp=None)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_solve_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(mc=None, lp=None)))

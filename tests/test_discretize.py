@@ -8,7 +8,6 @@ from ergodic_hjb.discretize import (
     build_grid,
     control_cap,
     gradient_central,
-    matrix_to_coo_text,
     fields_to_csv,
     transition_generator,
 )
@@ -37,6 +36,17 @@ def test_build_grid_rejects_nondividing_spacing():
         build_grid(1, 1.0, 0.3)
     with pytest.raises(ParameterError):
         build_grid(3, 1.0, 0.5)
+
+
+def test_index_of_rejects_points_off_the_box():
+    g = build_grid(2, 1.0, 0.5)
+    assert g.index_of([0.0, 0.0]) == g.origin_index
+    # within half a cell of a face the nearest node is the wall node
+    assert np.allclose(g.points[g.index_of([1.2, -1.2])], [1.0, -1.0])
+    with pytest.raises(ParameterError, match="outside the box"):
+        g.index_of([0.0, 1.3])
+    with pytest.raises(ParameterError, match="outside the box"):
+        g.index_of([-7.0, 0.0])
 
 
 def test_interior_classification():
@@ -163,12 +173,8 @@ def test_control_cap_exceeds_benchmark_optimum(quadratic_1d):
     assert cap > np.sqrt(2.0) * 6.0
 
 
-def test_exports(tmp_path, quadratic_1d):
+def test_exports(tmp_path):
     g = build_grid(1, 1.0, 0.5)
-    gen = assemble_generator(g, quadratic_1d, ControlFieldPair.zeros(g), discount=1.0)
-    mpath = tmp_path / "mat.txt"
-    matrix_to_coo_text(gen.matrix, mpath)
-    assert mpath.read_text().startswith("# shape 10 10")
     fpath = tmp_path / "fields.csv"
     fields_to_csv(g, {"u": np.zeros((2, g.n_nodes))}, fpath)
     lines = fpath.read_text().strip().splitlines()

@@ -7,7 +7,6 @@ from ergodic_hjb.dual_lp import (
     OccupationMeasure,
     assemble_lp,
     build_control_mesh,
-    export_lp_text,
     measure_cost,
     solve_lp,
     stationarity_residual,
@@ -135,13 +134,3 @@ class TestSolve:
         assert stationarity_residual(lp, blend) <= 1e-8
         c1, c2, cb = measure_cost(lp, mu), measure_cost(lp, mu2), measure_cost(lp, blend)
         assert cb == pytest.approx(0.5 * (c1 + c2), abs=1e-12)
-
-
-def test_export_lp_text(tmp_path, quadratic_1d):
-    _, _, lp = small_lp(quadratic_1d, h=0.5, magnitudes=(0.0, 1.0))
-    path = tmp_path / "lp.txt"
-    export_lp_text(lp, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# vars")
-    assert text[2].startswith("cost ")
-    assert any(line.startswith("A ") for line in text)

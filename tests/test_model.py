@@ -11,7 +11,6 @@ from ergodic_hjb.model import (
     load_problem,
     other_state,
     ramp,
-    ramp_envelope_constants,
     save_problem,
     truncate_hamiltonian,
     validate_assumptions,
@@ -146,8 +145,6 @@ def test_ramp_monotone_and_dominated():
     vals = ramp(xs, level=10.0, gamma=4.0)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all(vals <= xs + 1e-12)
-    eta1, eta2 = ramp_envelope_constants(4.0, floor=1.0)
-    assert np.all(vals >= eta1 * np.maximum(xs, 0.0) ** 0.5 - eta2 - 1e-9)
 
 
 def test_truncated_hamiltonian_chain_rule():

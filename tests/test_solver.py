@@ -27,6 +27,11 @@ from tests.conftest import make_problem
 
 SQRT2 = np.sqrt(2.0)
 
+# the discounted system at discount 1, and the average-cost system on the
+# discount-0 generator pinned at the origin
+EVALUATION_MODES = pytest.mark.parametrize(
+    "discount, pinned", [(1.0, False), (0.0, True)], ids=["discounted", "average-cost"])
+
 
 class TestPenaltySource:
     def test_zero_away_from_wall(self, quadratic_1d):
@@ -76,13 +81,13 @@ class TestPolicyEvaluation:
 
         ident = GeneratorMatrix(sp.identity(2 * grid.n_nodes, format="csr") * 3.0, grid, 1.0)
         rhs = np.arange(2.0 * grid.n_nodes)
-        assert np.allclose(policy_evaluation(ident, rhs), rhs / 3.0)
+        assert np.allclose(policy_evaluation(ident, rhs)[0], rhs / 3.0)
 
     def test_constant_states_solve_coupled_system(self, quadratic_1d):
         grid = build_grid(1, 2.0, 0.1)
         gen = assemble_generator(grid, quadratic_1d, ControlFieldPair.zeros(grid), 1.0)
         c = 4.25
-        u = policy_evaluation(gen, np.full(2 * grid.n_nodes, c))
+        u, _ = policy_evaluation(gen, np.full(2 * grid.n_nodes, c))
         assert np.allclose(u, c, atol=1e-11)
 
     def test_random_rhs_residual(self, quadratic_1d, rng):
@@ -90,9 +95,37 @@ class TestPolicyEvaluation:
         xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
         gen = assemble_generator(grid, quadratic_1d, ControlFieldPair(xi), 0.3)
         rhs = rng.normal(size=2 * grid.n_nodes)
-        u = policy_evaluation(gen, rhs)
+        u, _ = policy_evaluation(gen, rhs)
         res = np.max(np.abs(gen.matrix @ u - rhs)) / np.max(np.abs(rhs))
         assert res <= 1e-12
+
+    @EVALUATION_MODES
+    def test_constant_rhs(self, quadratic_1d, discount, pinned):
+        # constants solve both systems: u = c at discount 1, (u, lam) = (0, c) pinned
+        grid = build_grid(1, 2.0, 0.1)
+        ref = grid.origin_index if pinned else None
+        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair.zeros(grid), discount)
+        c = 4.25
+        u, lam = policy_evaluation(gen, np.full(2 * grid.n_nodes, c), ref)
+        expected_u, expected_lam = (0.0, c) if pinned else (c, 0.0)
+        assert np.allclose(u, expected_u, atol=1e-11)
+        assert lam == pytest.approx(expected_lam, abs=1e-11)
+
+    @EVALUATION_MODES
+    def test_random_controls_defect(self, quadratic_1d, rng, discount, pinned):
+        grid = build_grid(1, 2.0, 0.05)
+        ref = grid.origin_index if pinned else None
+        xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
+        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair(xi), discount)
+        rhs = rng.normal(size=2 * grid.n_nodes)
+        u, lam = policy_evaluation(gen, rhs, ref)
+        # normwise backward error, the accuracy policy_evaluation guarantees
+        scale = np.max(abs(gen.matrix) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
+        assert np.max(np.abs(gen.matrix @ u + lam - rhs)) / scale <= 1e-12
+        if pinned:
+            assert u[ref] == 0.0
+        else:
+            assert lam == 0.0
 
 
 class TestDiscounted:
