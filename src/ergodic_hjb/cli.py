@@ -22,9 +22,9 @@ import numpy as np
 
 from . import dual_lp, simulate, verify
 from .config import RunConfig, load_config, save_config
-from .discretize import build_grid, fields_to_csv
+from .discretize import build_grid, control_cap, fields_to_csv
 from .errors import ErgodicHJBError, ParameterError
-from .model import validate_assumptions
+from .model import STATES, validate_assumptions
 from .solver import (
     PenaltyParams,
     SolverOptions,
@@ -77,25 +77,27 @@ def _write_history_csv(path, history):
             writer.writerow([repr(float(param)), repr(float(lam))])
 
 
-def _write_sample_path(path, problem, control, config: RunConfig):
-    mc = config.mc
-    horizon = min(float(mc.get("horizon", 20.0)), 5.0)
+def _write_sample_path(path, problem, control, mc_kwargs: dict):
     est = simulate.simulate_paths(
-        problem, control, horizon=horizon, dt=float(mc.get("dt", 1e-3)), paths=1,
-        burn_in=0.0, seed=config.seed + 1, record_samples=True, sample_target=10**9)
+        problem, control, **{**mc_kwargs, "horizon": min(mc_kwargs["horizon"], 5.0),
+                             "paths": 1, "burn_in": 0.0, "seed": mc_kwargs["seed"] + 1,
+                             "record_samples": True, "sample_target": 10**9})
     s = est.samples
+    cost = np.empty(s.x.shape[0])
+    for k in STATES:
+        on = s.state == k
+        cost[on] = (problem.source(k)(s.x[on])
+                    + problem.hamiltonian.lagrangian(k, s.x[on], s.control[on]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = s.x.shape[1]
         writer.writerow(["t"] + [f"x{j+1}" for j in range(dim)] + ["state"]
                         + [f"u{j+1}" for j in range(dim)] + ["running_cost"])
-        dt = float(mc.get("dt", 1e-3)) * s.stride
+        dt = mc_kwargs["dt"] * s.stride
         for i in range(s.x.shape[0]):
-            k = int(s.state[i])
-            cost = float(problem.source(k)(s.x[i])
-                         + problem.hamiltonian.lagrangian(k, s.x[i], s.control[i]))
-            writer.writerow([repr(i * dt)] + [repr(float(v)) for v in s.x[i]] + [k]
-                            + [repr(float(v)) for v in s.control[i]] + [repr(cost)])
+            writer.writerow([repr(i * dt)] + [repr(float(v)) for v in s.x[i]]
+                            + [int(s.state[i])] + [repr(float(v)) for v in s.control[i]]
+                            + [repr(float(cost[i]))])
 
 
 def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[int, dict]:
@@ -163,8 +165,6 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         lp_grid = build_grid(problem.dimension, config.grid["radius"],
                              float(config.lp.get("h", 5 * config.grid["h"])))
         step = float(config.lp.get("control_step", 0.25))
-        from .discretize import control_cap
-
         cap = control_cap(problem, lp_grid)
         mesh = dual_lp.build_control_mesh(
             problem, lp_grid, magnitudes=np.arange(0.0, cap + step, step),
@@ -176,23 +176,19 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     if "simulate" in stages and config.mc is not None:
         mc = config.mc
         radius = float(config.grid["radius"])
+        mc_kwargs = {"horizon": float(mc.get("horizon", 20.0)), "dt": float(mc.get("dt", 1e-3)),
+                     "paths": int(mc.get("paths", 2000)),
+                     "burn_in": float(mc.get("burn_in", 0.1)), "seed": config.seed,
+                     "mode": mc.get("mode", "thinning"), "threads": config.threads}
         control = _parse_control(mc.get("control", "extracted"), radius, mc_control)
-        mc_est = simulate.simulate_paths(
-            problem, control, horizon=float(mc.get("horizon", 20.0)),
-            dt=float(mc.get("dt", 1e-3)), paths=int(mc.get("paths", 2000)),
-            burn_in=float(mc.get("burn_in", 0.1)), seed=config.seed,
-            mode=mc.get("mode", "thinning"), threads=config.threads)
+        mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
         summary["mc"] = mc_est.to_dict()
         if mc.get("perturbed"):
             worse = _parse_control(mc["perturbed"], radius, mc_control)
-            worse_est = simulate.simulate_paths(
-                problem, worse, horizon=float(mc.get("horizon", 20.0)),
-                dt=float(mc.get("dt", 1e-3)), paths=int(mc.get("paths", 2000)),
-                burn_in=float(mc.get("burn_in", 0.1)), seed=config.seed,
-                mode=mc.get("mode", "thinning"), threads=config.threads)
-            summary["mc"]["perturbed"] = worse_est.to_dict()
+            summary["mc"]["perturbed"] = simulate.simulate_paths(
+                problem, worse, **mc_kwargs).to_dict()
         if mc.get("sample_path"):
-            _write_sample_path(out / "sample_path.csv", problem, control, config)
+            _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
             files["sample_path"] = "sample_path.csv"
 
     if "audit" in stages:

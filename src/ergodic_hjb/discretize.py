@@ -273,8 +273,7 @@ def control_cap(problem: "ProblemSpec", grid: Grid) -> float:
         gamma = problem.hamiltonian.gamma(k)
         grad_scale = total ** ((gamma - 1) / (2 * gamma))
         lam_max = problem.hamiltonian.metric(k).eig_bounds()[1]
-        b = problem.hamiltonian.drift(k)(pts)
-        b_max = float(np.max(np.linalg.norm(b, axis=-1))) if b.size else 0.0
+        b_max = float(np.linalg.norm(problem.hamiltonian.drift(k).b, axis=-1))
         cap = max(cap, lam_max ** (gamma / 2.0) * grad_scale + b_max)
     return 2.0 * cap
 

@@ -6,7 +6,8 @@ Keeping the family closed lets every field carry an exact gradient, which the
 assumption audits and the feedback-control extraction rely on.
 
 All evaluations broadcast over leading axes: ``x`` has shape ``(..., dim)``
-and scalar fields return shape ``(...,)``.
+and scalar fields return shape ``(...,)``.  The metric and drift presets are
+constant, so they are held as plain arrays rather than evaluated per point.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CoefficientError, ParameterError
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
@@ -58,12 +64,12 @@ class CoefficientField:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dim)
-        r2 = np.sum(x * x, axis=-1)
         if self.form == "constant":
             return np.full(x.shape[:-1], self.c + self.offset)
         if self.form == "quadratic":
             w = np.asarray(self.weights)
             return self.c + self.offset + np.sum(w * x * x, axis=-1)
+        r2 = np.sum(x * x, axis=-1)
         if self.form == "power_radial":
             return self.offset + self.c * r2 ** (self.exponent / 2.0)
         phase = (1.0 + r2) ** self.beta2
@@ -71,11 +77,11 @@ class CoefficientField:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dim)
-        r2 = np.sum(x * x, axis=-1)
         if self.form == "constant":
             return np.zeros_like(x)
         if self.form == "quadratic":
             return 2.0 * np.asarray(self.weights) * x
+        r2 = np.sum(x * x, axis=-1)
         if self.form == "power_radial":
             # c * exponent * |x|^(exponent-2) * x, zero at the origin for exponent > 1
             fac = np.where(r2 > 0.0, r2, 1.0) ** (self.exponent / 2.0 - 1.0)
@@ -155,24 +161,23 @@ def trig_power(dim: int, beta1: float, beta2: float, c: float = 1.0) -> Coeffici
 
 @dataclass(frozen=True)
 class DriftField:
-    """Bounded vector-valued drift entering the Hamiltonian as ``b(x) . p``.
+    """Bounded vector-valued drift entering the Hamiltonian as ``b . p``.
 
     Only the constant preset is provided; it is enough to exercise the
     linear-in-p Hamiltonian term while keeping the Legendre pair exact.
+    ``b`` is the read-only ``(dim,)`` vector.
     """
 
     dim: int
     value: tuple[float, ...] = ()
+    b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.value:
             object.__setattr__(self, "value", (0.0,) * self.dim)
         if len(self.value) != self.dim:
             raise ParameterError("drift vector length must match the dimension")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        return np.broadcast_to(np.asarray(self.value), x.shape).copy()
+        object.__setattr__(self, "b", _read_only(np.asarray(self.value, dtype=float)))
 
     @property
     def is_zero(self) -> bool:
@@ -190,49 +195,35 @@ class DriftField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric positive-definite metric a(x); presets: identity, constant SPD.
+    """Symmetric positive-definite metric a; presets: identity, constant SPD.
 
     ``matrix`` is stored row-major as a tuple of tuples so instances stay
-    hashable and immutable.
+    hashable and immutable.  ``a`` and ``a_inv`` are the read-only
+    ``(dim, dim)`` matrix and its inverse.
     """
 
     dim: int
     matrix: tuple[tuple[float, ...], ...] | None = None  # None means identity
-    _inv: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _eigbounds: tuple[float, float] = field(init=False, repr=False, compare=False, default=None)
+    a: np.ndarray = field(init=False, repr=False, compare=False)
+    a_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigbounds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.matrix is None:
-            object.__setattr__(self, "_inv", np.eye(self.dim))
-            object.__setattr__(self, "_eigbounds", (1.0, 1.0))
-            return
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise CoefficientError(f"metric has shape {m.shape}, expected ({self.dim},{self.dim})")
-        if not np.allclose(m, m.T, atol=1e-12):
+        a = np.eye(self.dim) if self.matrix is None else np.asarray(self.matrix, dtype=float)
+        if a.shape != (self.dim, self.dim):
+            raise CoefficientError(f"metric has shape {a.shape}, expected ({self.dim},{self.dim})")
+        if not np.allclose(a, a.T, atol=1e-12):
             raise CoefficientError("metric must be symmetric")
-        eig = np.linalg.eigvalsh(m)
+        eig = np.linalg.eigvalsh(a)
         if eig.min() <= 0.0:
             raise CoefficientError(f"metric is not positive definite (eigenvalues {eig})")
-        object.__setattr__(self, "_inv", np.linalg.inv(m))
+        object.__setattr__(self, "a", _read_only(a))
+        object.__setattr__(self, "a_inv", _read_only(np.linalg.inv(a)))
         object.__setattr__(self, "_eigbounds", (float(eig.min()), float(eig.max())))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        m = np.eye(self.dim) if self.matrix is None else np.asarray(self.matrix)
-        return np.broadcast_to(m, x.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        return np.broadcast_to(self._inv, x.shape[:-1] + (self.dim, self.dim)).copy()
-
     def eig_bounds(self) -> tuple[float, float]:
-        """(smallest, largest) eigenvalue; uniform since presets are constant."""
+        """(smallest, largest) eigenvalue of the constant metric."""
         return self._eigbounds
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix is None
 
     def to_dict(self) -> dict:
         if self.matrix is None:

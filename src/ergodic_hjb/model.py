@@ -2,15 +2,16 @@
 
 The Hamiltonians come from the power-law family
 
-    H_k(x, p) = (1/gamma_k) <p, a_k(x) p>^(gamma_k/2) + b_k(x) . p
+    H_k(x, p) = (1/gamma_k) <p, a_k p>^(gamma_k/2) + b_k . p
 
 whose Legendre conjugate is available in closed form,
 
     l_k(x, xi) = (1/gamma_k') <xi - b_k, a_k^{-1}(xi - b_k)>^(gamma_k'/2),
 
-with 1/gamma_k + 1/gamma_k' = 1.  The supremum in
-H_k(x,p) = sup_xi { xi.p - l_k(x,xi) } is attained at xi = grad_p H_k(x,p),
-which is what the feedback-control extraction uses.
+with 1/gamma_k + 1/gamma_k' = 1.  The metric a_k and the drift b_k are
+constant, so ``x`` enters H_k and l_k only through the signature.  The
+supremum in H_k(x,p) = sup_xi { xi.p - l_k(x,xi) } is attained at
+xi = grad_p H_k(x,p), which is what the feedback-control extraction uses.
 
 Sign convention: the drift enters the Hamiltonian as ``+ b . p``.  In the
 controlled-diffusion reading the state drift of the optimally controlled
@@ -42,8 +43,9 @@ def _check_state(k: int) -> None:
         raise ParameterError(f"state index must be 1 or 2, got {k}")
 
 
-def _quad(p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...ij,...j->...", p, a, p)
+def _quad(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<v, m v> over the leading axes of ``v`` for one ``(d, d)`` matrix ``m``."""
+    return np.sum((v @ m) * v, axis=-1)
 
 
 def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
@@ -104,8 +106,8 @@ class HamiltonianSpec:
     def value_raw(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Untruncated H_k(x, p)."""
         g = self.gamma(k)
-        q = _quad(np.asarray(p, dtype=float), self.metric(k)(x))
-        return q ** (g / 2.0) / g + np.sum(self.drift(k)(x) * p, axis=-1)
+        q = _quad(np.asarray(p, dtype=float), self.metric(k).a)
+        return q ** (g / 2.0) / g + np.sum(self.drift(k).b * p, axis=-1)
 
     def value(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         raw = self.value_raw(k, x, p)
@@ -117,14 +119,13 @@ class HamiltonianSpec:
         """Analytic grad_p H_k; at p = 0 with gamma_k < 2 the power term is 0 by continuity."""
         g = self.gamma(k)
         p = np.asarray(p, dtype=float)
-        a = self.metric(k)(x)
+        a = self.metric(k).a
         q = _quad(p, a)
         if g == 2.0:
             fac = np.ones_like(q)
         else:
             fac = np.where(q > 0.0, np.where(q > 0.0, q, 1.0) ** (g / 2.0 - 1.0), 0.0)
-        ap = np.einsum("...ij,...j->...i", a, p)
-        return fac[..., None] * ap + self.drift(k)(x)
+        return fac[..., None] * (p @ a.T) + self.drift(k).b
 
     def grad_p(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         grad = self.grad_p_raw(k, x, p)
@@ -134,18 +135,18 @@ class HamiltonianSpec:
         return grad
 
     def lagrangian(self, k: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """l_k(x, xi); nonnegative, zero exactly at xi = b_k(x)."""
+        """l_k(x, xi); nonnegative, zero exactly at xi = b_k."""
         gc = self.conjugate_gamma(k)
-        d = np.asarray(xi, dtype=float) - self.drift(k)(x)
-        s = _quad(d, self.metric(k).inverse(x))
-        return s ** (gc / 2.0) / gc
+        d = np.asarray(xi, dtype=float) - self.drift(k).b
+        return _quad(d, self.metric(k).a_inv) ** (gc / 2.0) / gc
 
     def duality_gap(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """H_k(x,p) - (p . xi* - l_k(x, xi*)) at the maximizer xi* = grad_p H_k.
 
         Zero in exact arithmetic; the contract is |gap| <= 1e-9 (1 + |H|).
+        Raises for a state whose Hamiltonian is truncated.
         """
-        if self.truncation_level is not None and any(self.truncated(k2) for k2 in STATES):
+        if self.truncated(k):
             raise ParameterError("duality gap is defined for untruncated Hamiltonians")
         xi = self.grad_p_raw(k, x, p)
         h = self.value_raw(k, x, p)

@@ -154,15 +154,6 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
     alphas = (problem.switch_rate(1), problem.switch_rate(2))
     sources = (problem.source(1), problem.source(2))
     ham = problem.hamiltonian
-    ainv = [ham.metric(k)._inv for k in STATES]
-    drift = [np.asarray(ham.drift(k).value) for k in STATES]
-    cgam = [ham.conjugate_gamma(k) for k in STATES]
-
-    def lagrangian(k, xi):
-        d = xi - drift[k]
-        s = np.sum((d @ ainv[k]) * d, axis=1)
-        return s ** (cgam[k] / 2.0) / cgam[k]
-
     alpha_const = None
     if all(a.form == "constant" for a in problem.switch_rates):
         alpha_const = (problem.switch_rates[0].c, problem.switch_rates[1].c)
@@ -182,8 +173,8 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
             tallied = step + b >= burn_steps
             xi = np.where(in1[:, None], control(x, 1), control(x, 2))
             if tallied:
-                run = np.where(in1, sources[0](x) + lagrangian(0, xi),
-                               sources[1](x) + lagrangian(1, xi))
+                run = np.where(in1, sources[0](x) + ham.lagrangian(1, x, xi),
+                               sources[1](x) + ham.lagrangian(2, x, xi))
                 cost_acc += run * dt
                 n1 = int(np.count_nonzero(in1))
                 time_in[0] += n1 * dt

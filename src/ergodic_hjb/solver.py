@@ -38,7 +38,7 @@ from .discretize import (
     gradient_central,
 )
 from .errors import ConvergenceError, MonotonicityError, ParameterError, SolverError
-from .model import ProblemSpec, STATES
+from .model import ProblemSpec, STATES, _quad
 
 
 @dataclass(frozen=True)
@@ -368,8 +368,7 @@ def _running_cost(problem: ProblemSpec, grid: Grid, xi: np.ndarray,
     lag = np.empty((2, grid.n_nodes))
     for k in STATES:
         if k in ramp_costs:
-            ainv = ham.metric(k).inverse(pts)
-            s = np.sqrt(np.einsum("...i,...ij,...j->...", xi[k - 1], ainv, xi[k - 1]))
+            s = np.sqrt(_quad(xi[k - 1], ham.metric(k).a_inv))
             lag[k - 1] = ramp_costs[k].value(s)
         else:
             lag[k - 1] = ham.lagrangian(k, pts, xi[k - 1])
@@ -398,9 +397,9 @@ def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float,
     for k in STATES:
         g = gradient_central(grid, u[k - 1])
         if k in ramp_costs:
-            a = ham.metric(k)(pts)
-            ag = np.einsum("...ij,...j->...i", a, g)
-            m = np.sqrt(np.maximum(np.einsum("...i,...i->...", g, ag), 0.0))
+            a = ham.metric(k).a
+            ag = g @ a.T
+            m = np.sqrt(np.maximum(_quad(g, a), 0.0))
             s = ramp_costs[k].slope(m)
             raw = np.where(m[:, None] > 0, s[:, None] / np.where(m > 0, m, 1.0)[:, None] * ag, 0.0)
         else:
@@ -620,7 +619,7 @@ def extract_control(problem: ProblemSpec, solution: ErgodicSolution) -> ControlF
         g = gradient_central(grid, solution.state(k))
         xi[k - 1] = ham.grad_p(k, pts, g)
         if not ham.truncated(k):
+            gap = ham.duality_gap(k, pts, g)
             h = ham.value_raw(k, pts, g)
-            gap = h - (np.sum(g * xi[k - 1], axis=-1) - ham.lagrangian(k, pts, xi[k - 1]))
             worst = max(worst, float(np.max(np.abs(gap) / (1.0 + np.abs(h)))))
     return ControlFieldPair(values=xi, duality_residual=worst)

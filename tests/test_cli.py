@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ergodic_hjb.cli import main, run_pipeline
@@ -75,6 +76,11 @@ class TestPipeline:
             assert (tmp_path / name).exists()
         manifest = json.loads((tmp_path / "summary.json").read_text())
         assert manifest["lp"]["lambda_bar"] == pytest.approx(2**0.5, rel=0.05)
+        # columns t, x1, state, u1, running_cost; f_k = x^2 and l_k = xi^2/2
+        path = np.loadtxt(tmp_path / "sample_path.csv", delimiter=",", skiprows=1)
+        assert path.shape[0] > 0
+        assert np.allclose(path[:, 4], path[:, 1] ** 2 + path[:, 3] ** 2 / 2,
+                           rtol=1e-12, atol=0.0)
 
     def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
         config = small_config()

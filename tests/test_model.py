@@ -80,6 +80,12 @@ def test_lagrangian_values():
     assert h4.lagrangian(1, np.zeros(1), np.array([1.0])) == pytest.approx(0.75)
     hb = ham(drift=fields.DriftField(2, (1.0, 0.0)))
     assert hb.lagrangian(1, x, np.array([1.0, 0.0])) == pytest.approx(0.0)
+    # a = [[2, 1], [1, 2]], b = (1, -1), xi = (2, 1): d = (1, 2), a^-1 d = (0, 1),
+    # <d, a^-1 d> = 2, so l = 2/2 for gamma 2 and (3/4) 2^(2/3) for gamma 4
+    ha = ham(gammas=(2.0, 4.0), drift=fields.DriftField(2, (1.0, -1.0)),
+             metric=fields.constant_metric(2, [[2.0, 1.0], [1.0, 2.0]]))
+    assert ha.lagrangian(1, x, np.array([2.0, 1.0])) == pytest.approx(1.0)
+    assert ha.lagrangian(2, x, np.array([2.0, 1.0])) == pytest.approx(0.75 * 2.0 ** (2.0 / 3.0))
 
 
 def test_duality_gap_quartic():
@@ -157,6 +163,11 @@ def test_truncated_hamiltonian_chain_rule():
     assert h4.value(1, x, p) < h4.value_raw(1, x, p)
     with pytest.raises(ParameterError):
         h4.duality_gap(1, x, p)
+    # only the truncated state of a mixed problem refuses the duality gap
+    h24 = truncate_hamiltonian(ham(dim=1, gammas=(2.0, 4.0)), level=2.0)
+    assert abs(h24.duality_gap(1, x, p)) < 1e-12
+    with pytest.raises(ParameterError):
+        h24.duality_gap(2, x, p)
 
 
 def test_truncation_identity_for_subquadratic():
