@@ -16,12 +16,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dual_lp, simulate, verify
-from .config import RunConfig, load_config, save_config
+from .config import _DEFAULT_AUDITS, RunConfig, load_config, save_config
 from .discretize import build_grid, control_cap, fields_to_csv
 from .errors import ErgodicHJBError, ParameterError
 from .model import STATES, validate_assumptions
@@ -37,34 +38,31 @@ from .solver import (
 
 ALL_STAGES = ("solve", "lp", "simulate", "audit")
 
+# the keys of each config section and their defaults (solver, penalty: dataclass fields)
+_GRID_KEYS = ("radius", "h")
+_LP_DEFAULTS = {"h": None, "control_step": 0.25, "directions": 8}   # h None: 5 * grid h
+_MC_DEFAULTS = {"horizon": 20.0, "dt": 1e-3, "paths": 2000, "burn_in": 0.1,
+                "mode": "thinning", "control": "extracted", "perturbed": None,
+                "sample_path": False}
 
-def _solver_options(config: RunConfig) -> SolverOptions:
-    allowed = {"tol_pde", "tol_lambda", "eps0", "eps_min", "max_policy_iters",
-               "cap_factor", "control_cap"}
-    unknown = set(config.solver) - allowed
+
+def _section(config: RunConfig, name: str, allowed) -> dict:
+    """Config section ``name`` (empty when absent); a key outside ``allowed`` raises."""
+    section = getattr(config, name) or {}
+    unknown = set(section) - set(allowed)
     if unknown:
-        raise ParameterError(f"unknown solver options: {sorted(unknown)}")
-    return SolverOptions(**config.solver)
+        raise ParameterError(f"unknown {name} keys: {sorted(unknown)}")
+    return section
 
 
-def _penalty(config: RunConfig, problem) -> PenaltyParams:
-    if config.penalty is None:
-        return default_penalty(problem)
-    allowed = {"beta", "alpha_exp", "cap"}
-    unknown = set(config.penalty) - allowed
-    if unknown:
-        raise ParameterError(f"unknown penalty options: {sorted(unknown)}")
-    return PenaltyParams(**config.penalty).validated(problem)
-
-
-def _parse_control(spec: str, radius: float, solution_control):
+def _parse_control(spec, radius: float):
+    """Feedback field of a control spec; ``extracted`` stays a marker for the
+    solve's feedback, which exists only once the solve stage has run."""
     if spec == "extracted":
-        if solution_control is None:
-            raise ParameterError("extracted control requested but no solve stage ran")
-        return solution_control
+        return spec
     if spec == "zero":
         return simulate.FeedbackControl.zero(radius)
-    if spec.startswith("linear:"):
+    if isinstance(spec, str) and spec.startswith("linear:"):
         return simulate.FeedbackControl.linear(radius, float(spec.split(":", 1)[1]))
     raise ParameterError(f"unknown control spec {spec!r} (extracted | zero | linear:<c>)")
 
@@ -103,12 +101,42 @@ def _write_sample_path(path, problem, control, mc_kwargs: dict):
 def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[int, dict]:
     """Execute the selected stages and write the artifact bundle.
 
-    Returns (exit code, summary dict).  Configuration problems raise
-    ``ParameterError`` before any stage runs.
+    Returns (exit code, summary dict).  Every section of the config is read
+    and checked first, whichever stages are selected, so a bad key or value
+    raises ``ParameterError`` before any stage runs or any file is written.
     """
-    problem = config.problem_spec()
-    opts = _solver_options(config)
-    penalty = _penalty(config, problem)
+    lp_grid = mc = None
+    controls = ()
+    try:  # reads nothing but the config, so any error raised here is a config error
+        problem = config.problem_spec()
+        opts = SolverOptions(**_section(config, "solver", [f.name for f in fields(SolverOptions)]))
+        penalty = default_penalty(problem) if config.penalty is None else PenaltyParams(
+            **_section(config, "penalty", [f.name for f in fields(PenaltyParams)])
+        ).validated(problem)
+        grid_cfg = _section(config, "grid", _GRID_KEYS)
+        radius, h = grid_cfg["radius"], grid_cfg["h"]
+        audits = _section(config, "audits", _DEFAULT_AUDITS)
+        # x_ref must be a node of the smallest box a stage solves on
+        build_grid(problem.dimension, min([radius, *(config.radii or ())]),
+                   h).index_of(problem.ref_point)
+        if config.lp is not None:
+            lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
+            lp_grid = build_grid(problem.dimension, radius, float(lp["h"]))
+            lp_step, lp_directions = float(lp["control_step"]), int(lp["directions"])
+        if config.mc is not None:
+            mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
+            mc_kwargs = {"horizon": float(mc["horizon"]), "dt": float(mc["dt"]),
+                         "paths": int(mc["paths"]), "burn_in": float(mc["burn_in"]),
+                         "mode": mc["mode"]}
+            # the dt guard probes the rates on the largest box a control lives on
+            simulate._check_arguments(problem, max([radius, *(config.radii or ())]),
+                                      **mc_kwargs)
+            mc_kwargs.update(seed=config.seed, threads=config.threads)
+            controls = (_parse_control(mc["control"], radius),
+                        _parse_control(mc["perturbed"], radius) if mc["perturbed"] else None)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
+
     out = Path(out_dir or config.out or "ergodic_hjb_out")
     out.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -117,22 +145,19 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     reports = []
 
     solution = None
-    control_field = None
-    mc_control = None
-    need_solve = "solve" in stages or (
-        "simulate" in stages and config.mc and config.mc.get("control", "extracted") == "extracted")
+    extracted = None
+    need_solve = "solve" in stages or ("simulate" in stages and "extracted" in controls)
 
     if need_solve:
-        grid = build_grid(problem.dimension, config.grid["radius"], config.grid["h"])
+        grid = build_grid(problem.dimension, radius, h)
         if config.method == "vanishing_discount":
             solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
         elif config.method == "nested_domains":
-            solution = nested_domains(problem, config.radii, config.grid["h"],
-                                      penalty=penalty, opts=opts)
+            solution = nested_domains(problem, config.radii, h, penalty=penalty, opts=opts)
         else:
             solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
         control_field = extract_control(problem, solution)
-        mc_control = simulate.FeedbackControl.from_fields(solution.grid, control_field.values)
+        extracted = simulate.FeedbackControl.from_fields(solution.grid, control_field.values)
         lam_block = {
             "value": solution.lam,
             "method": solution.method,
@@ -161,49 +186,39 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         files["lambda_history"] = "lambda_history.csv"
 
     lam_lp = None
-    if "lp" in stages and config.lp is not None:
-        lp_grid = build_grid(problem.dimension, config.grid["radius"],
-                             float(config.lp.get("h", 5 * config.grid["h"])))
-        step = float(config.lp.get("control_step", 0.25))
+    if "lp" in stages and lp_grid is not None:
         cap = control_cap(problem, lp_grid)
         mesh = dual_lp.build_control_mesh(
-            problem, lp_grid, magnitudes=np.arange(0.0, cap + step, step),
-            directions=int(config.lp.get("directions", 8)))
+            problem, lp_grid, magnitudes=np.arange(0.0, cap + lp_step, lp_step),
+            directions=lp_directions)
         lam_lp, measure = dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, mesh))
         summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
 
     mc_est = None
-    if "simulate" in stages and config.mc is not None:
-        mc = config.mc
-        radius = float(config.grid["radius"])
-        mc_kwargs = {"horizon": float(mc.get("horizon", 20.0)), "dt": float(mc.get("dt", 1e-3)),
-                     "paths": int(mc.get("paths", 2000)),
-                     "burn_in": float(mc.get("burn_in", 0.1)), "seed": config.seed,
-                     "mode": mc.get("mode", "thinning"), "threads": config.threads}
-        control = _parse_control(mc.get("control", "extracted"), radius, mc_control)
+    if "simulate" in stages and mc is not None:
+        control, worse = (extracted if c == "extracted" else c for c in controls)
         mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
         summary["mc"] = mc_est.to_dict()
-        if mc.get("perturbed"):
-            worse = _parse_control(mc["perturbed"], radius, mc_control)
+        if worse is not None:
             summary["mc"]["perturbed"] = simulate.simulate_paths(
                 problem, worse, **mc_kwargs).to_dict()
-        if mc.get("sample_path"):
+        if mc["sample_path"]:
             _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
             files["sample_path"] = "sample_path.csv"
 
     if "audit" in stages:
         audit_grid = solution.grid if solution is not None else build_grid(
-            problem.dimension, config.grid["radius"], config.grid["h"])
-        if config.audits.get("assumptions", True):
+            problem.dimension, radius, h)
+        if audits["assumptions"]:
             rep = validate_assumptions(problem, audit_grid)
             reports.append(verify.AuditReport(
                 name="standing_assumptions", passed=rep.passed,
                 constants=rep.to_dict(), narrative=rep.narrative))
-        if config.audits.get("comparison", True):
+        if audits["comparison"]:
             reports.append(verify.audit_comparison(problem, audit_grid, opts=opts))
-        if config.audits.get("coercive", True) and solution is not None:
+        if audits["coercive"] and solution is not None:
             reports.append(verify.audit_coercive_lower_bound(problem, solution))
-        if config.audits.get("gradient_bound", False):
+        if audits["gradient_bound"]:
             reports.append(verify.audit_gradient_bound(problem, audit_grid, opts=opts))
         if solution is not None and (lam_lp is not None or mc_est is not None):
             reports.append(verify.consistency_report(
@@ -281,26 +296,16 @@ def main(argv=None) -> int:
             config.threads = args.threads
         if args.command == "simulate":
             mc = dict(config.mc or {})
-            for key, attr in (("paths", "paths"), ("horizon", "horizon"),
-                              ("dt", "dt"), ("burn_in", "burn_in"),
-                              ("control", "control")):
-                value = getattr(args, attr, None)
+            for key in ("paths", "horizon", "dt", "burn_in", "control"):
+                value = getattr(args, key)
                 if value is not None:
                     mc[key] = value
             config.mc = mc
-        # validate the penalty bracket and the reference point before any stage
-        # runs; x_ref must be a node of the smallest box a stage solves on
-        problem = config.problem_spec()
-        _penalty(config, problem)
-        _solver_options(config)
-        radius = min([config.grid["radius"], *(config.radii or ())])
-        build_grid(problem.dimension, radius, config.grid["h"]).index_of(problem.ref_point)
-    except (ParameterError, KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         code, summary = run_pipeline(config, stages=_STAGE_SETS[args.command],
                                      out_dir=args.out)
+    except ParameterError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ErgodicHJBError as exc:
         print(f"stage failure [{args.command}]: {exc}", file=sys.stderr)
         return 1

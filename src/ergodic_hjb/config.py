@@ -9,7 +9,7 @@ can be referenced by name (e.g. ``quadratic-1d``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -40,6 +40,11 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("dict") and not (
+                    isinstance(value, dict) or value is None and f.default is None):
+                raise ParameterError(f"config section {f.name!r} must be an object")
         if self.schema_version != SCHEMA_VERSION:
             raise ParameterError(
                 f"config schema version {self.schema_version} unsupported "
@@ -51,39 +56,19 @@ class RunConfig:
         for key in ("radius", "h"):
             if key not in self.grid:
                 raise ParameterError(f"grid config needs {key!r}")
-        merged = dict(_DEFAULT_AUDITS)
-        merged.update(self.audits)
-        self.audits = merged
+        self.audits = {**_DEFAULT_AUDITS, **self.audits}
 
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec.from_dict(self.problem)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "problem": self.problem,
-            "grid": self.grid,
-            "method": self.method,
-            "radii": self.radii,
-            "solver": self.solver,
-            "penalty": self.penalty,
-            "lp": self.lp,
-            "mc": self.mc,
-            "audits": self.audits,
-            "compare_methods": self.compare_methods,
-            "seed": self.seed,
-            "threads": self.threads,
-            "out": self.out,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ParameterError("config root must be an object")
-        known = {"schema_version", "problem", "grid", "method", "radii", "solver",
-                 "penalty", "lp", "mc", "audits", "compare_methods", "seed",
-                 "threads", "out"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         if "problem" not in d:

@@ -286,15 +286,14 @@ def fields_to_csv(grid: Grid, fields: dict[str, np.ndarray], path) -> None:
     """
     import csv
 
-    names = list(fields)
+    arrays = [np.asarray(v) for v in fields.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j+1}" for j in range(grid.dim)] + ["state"] + names)
+        writer.writerow([f"x{j+1}" for j in range(grid.dim)] + ["state"] + list(fields))
         for k in (1, 2):
             for i in range(grid.n_nodes):
-                row = [f"{c!r}" for c in grid.points[i]] + [k]
-                for name in names:
-                    arr = np.asarray(fields[name])
+                row = [repr(float(c)) for c in grid.points[i]] + [k]
+                for arr in arrays:
                     val = arr[k - 1, i] if arr.ndim == 2 else arr[i]
                     row.append(repr(float(val)))
                 writer.writerow(row)

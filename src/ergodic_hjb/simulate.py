@@ -156,7 +156,7 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
     ham = problem.hamiltonian
     alpha_const = None
     if all(a.form == "constant" for a in problem.switch_rates):
-        alpha_const = (problem.switch_rates[0].c, problem.switch_rates[1].c)
+        alpha_const = tuple(float(a(np.zeros(dim))) for a in alphas)
         # switching by thinning: U < rate dt realized as Z < ndtri(rate dt)
         thresholds = (ndtri(alpha_const[0] * dt), ndtri(alpha_const[1] * dt))
 
@@ -224,6 +224,24 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
     }
 
 
+def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: float,
+                     paths: int, burn_in: float, mode: str) -> None:
+    """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d."""
+    if mode not in ("thinning", "exponential"):
+        raise ParameterError(f"unknown switching mode {mode!r}")
+    if horizon <= 0 or dt <= 0 or paths <= 0:
+        raise ParameterError("horizon, step and path count must be positive")
+    if not 0.0 <= burn_in < 1.0:
+        raise ParameterError("burn-in must be a fraction of the horizon in [0, 1)")
+    axis = np.linspace(-radius, radius, 33)
+    grids = np.meshgrid(*([axis] * problem.dimension), indexing="ij")
+    probe = np.stack([g.ravel() for g in grids], axis=-1)
+    alpha_max = max(float(np.max(problem.switch_rate(k)(probe))) for k in STATES)
+    if dt * alpha_max > 0.1:
+        raise ParameterError(
+            f"dt * max switching rate = {dt * alpha_max:.3g} > 0.1; shrink the step")
+
+
 def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: float,
                    dt: float, paths: int, burn_in: float = 0.1, seed: int = 0,
                    mode: str = "thinning", record_samples: bool = False,
@@ -238,19 +256,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     box).  With ``record_samples`` a thinned (X, S, xi) stream is kept for
     occupation-measure estimation.
     """
-    if mode not in ("thinning", "exponential"):
-        raise ParameterError(f"unknown switching mode {mode!r}")
-    if horizon <= 0 or dt <= 0 or paths <= 0:
-        raise ParameterError("horizon, step and path count must be positive")
-    if not 0.0 <= burn_in < 1.0:
-        raise ParameterError("burn-in must be a fraction of the horizon in [0, 1)")
-    axis = np.linspace(-control.radius, control.radius, 33)
-    grids = np.meshgrid(*([axis] * problem.dimension), indexing="ij")
-    probe = np.stack([g.ravel() for g in grids], axis=-1)
-    alpha_max = max(float(np.max(problem.switch_rate(k)(probe))) for k in STATES)
-    if dt * alpha_max > 0.1:
-        raise ParameterError(
-            f"dt * max switching rate = {dt * alpha_max:.3g} > 0.1; shrink the step")
+    _check_arguments(problem, control.radius, horizon, dt, paths, burn_in, mode)
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
     pde_verified = gammas[0] == gammas[1]
 

@@ -136,6 +136,30 @@ class TestMainEntry:
         assert err.strip() == f"config error: {message}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mc", "pathz", 10),
+        ("lp", "control_stepp", 0.5),
+        ("grid", "hh", 0.1),
+        ("audits", "coersive", True),
+        ("mc", "control", "bogus"),
+        ("mc", "mode", "psychic"),
+        ("mc", "dt", 0.5),
+        ("lp", "h", 0.07),
+        ("mc", "horizon", "abc"),
+        ("mc", "perturbed", "linear:x"),
+    ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
+            "mc-dt", "lp-h", "mc-horizon", "mc-perturbed"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
+        # every section is checked before the first stage writes anything
+        config = small_config()
+        config[section] = {**config[section], key: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
     def test_solve_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(mc=None, lp=None)))

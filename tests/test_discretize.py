@@ -180,3 +180,6 @@ def test_exports(tmp_path):
     lines = fpath.read_text().strip().splitlines()
     assert lines[0] == "x1,state,u"
     assert len(lines) == 1 + 2 * g.n_nodes
+    # the coordinate columns parse as numbers: both state blocks list the nodes
+    table = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(table[:, :g.dim], np.vstack([g.points, g.points]))

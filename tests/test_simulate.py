@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,14 +85,31 @@ class TestSimulatePaths:
         fine = simulate_paths(quadratic_1d, ctrl, horizon=10.0, dt=1e-3, paths=1500, seed=22)
         assert abs(coarse.avg_cost - fine.avg_cost) <= 3 * (coarse.std_error + fine.std_error)
 
-    def test_switching_modes_agree(self):
-        problem = make_problem(alphas=(2.0, 1.0))
+    @pytest.mark.parametrize("rates", [
+        (fields.constant(1, 2.0), fields.constant(1, 1.0)),
+        (fields.quadratic(1, (0.2,), c0=0.5), fields.quadratic(1, (0.1,), c0=1.0)),
+    ], ids=["constant", "x-dependent"])
+    def test_switching_modes_agree(self, rates):
+        # x-dependent rates take the per-step thinning and integrated-clock branches
+        problem = replace(make_problem(), switch_rates=rates)
         ctrl = FeedbackControl.linear(6.0, SQRT2)
         thin = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5)
         clock = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5,
                                mode="exponential")
         assert abs(thin.avg_cost - clock.avg_cost) <= 3 * (thin.std_error + clock.std_error)
         assert abs(thin.state_fraction[0] - clock.state_fraction[0]) <= 0.02
+
+    def test_constant_rate_offset(self):
+        # a constant rate switches at c + offset, as the PDE and the LP evaluate it
+        plain = make_problem(alphas=(2.0, 1.0))
+        shifted = replace(plain, switch_rates=(fields.constant(1, 1.0).shifted(1.0),
+                                               plain.switch_rates[1]))
+        ctrl = FeedbackControl.linear(6.0, SQRT2)
+        a, b = (simulate_paths(p, ctrl, horizon=2.0, dt=1e-3, paths=128, seed=8)
+                for p in (plain, shifted))
+        assert a.switch_count == b.switch_count
+        assert a.state_fraction == b.state_fraction
+        assert a.mean_rate == b.mean_rate
 
     def test_switch_intensity_matches_rates(self):
         problem = make_problem(alphas=(2.0, 1.0))
