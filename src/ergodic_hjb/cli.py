@@ -25,7 +25,7 @@ from . import dual_lp, simulate, verify
 from .config import _DEFAULT_AUDITS, RunConfig, load_config, save_config
 from .discretize import build_grid, control_cap, fields_to_csv
 from .errors import ErgodicHJBError, ParameterError
-from .model import STATES, validate_assumptions
+from .model import validate_assumptions
 from .solver import (
     PenaltyParams,
     SolverOptions,
@@ -81,11 +81,6 @@ def _write_sample_path(path, problem, control, mc_kwargs: dict):
                              "paths": 1, "burn_in": 0.0, "seed": mc_kwargs["seed"] + 1,
                              "record_samples": True, "sample_target": 10**9})
     s = est.samples
-    cost = np.empty(s.x.shape[0])
-    for k in STATES:
-        on = s.state == k
-        cost[on] = (problem.source(k)(s.x[on])
-                    + problem.hamiltonian.lagrangian(k, s.x[on], s.control[on]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = s.x.shape[1]
@@ -95,7 +90,7 @@ def _write_sample_path(path, problem, control, mc_kwargs: dict):
         for i in range(s.x.shape[0]):
             writer.writerow([repr(i * dt)] + [repr(float(v)) for v in s.x[i]]
                             + [int(s.state[i])] + [repr(float(v)) for v in s.control[i]]
-                            + [repr(float(cost[i]))])
+                            + [repr(float(s.cost[i]))])
 
 
 def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[int, dict]:

@@ -27,20 +27,22 @@ from .errors import ParameterError
 from .model import ProblemSpec, STATES
 
 
-def _bilinear(grid: Grid, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a node field at arbitrary points."""
+def _bilinear(grid: Grid, values: np.ndarray, pts: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of the node field ``values[k - 1]`` at arbitrary
+    points; ``k`` is one state for every point or an array of one state per point."""
     h, r = grid.h, grid.radius
     rel = np.clip((pts + r) / h, 0.0, grid.n_axis - 1.0)
     lo = np.minimum(rel.astype(int), grid.n_axis - 2)
     frac = rel - lo
-    v = values.reshape(grid.shape)
+    v = values.reshape((2, *grid.shape, values.shape[-1]))
+    s = np.asarray(k) - 1
     if grid.dim == 1:
-        i = lo[:, 0]
-        return v[i] * (1 - frac[:, 0]) + v[i + 1] * frac[:, 0]
+        i, fx = lo[:, 0], frac[:, :1]
+        return v[s, i] * (1 - fx) + v[s, i + 1] * fx
     i, j = lo[:, 0], lo[:, 1]
-    fx, fy = frac[:, 0], frac[:, 1]
-    return (v[i, j] * (1 - fx) * (1 - fy) + v[i + 1, j] * fx * (1 - fy)
-            + v[i, j + 1] * (1 - fx) * fy + v[i + 1, j + 1] * fx * fy)
+    fx, fy = frac[:, :1], frac[:, 1:]
+    return (v[s, i, j] * (1 - fx) * (1 - fy) + v[s, i + 1, j] * fx * (1 - fy)
+            + v[s, i, j + 1] * (1 - fx) * fy + v[s, i + 1, j + 1] * fx * fy)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class FeedbackControl:
 
     ``kind`` is one of ``grid`` (multilinear interpolation of a stored node
     field, exact at the nodes), ``zero``, or ``linear`` (xi(x) = c x).
-    ``radius`` bounds the box on which paths are considered valid.
+    ``radius`` bounds the box on which paths are considered valid.  A call's
+    state ``k`` is one state for all points or an array of one per point.
     """
 
     kind: str
@@ -71,25 +74,23 @@ class FeedbackControl:
     def linear(radius: float, coefficient: float) -> "FeedbackControl":
         return FeedbackControl(kind="linear", radius=radius, coefficient=coefficient)
 
-    def __call__(self, x: np.ndarray, k: int) -> np.ndarray:
+    def __call__(self, x: np.ndarray, k: int | np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "linear":
             return self.coefficient * x
-        out = np.empty_like(x)
-        for j in range(x.shape[-1]):
-            out[:, j] = _bilinear(self.grid, self.values[k - 1][:, j], x)
-        return out
+        return _bilinear(self.grid, self.values, x, k)
 
 
 @dataclass(frozen=True)
 class SimulationSamples:
-    """Thinned (state, position, control) stream kept for measure estimation."""
+    """Thinned (position, state, control, running cost) stream of kept steps."""
 
     x: np.ndarray
     state: np.ndarray
     control: np.ndarray
+    cost: np.ndarray
     stride: int
 
 
@@ -135,11 +136,10 @@ def _path_generators(seed: int, lo: int, hi: int):
             for p in range(lo, hi)]
 
 
-def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mode,
+def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mode,
                     sample_stride):
     dim = problem.dimension
     n_paths = hi - lo
-    n_steps = int(round(horizon / dt))
     gens = _path_generators(seed, lo, hi)
     x = np.zeros((n_paths, dim))
     in1 = np.ones(n_paths, dtype=bool)
@@ -154,11 +154,6 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
     alphas = (problem.switch_rate(1), problem.switch_rate(2))
     sources = (problem.source(1), problem.source(2))
     ham = problem.hamiltonian
-    alpha_const = None
-    if all(a.form == "constant" for a in problem.switch_rates):
-        alpha_const = tuple(float(a(np.zeros(dim))) for a in alphas)
-        # switching by thinning: U < rate dt realized as Z < ndtri(rate dt)
-        thresholds = (ndtri(alpha_const[0] * dt), ndtri(alpha_const[1] * dt))
 
     noise = np.sqrt(2.0 * dt)
     kept = []
@@ -171,7 +166,9 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
             draws[i, :block] = g.standard_normal((block, dim + 1))
         for b in range(block):
             tallied = step + b >= burn_steps
-            xi = np.where(in1[:, None], control(x, 1), control(x, 2))
+            state = 2 - in1
+            xi = control(x, state)
+            rate = np.where(in1, alphas[0](x), alphas[1](x))
             if tallied:
                 run = np.where(in1, sources[0](x) + ham.lagrangian(1, x, xi),
                                sources[1](x) + ham.lagrangian(2, x, xi))
@@ -179,27 +176,18 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
                 n1 = int(np.count_nonzero(in1))
                 time_in[0] += n1 * dt
                 time_in[1] += (n_paths - n1) * dt
+                r1 = float(rate @ in1)
+                rate_acc[0] += r1 * dt
+                rate_acc[1] += (float(rate.sum()) - r1) * dt
                 if sample_stride and (step + b) % sample_stride == 0:
-                    kept.append((x.copy(), np.where(in1, 1, 2), xi.copy()))
+                    kept.append((x, state, xi, run))   # fresh arrays every step
             z = draws[:, b, dim]
-            if alpha_const is not None:
-                if tallied:
-                    rate_acc[0] += alpha_const[0] * n1 * dt
-                    rate_acc[1] += alpha_const[1] * (n_paths - n1) * dt
-                if mode == "thinning":
-                    flip = z < np.where(in1, thresholds[0], thresholds[1])
-                else:
-                    rate = np.where(in1, alpha_const[0], alpha_const[1])
+            if mode == "thinning":
+                # U < rate dt realized as Z < ndtri(rate dt); ndtri is increasing, so
+                # only draws below the step's largest threshold can switch
+                flip = z < ndtri(rate.max() * dt)
+                flip[flip] = z[flip] < ndtri(rate[flip] * dt)
             else:
-                rate = np.where(in1, alphas[0](x), alphas[1](x))
-                if tallied:
-                    rate_acc[0] += float(np.sum(rate[in1])) * dt
-                    rate_acc[1] += float(np.sum(rate[~in1])) * dt
-                if mode == "thinning":
-                    flip = z < ndtri(rate * dt)
-            if mode == "exponential":
-                if alpha_const is not None:
-                    rate = np.where(in1, alpha_const[0], alpha_const[1])
                 integrated += rate * dt
                 flip = integrated >= clock
                 if np.any(flip):
@@ -219,8 +207,7 @@ def _simulate_chunk(problem, control, horizon, dt, lo, hi, burn_steps, seed, mod
         step += block
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
-        "rate_acc": rate_acc, "clamps": clamps,
-        "switches": int(switches_from.sum()), "kept": kept,
+        "rate_acc": rate_acc, "clamps": clamps, "kept": kept,
     }
 
 
@@ -229,8 +216,8 @@ def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: fl
     """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d."""
     if mode not in ("thinning", "exponential"):
         raise ParameterError(f"unknown switching mode {mode!r}")
-    if horizon <= 0 or dt <= 0 or paths <= 0:
-        raise ParameterError("horizon, step and path count must be positive")
+    if not (0 < horizon < np.inf and 0 < dt < np.inf and paths > 0):
+        raise ParameterError("horizon, step and path count must be finite and positive")
     if not 0.0 <= burn_in < 1.0:
         raise ParameterError("burn-in must be a fraction of the horizon in [0, 1)")
     axis = np.linspace(-radius, radius, 33)
@@ -251,10 +238,13 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     ``burn_in`` is the fraction of the horizon discarded before cost
     accumulation.  Switching uses first-order thinning by default (guarded by
     ``dt * max rate <= 0.1``) or an integrated-intensity exponential clock as
-    a cross-check mode.  Paths leaving the box are clamped and counted; a
+    a cross-check mode; each step evaluates the rate and the feedback once per
+    path, in its current state, whatever the rate's form.  Thinning switches
+    when ``Z < ndtri(rate dt)``, evaluating ``ndtri`` only below the step's
+    largest threshold.  Paths leaving the box are clamped and counted; a
     nonzero ``clamp_count`` marks the estimate as unreliable (enlarge the
-    box).  With ``record_samples`` a thinned (X, S, xi) stream is kept for
-    occupation-measure estimation.
+    box).  With ``record_samples`` a thinned (X, S, xi, running cost) stream
+    is kept for occupation-measure estimation and the sample path.
     """
     _check_arguments(problem, control.radius, horizon, dt, paths, burn_in, mode)
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
@@ -267,7 +257,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
         stride = max(1, (n_steps - burn_steps) * paths // max(sample_target, 1))
 
     bounds = [(lo, min(lo + _PATH_CHUNK, paths)) for lo in range(0, paths, _PATH_CHUNK)]
-    args = [(problem, control, horizon, dt, lo, hi, burn_steps, seed, mode, stride)
+    args = [(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mode, stride)
             for lo, hi in bounds]
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -285,15 +275,13 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     se = float(np.std(tails, ddof=1) / np.sqrt(paths)) if paths > 1 else float("inf")
     samples = None
     if record_samples:
-        xs = np.concatenate([s[0] for r in results for s in r["kept"]])
-        ss = np.concatenate([s[1] for r in results for s in r["kept"]])
-        cs = np.concatenate([s[2] for r in results for s in r["kept"]])
-        samples = SimulationSamples(x=xs, state=ss, control=cs, stride=stride)
+        columns = zip(*(row for r in results for row in r["kept"]))   # x, state, xi, cost
+        samples = SimulationSamples(*map(np.concatenate, columns), stride=stride)
     return SimulationEstimate(
         avg_cost=avg,
         std_error=se,
         tail_averages=tails,
-        switch_count=int(sum(r["switches"] for r in results)),
+        switch_count=int(switches_from.sum()),
         clamp_count=int(sum(r["clamps"] for r in results)),
         state_fraction=tuple(float(t / total_time) for t in time_in),
         switch_intensity=tuple(

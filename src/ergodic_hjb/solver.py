@@ -22,7 +22,8 @@ coercive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,6 +121,8 @@ def penalty_source(problem: ProblemSpec, grid: Grid, params: PenaltyParams) -> n
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Howard-loop options; each value is checked when the options are built."""
+
     tol_pde: float | None = None          # None: 1e-9 * (1 + max |f|)
     tol_lambda: float = 1e-4
     eps0: float = 1.0
@@ -127,6 +130,19 @@ class SolverOptions:
     max_policy_iters: int = 120
     cap_factor: float = 1.0               # multiplies the automatic control cap
     control_cap: float | None = None      # absolute override of the control cap
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, integral = getattr(self, f.name), type(f.default) is int
+            if value is None and f.default is None:
+                continue
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
+                    or not 0 < value < math.inf):
+                kind = "an integer" if integral else "a finite number"
+                raise ParameterError(f"solver option {f.name} must be {kind} > 0, got {value!r}")
+        if self.eps_min > self.eps0:
+            raise ParameterError(f"solver option eps_min={self.eps_min} exceeds eps0={self.eps0}")
 
 
 def _defect_norm(defect: np.ndarray, rhs: np.ndarray, source_scale: float,
@@ -499,7 +515,7 @@ def vanishing_discount(problem: ProblemSpec, grid: Grid,
     (discount, eigenvalue) history if the schedule is exhausted first.
     """
     if eps_schedule is None:
-        n_legs = max(1, int(math.ceil(math.log2(opts.eps0 / opts.eps_min))) + 1)
+        n_legs = int(math.ceil(math.log2(opts.eps0 / opts.eps_min))) + 1   # eps_min <= eps0
         eps_schedule = [opts.eps0 * 2.0**-j for j in range(n_legs)]
     if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
         raise ParameterError("discount schedule must be strictly decreasing")

@@ -147,8 +147,13 @@ class TestMainEntry:
         ("lp", "h", 0.07),
         ("mc", "horizon", "abc"),
         ("mc", "perturbed", "linear:x"),
+        ("mc", "dt", float("nan")),
+        ("mc", "horizon", float("inf")),
+        ("solver", "tol_lambda", "abc"),
+        ("solver", "max_policy_iters", 0),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
-            "mc-dt", "lp-h", "mc-horizon", "mc-perturbed"])
+            "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
+            "solver-tol", "solver-iters"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()

@@ -21,12 +21,17 @@ class TestFeedbackControl:
         ctrl = FeedbackControl.from_fields(grid, values)
         for k in (1, 2):
             assert np.allclose(ctrl(grid.points, k), values[k - 1])
+        # one state per point, as the step loop calls it
+        states = rng.integers(1, 3, size=grid.n_nodes)
+        assert np.allclose(ctrl(grid.points, states), values[states - 1, np.arange(grid.n_nodes)])
 
     def test_grid_control_2d_exact_at_nodes(self, rng):
         grid = build_grid(2, 1.0, 0.5)
         values = rng.normal(size=(2, grid.n_nodes, 2))
         ctrl = FeedbackControl.from_fields(grid, values)
         assert np.allclose(ctrl(grid.points, 2), values[1])
+        states = rng.integers(1, 3, size=grid.n_nodes)
+        assert np.allclose(ctrl(grid.points, states), values[states - 1, np.arange(grid.n_nodes)])
 
     def test_presets(self):
         z = FeedbackControl.zero(3.0)
@@ -90,8 +95,10 @@ class TestSimulatePaths:
         (fields.quadratic(1, (0.2,), c0=0.5), fields.quadratic(1, (0.1,), c0=1.0)),
     ], ids=["constant", "x-dependent"])
     def test_switching_modes_agree(self, rates):
-        # x-dependent rates take the per-step thinning and integrated-clock branches
-        problem = replace(make_problem(), switch_rates=rates)
+        # the sources differ by 1 between the states, so the cost sees the switching
+        problem = replace(make_problem(sources=(fields.quadratic(1),
+                                                fields.quadratic(1).shifted(1.0))),
+                          switch_rates=rates)
         ctrl = FeedbackControl.linear(6.0, SQRT2)
         thin = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5)
         clock = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5,
@@ -100,16 +107,20 @@ class TestSimulatePaths:
         assert abs(thin.state_fraction[0] - clock.state_fraction[0]) <= 0.02
 
     def test_constant_rate_offset(self):
-        # a constant rate switches at c + offset, as the PDE and the LP evaluate it
+        # a rate of value 2 switches alike in every form: a constant c + offset, as the
+        # PDE and the LP evaluate it, and a quadratic form with zero weights
         plain = make_problem(alphas=(2.0, 1.0))
-        shifted = replace(plain, switch_rates=(fields.constant(1, 1.0).shifted(1.0),
-                                               plain.switch_rates[1]))
         ctrl = FeedbackControl.linear(6.0, SQRT2)
-        a, b = (simulate_paths(p, ctrl, horizon=2.0, dt=1e-3, paths=128, seed=8)
-                for p in (plain, shifted))
-        assert a.switch_count == b.switch_count
-        assert a.state_fraction == b.state_fraction
-        assert a.mean_rate == b.mean_rate
+        for mode in ("thinning", "exponential"):
+            a, b, c = (simulate_paths(replace(plain, switch_rates=(rate, plain.switch_rates[1])),
+                                      ctrl, horizon=2.0, dt=1e-3, paths=128, seed=8, mode=mode)
+                       for rate in (fields.constant(1, 2.0), fields.constant(1, 1.0).shifted(1.0),
+                                    fields.quadratic(1, (0.0,), c0=2.0)))
+            for other in (b, c):
+                assert other.switch_count == a.switch_count
+                assert other.state_fraction == a.state_fraction
+                assert other.mean_rate == a.mean_rate
+                assert np.array_equal(other.tail_averages, a.tail_averages)
 
     def test_switch_intensity_matches_rates(self):
         problem = make_problem(alphas=(2.0, 1.0))
@@ -137,6 +148,42 @@ class TestSimulatePaths:
         with pytest.raises(ParameterError):
             simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=1e-2, paths=4,
                            seed=0, mode="psychic")
+        with pytest.raises(ParameterError):
+            simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=float("nan"), paths=4, seed=0)
+
+
+def _pinned_run(dim, rates, mode):
+    """A short run with a grid control and sources that differ between the states."""
+    grid = build_grid(dim, 3.0, 0.25 if dim == 1 else 0.5)
+    x = grid.points
+    ctrl = FeedbackControl.from_fields(grid, np.stack([SQRT2 * x, 1.2 * x + 0.1 * np.sin(3.0 * x)]))
+    problem = make_problem(dim=dim, alphas=(1.5, 0.7),
+                           sources=(fields.quadratic(dim), fields.quadratic(dim).shifted(1.0)))
+    if rates == "x-dependent":
+        problem = replace(problem, switch_rates=(fields.quadratic(dim, (0.2,) * dim, c0=0.5),
+                                                 fields.quadratic(dim, (0.1,) * dim, c0=1.0)))
+    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13, mode=mode)
+
+
+# exact (avg_cost, std_error, switch_count): a change here means the draw layout or
+# the arithmetic of the step loop changed, which must be deliberate and reported
+PINNED = {
+    ("1d", "constant", "thinning"): (1.8019137408624317, 0.11447293012405278, 122),
+    ("1d", "constant", "exponential"): (1.8474603362951463, 0.11292061790629486, 116),
+    ("1d", "x-dependent", "thinning"): (1.4481942329101367, 0.11308369631807429, 85),
+    ("1d", "x-dependent", "exponential"): (1.5623654906591267, 0.111505590454001, 79),
+    ("2d", "constant", "thinning"): (2.779375511883785, 0.12323026222439128, 111),
+    ("2d", "constant", "exponential"): (3.0266613620343987, 0.17457450721513879, 106),
+    ("2d", "x-dependent", "thinning"): (2.461287626499692, 0.12072513481185267, 91),
+    ("2d", "x-dependent", "exponential"): (2.8294452123464726, 0.177693539174011, 93),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids="-".join)
+def test_estimates_pinned(case):
+    dim, rates, mode = case
+    est = _pinned_run(int(dim[0]), rates, mode)
+    assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[case]
 
 
 class TestEmpiricalMeasure:

@@ -33,6 +33,17 @@ EVALUATION_MODES = pytest.mark.parametrize(
     "discount, pinned", [(1.0, False), (0.0, True)], ids=["discounted", "average-cost"])
 
 
+@pytest.mark.parametrize("bad", [
+    {"tol_lambda": "abc"}, {"tol_pde": float("nan")}, {"tol_lambda": float("inf")},
+    {"max_policy_iters": 0}, {"max_policy_iters": 2.5}, {"max_policy_iters": True},
+    {"eps_min": 2.0}, {"cap_factor": -1.0}, {"control_cap": 0.0},
+], ids=["tol-str", "tol-pde-nan", "tol-inf", "iters-0", "iters-float", "iters-bool",
+        "eps-order", "cap-factor", "control-cap"])
+def test_solver_options_checked(bad):
+    with pytest.raises(ParameterError):
+        SolverOptions(**bad)
+    SolverOptions(tol_pde=1e-8, control_cap=3, max_policy_iters=np.int64(5))
+
 class TestPenaltySource:
     def test_zero_away_from_wall(self, quadratic_1d):
         grid = build_grid(1, 6.0, 0.1)
