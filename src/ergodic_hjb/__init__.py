@@ -8,7 +8,7 @@ and Monte Carlo simulation of the underlying regime-switching diffusion.
 
 from . import fields
 from .config import RunConfig, load_config, save_config
-from .discretize import ControlFieldPair, Grid, assemble_generator, build_grid, gradient_central
+from .discretize import Grid, assemble_generator, build_grid, gradient_central
 from .dual_lp import OccupationMeasure, assemble_lp, build_control_mesh, solve_lp
 from .errors import (
     ConvergenceError,
@@ -49,7 +49,6 @@ __all__ = [
     "build_grid",
     "gradient_central",
     "assemble_generator",
-    "ControlFieldPair",
     "HamiltonianSpec",
     "ProblemSpec",
     "other_state",

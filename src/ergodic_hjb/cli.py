@@ -151,8 +151,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             solution = nested_domains(problem, config.radii, h, penalty=penalty, opts=opts)
         else:
             solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
-        control_field = extract_control(problem, solution)
-        extracted = simulate.FeedbackControl.from_fields(solution.grid, control_field.values)
+        extracted = extract_control(problem, solution)
         lam_block = {
             "value": solution.lam,
             "method": solution.method,
@@ -162,7 +161,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             "minimizer_interior": solution.minimizer_interior(),
             "minimizer_location": [solution.grid.points[i].tolist()
                                    for i in solution.minimizer_nodes()],
-            "duality_residual": control_field.duality_residual,
+            "duality_residual": extracted.duality_residual,
         }
         if config.compare_methods:
             alt = (solve_ergodic_normalized(problem, solution.grid, penalty=penalty, opts=opts)
@@ -173,7 +172,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         summary["lambda"] = lam_block
         fields_to_csv(solution.grid,
                       {"u": solution.u,
-                       **{f"xi{j+1}": control_field.values[:, :, j]
+                       **{f"xi{j+1}": extracted.values[:, :, j]
                           for j in range(problem.dimension)}},
                       out / "fields.csv")
         files["fields"] = "fields.csv"

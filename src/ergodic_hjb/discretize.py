@@ -17,6 +17,11 @@ upwinding elsewhere: backward difference for ``xi_j > 0``, forward for
 ``xi_j < 0``.  Every off-diagonal entry is therefore nonpositive and every
 row sums to exactly ``discount``, so the matrix is an M-matrix whenever
 ``discount > 0`` and obeys a discrete comparison principle.
+``m_matrix_violations`` scans an assembled matrix for exactly these signs.
+
+Feedback fields pass between modules as plain ``(2, n_nodes, dim)`` arrays
+or as a ``FeedbackControl``, which holds such an array on its grid and
+interpolates it multilinearly at arbitrary points.
 """
 
 from __future__ import annotations
@@ -137,43 +142,79 @@ def gradient_central(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out.reshape(grid.n_nodes, grid.dim)
 
 
-@dataclass(frozen=True)
-class ControlFieldPair:
-    """Feedback vector fields, one per switching state; shape (2, n_nodes, dim)."""
+def _bilinear(grid: Grid, values: np.ndarray, pts: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of the node field ``values[k - 1]`` at arbitrary
+    points; ``k`` is one state for every point or an array of one state per point."""
+    h, r = grid.h, grid.radius
+    rel = np.clip((pts + r) / h, 0.0, grid.n_axis - 1.0)
+    lo = np.minimum(rel.astype(int), grid.n_axis - 2)
+    frac = rel - lo
+    v = values.reshape((2, *grid.shape, values.shape[-1]))
+    s = np.asarray(k) - 1
+    if grid.dim == 1:
+        i, fx = lo[:, 0], frac[:, :1]
+        return v[s, i] * (1 - fx) + v[s, i + 1] * fx
+    i, j = lo[:, 0], lo[:, 1]
+    fx, fy = frac[:, :1], frac[:, 1:]
+    return (v[s, i, j] * (1 - fx) * (1 - fy) + v[s, i + 1, j] * fx * (1 - fy)
+            + v[s, i, j + 1] * (1 - fx) * fy + v[s, i + 1, j + 1] * fx * fy)
 
-    values: np.ndarray
+
+@dataclass(frozen=True)
+class FeedbackControl:
+    """Feedback field evaluated at arbitrary points: grid-interpolated or analytic.
+
+    ``kind`` is one of ``grid`` (multilinear interpolation of a stored node
+    field, exact at the nodes and extended by its face values outside the
+    box), ``zero``, or ``linear`` (xi(x) = c x).  ``radius`` bounds the box
+    on which paths are considered valid.  A call's state ``k`` is one state
+    for all points or an array of one per point.  ``duality_residual`` is
+    the extraction defect of a solved feedback (0 for any other field).
+    """
+
+    kind: str
+    radius: float
+    grid: Grid | None = None
+    values: np.ndarray | None = None     # (2, n_nodes, dim) for kind == "grid"
+    coefficient: float = 0.0
     duality_residual: float = 0.0
 
-    def state(self, k: int) -> np.ndarray:
-        return self.values[k - 1]
+    @staticmethod
+    def from_fields(grid: Grid, values: np.ndarray,
+                    duality_residual: float = 0.0) -> "FeedbackControl":
+        return FeedbackControl(kind="grid", radius=grid.radius, grid=grid,
+                               values=np.asarray(values, dtype=float),
+                               duality_residual=duality_residual)
 
     @staticmethod
-    def zeros(grid: Grid) -> "ControlFieldPair":
-        return ControlFieldPair(np.zeros((2, grid.n_nodes, grid.dim)))
+    def zero(radius: float) -> "FeedbackControl":
+        return FeedbackControl(kind="zero", radius=radius)
+
+    @staticmethod
+    def linear(radius: float, coefficient: float) -> "FeedbackControl":
+        return FeedbackControl(kind="linear", radius=radius, coefficient=coefficient)
+
+    def __call__(self, x: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.kind == "zero":
+            return np.zeros_like(x)
+        if self.kind == "linear":
+            return self.coefficient * x
+        return _bilinear(self.grid, self.values, x, k)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Assembled sparse operator together with the data used to build it."""
-
-    matrix: sp.csr_matrix
-    grid: Grid
-    discount: float
-
-    def m_matrix_violations(self) -> dict:
-        """Scan for sign-structure defects; all counts are zero for a valid assembly."""
-        coo = self.matrix.tocoo()
-        off = coo.row != coo.col
-        bad_off = int(np.sum(coo.data[off] > 1e-14))
-        diag = self.matrix.diagonal()
-        bad_diag = int(np.sum(diag <= 0.0))
-        row_sums = np.asarray(self.matrix.sum(axis=1)).ravel()
-        bad_dom = int(np.sum(row_sums < -1e-10 * (1.0 + np.abs(diag))))
-        return {"positive_offdiag": bad_off, "nonpositive_diag": bad_diag,
-                "dominance_failures": bad_dom}
-
-    def is_m_matrix(self) -> bool:
-        return all(v == 0 for v in self.m_matrix_violations().values())
+def m_matrix_violations(matrix: sp.spmatrix) -> dict:
+    """Scan an assembled operator for sign-structure defects; all counts are
+    zero for a valid assembly."""
+    coo = matrix.tocoo()
+    off = coo.row != coo.col
+    bad_off = int(np.sum(coo.data[off] > 1e-14))
+    diag = matrix.diagonal()
+    bad_diag = int(np.sum(diag <= 0.0))
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    bad_dom = int(np.sum(row_sums < -1e-10 * (1.0 + np.abs(diag))))
+    return {"positive_offdiag": bad_off, "nonpositive_diag": bad_diag,
+            "dominance_failures": bad_dom}
 
 
 def _state_block_triplets(grid: Grid, xi: np.ndarray):
@@ -215,9 +256,14 @@ def _state_block_triplets(grid: Grid, xi: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def assemble_generator(grid: Grid, problem: "ProblemSpec", controls: ControlFieldPair,
-                       discount: float) -> GeneratorMatrix:
-    """Assemble the stacked two-state operator for a frozen feedback control."""
+def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,
+                       discount: float) -> sp.csr_matrix:
+    """Assemble the stacked two-state operator for a frozen feedback field
+    ``xi`` of shape (2, n_nodes, dim).
+
+    At zero discount its negation is the Markov generator of the controlled
+    chain (drift -xi, nonnegative off-diagonal rates, zero row sums).
+    """
     if discount < 0:
         raise ParameterError("discount must be nonnegative")
     m = grid.n_nodes
@@ -227,7 +273,7 @@ def assemble_generator(grid: Grid, problem: "ProblemSpec", controls: ControlFiel
     for k in (1, 2):
         off = (k - 1) * m
         off_other = (2 - k) * m
-        r, c, v = _state_block_triplets(grid, np.asarray(controls.state(k)))
+        r, c, v = _state_block_triplets(grid, np.asarray(xi[k - 1]))
         rows.append(r + off)
         cols.append(c + off)
         vals.append(v)
@@ -238,18 +284,10 @@ def assemble_generator(grid: Grid, problem: "ProblemSpec", controls: ControlFiel
         rows.append(idx + off)
         cols.append(idx + off_other)
         vals.append(-alpha)
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(2 * m, 2 * m),
     ).tocsr()
-    return GeneratorMatrix(matrix=mat, grid=grid, discount=float(discount))
-
-
-def transition_generator(grid: Grid, problem: "ProblemSpec", controls: ControlFieldPair) -> sp.csr_matrix:
-    """Markov-generator form (Laplacian + drift -xi + switching): nonnegative
-    off-diagonal rates, zero row sums.  This is the negation of
-    :func:`assemble_generator` at zero discount."""
-    return -assemble_generator(grid, problem, controls, 0.0).matrix
 
 
 def control_cap(problem: "ProblemSpec", grid: Grid) -> float:

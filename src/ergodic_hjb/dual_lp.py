@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .discretize import ControlFieldPair, Grid, control_cap, transition_generator
+from .discretize import Grid, assemble_generator, control_cap
 from .errors import LPError, ParameterError
 from .model import ProblemSpec, STATES
 
@@ -122,9 +122,9 @@ def assemble_lp(problem: ProblemSpec, grid: Grid, mesh: ControlMesh) -> LPData:
     """Cost vector and stationarity block for every mesh control.
 
     Column block ``c`` of the stationarity matrix is the transpose of the
-    Markov generator run at the frozen control ``c``; rows therefore express
-    inflow-outflow balance at each (node, state) and annihilate constants by
-    construction.
+    Markov generator run at the frozen control ``c`` (the negated solver
+    operator at zero discount); rows therefore express inflow-outflow balance
+    at each (node, state) and annihilate constants by construction.
     """
     n = grid.n_nodes
     pts = grid.points
@@ -133,8 +133,7 @@ def assemble_lp(problem: ProblemSpec, grid: Grid, mesh: ControlMesh) -> LPData:
     f = np.stack([problem.source(k)(pts) for k in STATES])
     for c in range(mesh.n_controls):
         xi = np.broadcast_to(mesh.controls[c], (n, grid.dim))
-        field = ControlFieldPair(np.stack([xi, xi]))
-        blocks.append(transition_generator(grid, problem, field).T)
+        blocks.append((-assemble_generator(grid, problem, np.stack([xi, xi]), 0.0)).T)
         lag = np.stack([problem.hamiltonian.lagrangian(k, pts, xi) for k in STATES])
         costs.append((f + lag).ravel())
     return LPData(grid=grid, mesh=mesh, cost=np.concatenate(costs),

@@ -7,6 +7,8 @@ Laplacian in the generator fixes the noise scale), while the discrete
 component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The long-run
 average of ``f_S(X) + l_S(X, xi(X, S))`` estimates the eigenvalue when xi is
 the extracted optimal feedback, and strictly exceeds it for other fields.
+The feedback is a ``discretize.FeedbackControl``: the solver's extracted
+field (interpolated multilinearly between nodes) or an analytic one.
 
 Randomness comes from one counter-based Philox stream per path, keyed by
 ``(seed, path index)``; accumulation is an ordered reduction over the path
@@ -21,66 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, ndtri
 
-from .discretize import Grid
+from .discretize import FeedbackControl, Grid
 from .dual_lp import ControlMesh, OccupationMeasure
 from .errors import ParameterError
 from .model import ProblemSpec, STATES
-
-
-def _bilinear(grid: Grid, values: np.ndarray, pts: np.ndarray, k: int | np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the node field ``values[k - 1]`` at arbitrary
-    points; ``k`` is one state for every point or an array of one state per point."""
-    h, r = grid.h, grid.radius
-    rel = np.clip((pts + r) / h, 0.0, grid.n_axis - 1.0)
-    lo = np.minimum(rel.astype(int), grid.n_axis - 2)
-    frac = rel - lo
-    v = values.reshape((2, *grid.shape, values.shape[-1]))
-    s = np.asarray(k) - 1
-    if grid.dim == 1:
-        i, fx = lo[:, 0], frac[:, :1]
-        return v[s, i] * (1 - fx) + v[s, i + 1] * fx
-    i, j = lo[:, 0], lo[:, 1]
-    fx, fy = frac[:, :1], frac[:, 1:]
-    return (v[s, i, j] * (1 - fx) * (1 - fy) + v[s, i + 1, j] * fx * (1 - fy)
-            + v[s, i, j + 1] * (1 - fx) * fy + v[s, i + 1, j + 1] * fx * fy)
-
-
-@dataclass(frozen=True)
-class FeedbackControl:
-    """Feedback field evaluated along paths: grid-interpolated or analytic.
-
-    ``kind`` is one of ``grid`` (multilinear interpolation of a stored node
-    field, exact at the nodes), ``zero``, or ``linear`` (xi(x) = c x).
-    ``radius`` bounds the box on which paths are considered valid.  A call's
-    state ``k`` is one state for all points or an array of one per point.
-    """
-
-    kind: str
-    radius: float
-    grid: Grid | None = None
-    values: np.ndarray | None = None     # (2, n_nodes, dim) for kind == "grid"
-    coefficient: float = 0.0
-
-    @staticmethod
-    def from_fields(grid: Grid, values: np.ndarray) -> "FeedbackControl":
-        return FeedbackControl(kind="grid", radius=grid.radius, grid=grid,
-                               values=np.asarray(values, dtype=float))
-
-    @staticmethod
-    def zero(radius: float) -> "FeedbackControl":
-        return FeedbackControl(kind="zero", radius=radius)
-
-    @staticmethod
-    def linear(radius: float, coefficient: float) -> "FeedbackControl":
-        return FeedbackControl(kind="linear", radius=radius, coefficient=coefficient)
-
-    def __call__(self, x: np.ndarray, k: int | np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "linear":
-            return self.coefficient * x
-        return _bilinear(self.grid, self.values, x, k)
 
 
 @dataclass(frozen=True)
@@ -212,14 +158,23 @@ def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mod
 
 
 def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: float,
-                     paths: int, burn_in: float, mode: str) -> None:
-    """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d."""
+                     paths: int, burn_in: float, mode: str) -> tuple[int, int]:
+    """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d.
+
+    Returns the step count and the burn-in step count; at least one step
+    after the burn-in must be tallied.
+    """
     if mode not in ("thinning", "exponential"):
         raise ParameterError(f"unknown switching mode {mode!r}")
     if not (0 < horizon < np.inf and 0 < dt < np.inf and paths > 0):
         raise ParameterError("horizon, step and path count must be finite and positive")
     if not 0.0 <= burn_in < 1.0:
         raise ParameterError("burn-in must be a fraction of the horizon in [0, 1)")
+    n_steps = int(round(horizon / dt))
+    burn_steps = int(round(burn_in * n_steps))
+    if n_steps <= burn_steps:
+        raise ParameterError(
+            f"horizon {horizon} with step {dt} and burn-in {burn_in} tallies no step")
     axis = np.linspace(-radius, radius, 33)
     grids = np.meshgrid(*([axis] * problem.dimension), indexing="ij")
     probe = np.stack([g.ravel() for g in grids], axis=-1)
@@ -227,6 +182,7 @@ def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: fl
     if dt * alpha_max > 0.1:
         raise ParameterError(
             f"dt * max switching rate = {dt * alpha_max:.3g} > 0.1; shrink the step")
+    return n_steps, burn_steps
 
 
 def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: float,
@@ -246,12 +202,11 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     box).  With ``record_samples`` a thinned (X, S, xi, running cost) stream
     is kept for occupation-measure estimation and the sample path.
     """
-    _check_arguments(problem, control.radius, horizon, dt, paths, burn_in, mode)
+    n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
+                                           burn_in, mode)
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
     pde_verified = gammas[0] == gammas[1]
 
-    n_steps = int(round(horizon / dt))
-    burn_steps = int(round(burn_in * n_steps))
     stride = 0
     if record_samples:
         stride = max(1, (n_steps - burn_steps) * paths // max(sample_target, 1))

@@ -30,8 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretize import (
-    ControlFieldPair,
-    GeneratorMatrix,
+    FeedbackControl,
     Grid,
     assemble_generator,
     build_grid,
@@ -128,8 +127,7 @@ class SolverOptions:
     eps0: float = 1.0
     eps_min: float = 1e-5
     max_policy_iters: int = 120
-    cap_factor: float = 1.0               # multiplies the automatic control cap
-    control_cap: float | None = None      # absolute override of the control cap
+    control_cap: float | None = None      # None: the automatic control cap
 
     def __post_init__(self):
         for f in fields(self):
@@ -171,7 +169,7 @@ class DiscountedSolution:
     discount: float
     iterations: int
     residual: float
-    controls: ControlFieldPair
+    controls: np.ndarray          # (2, n_nodes, dim)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ class ErgodicSolution:
         return all(mask[i] for i in self.minimizer_nodes())
 
 
-def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray,
+def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray,
                       ref: int | None = None) -> tuple[np.ndarray, float]:
     """Solve the frozen-control linear system to backward error <= 1e-12.
 
@@ -218,14 +216,14 @@ def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray,
     roundoff; ``SolverError`` reports the achieved residual if the system is
     too ill-conditioned.
     """
-    mat = gen.matrix
     rhs = np.asarray(rhs, dtype=float)
-    pinned = mat if ref is None else mat + sp.csr_matrix(([1.0], ([ref], [ref])), mat.shape)
+    pinned = (matrix if ref is None
+              else matrix + sp.csr_matrix(([1.0], ([ref], [ref])), matrix.shape))
     try:
         lu = spla.splu(pinned.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    absmat = abs(mat)
+    absmat = abs(matrix)
 
     def backward_scale(u):
         """Normwise backward-error denominator ||A| |u||_inf + ||rhs||_inf."""
@@ -234,13 +232,13 @@ def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray,
     u = lu.solve(rhs)
     lam = 0.0
     if ref is not None:
-        z = lu.solve(np.ones(mat.shape[0]))
+        z = lu.solve(np.ones(matrix.shape[0]))
         if abs(z[ref]) < 1e-300:
             raise SolverError("pinned system is numerically singular")
         lam = u[ref] / z[ref]
         u = u - lam * z
     for _ in range(1 if ref is None else 2):
-        defect = rhs - mat @ u - lam
+        defect = rhs - matrix @ u - lam
         if float(np.max(np.abs(defect))) <= 1e-13 * backward_scale(u):
             break
         du = lu.solve(defect)
@@ -249,7 +247,7 @@ def policy_evaluation(gen: GeneratorMatrix, rhs: np.ndarray,
             du = du - dlam * z
             lam += dlam
         u = u + du
-    defect = rhs - mat @ u - lam
+    defect = rhs - matrix @ u - lam
     rel = float(np.max(np.abs(defect))) / (backward_scale(u) + abs(lam))
     if not np.all(np.isfinite(u)) or rel > 1e-12:
         raise SolverError(f"policy evaluation reached relative residual {rel:.3e} > 1e-12")
@@ -425,16 +423,16 @@ def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float,
 
 
 def _initial_policy(problem: ProblemSpec, grid: Grid,
-                    warm: ControlFieldPair | None, cap: float, ramp_costs: dict):
+                    warm: np.ndarray | None, cap: float, ramp_costs: dict):
     if warm is None:
         xi = np.zeros((2, grid.n_nodes, grid.dim))
     else:
-        xi = _clamp(np.array(warm.values, dtype=float), cap)
+        xi = _clamp(np.array(warm, dtype=float), cap)
     return xi, _running_cost(problem, grid, xi, ramp_costs)
 
 
 def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
-            opts: SolverOptions, warm: ControlFieldPair | None, ref: int | None):
+            opts: SolverOptions, warm: np.ndarray | None, ref: int | None):
     """Shared policy-iteration driver.
 
     ``src`` is the stacked (2*n,) right-hand side without the running cost.
@@ -446,8 +444,7 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     progress restores full steps.  Fixed points are unaffected.
     """
     n = grid.n_nodes
-    cap = (opts.control_cap if opts.control_cap is not None
-           else opts.cap_factor * control_cap(problem, grid))
+    cap = opts.control_cap if opts.control_cap is not None else control_cap(problem, grid)
     fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
     tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * (1.0 + fmax)
     source_scale = 1.0 + fmax
@@ -457,18 +454,18 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     theta = 1.0
     best = np.inf
     stall = 0
-    gen = assemble_generator(grid, problem, ControlFieldPair(xi), discount)
+    gen = assemble_generator(grid, problem, xi, discount)
     for it in range(1, opts.max_policy_iters + 1):
         rhs = src + lag.ravel()
         u, lam = policy_evaluation(gen, rhs, ref)
         xi_star, lag_star = _improve(problem, grid, u.reshape(2, n), cap, ramp_costs)
-        gen_star = assemble_generator(grid, problem, ControlFieldPair(xi_star), discount)
+        gen_star = assemble_generator(grid, problem, xi_star, discount)
         rhs_star = src + lag_star.ravel()
-        defect = gen_star.matrix @ u + lam - rhs_star
-        residual = _defect_norm(defect, rhs_star, source_scale, gen_star.matrix, u, lam, tol)
+        defect = gen_star @ u + lam - rhs_star
+        residual = _defect_norm(defect, rhs_star, source_scale, gen_star, u, lam, tol)
         history.append((it, residual, lam))
         if residual <= tol:
-            return u.reshape(2, n), lam, ControlFieldPair(xi_star), it, residual
+            return u.reshape(2, n), lam, xi_star, it, residual
         if residual < 0.5 * best:
             theta = min(1.0, 2.0 * theta)
         elif residual > 0.9 * best:
@@ -482,7 +479,7 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
         else:
             xi = theta * xi_star + (1.0 - theta) * xi
             lag = _running_cost(problem, grid, xi, ramp_costs)
-            gen = assemble_generator(grid, problem, ControlFieldPair(xi), discount)
+            gen = assemble_generator(grid, problem, xi, discount)
     raise ConvergenceError(
         f"policy iteration did not reach tolerance {tol:.3e} in {opts.max_policy_iters} "
         f"iterations (last residual {history[-1][1]:.3e})", history=history)
@@ -491,7 +488,7 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
 def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
                      penalty: PenaltyParams | None = None,
                      opts: SolverOptions = SolverOptions(),
-                     warm: ControlFieldPair | None = None) -> DiscountedSolution:
+                     warm: np.ndarray | None = None) -> DiscountedSolution:
     """Howard iteration on the discounted system; discount must be positive."""
     if discount <= 0:
         raise ParameterError("discount must be positive")
@@ -547,7 +544,7 @@ def vanishing_discount(problem: ProblemSpec, grid: Grid,
 def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
                              penalty: PenaltyParams | None = None,
                              opts: SolverOptions = SolverOptions(),
-                             warm: ControlFieldPair | None = None) -> ErgodicSolution:
+                             warm: np.ndarray | None = None) -> ErgodicSolution:
     """Direct average-cost solve with (u, eigenvalue) unknowns and u_1(x_ref) = 0."""
     if penalty is None:
         penalty = default_penalty(problem)
@@ -557,20 +554,6 @@ def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
     return ErgodicSolution(grid=grid, u=u, lam=lam, residual=residual,
                            iterations=iters, method="ergodic_normalized",
                            history=((grid.radius, lam),))
-
-
-def _interp_controls(old_grid: Grid, values: np.ndarray, new_grid: Grid) -> ControlFieldPair:
-    """Carry a control field onto a larger grid (linear inside, edge values outside)."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    pts = np.clip(new_grid.points, -old_grid.radius, old_grid.radius)
-    axes = (old_grid.axis_coords,) * old_grid.dim
-    out = np.empty((2, new_grid.n_nodes, new_grid.dim))
-    for k in STATES:
-        for j in range(new_grid.dim):
-            f = RegularGridInterpolator(axes, old_grid.to_grid_shape(values[k - 1][:, j]))
-            out[k - 1, :, j] = f(pts)
-    return ControlFieldPair(out)
 
 
 def nested_domains(problem: ProblemSpec, radii, h: float,
@@ -590,12 +573,12 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
     lam_seq = []
     minimizers = []
     sol = None
-    warm = None
-    prev_grid = None
+    feedback = None
     for radius in radii:
         grid = build_grid(problem.dimension, radius, h)
-        if warm is not None:
-            warm = _interp_controls(prev_grid, warm.values, grid)
+        # the previous box's feedback, extended by its face values outside that box
+        warm = (None if feedback is None
+                else np.stack([feedback(grid.points, k) for k in STATES]))
         sol = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts, warm=warm)
         lam_seq.append((radius, sol.lam))
         nodes = sol.minimizer_nodes()
@@ -607,8 +590,7 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
             raise MonotonicityError(
                 f"eigenvalue increased from {lam_seq[-2][1]:.6g} to {lam_seq[-1][1]:.6g} "
                 f"beyond tolerance {tol_mono:.2g}", sequence=lam_seq)
-        warm = ControlFieldPair(extract_control(problem, sol).values)
-        prev_grid = grid
+        feedback = extract_control(problem, sol)
     if len(minimizers) >= 2:
         last, prev = np.asarray(minimizers[-1]), np.asarray(minimizers[-2])
         if not np.allclose(last, prev, atol=h / 2):
@@ -619,7 +601,7 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
                    minimizers=tuple(minimizers))
 
 
-def extract_control(problem: ProblemSpec, solution: ErgodicSolution) -> ControlFieldPair:
+def extract_control(problem: ProblemSpec, solution: ErgodicSolution) -> FeedbackControl:
     """Optimal feedback from the value gradient, with its duality defect.
 
     ``duality_residual`` is the largest relative gap between H_k at the
@@ -638,4 +620,4 @@ def extract_control(problem: ProblemSpec, solution: ErgodicSolution) -> ControlF
             gap = ham.duality_gap(k, pts, g)
             h = ham.value_raw(k, pts, g)
             worst = max(worst, float(np.max(np.abs(gap) / (1.0 + np.abs(h)))))
-    return ControlFieldPair(values=xi, duality_residual=worst)
+    return FeedbackControl.from_fields(grid, xi, duality_residual=worst)

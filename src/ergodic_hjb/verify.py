@@ -164,7 +164,7 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     base = solve_discounted(problem, grid, discount, penalty=pen, opts=opts)
     gen = assemble_generator(grid, problem, base.controls, discount)
     src = penalty_source(problem, grid, pen).ravel()
-    lag = np.concatenate([problem.hamiltonian.lagrangian(k, grid.points, base.controls.state(k))
+    lag = np.concatenate([problem.hamiltonian.lagrangian(k, grid.points, base.controls[k - 1])
                           for k in STATES])
     u, _ = policy_evaluation(gen, src + lag)
     v, _ = policy_evaluation(gen, src + lag + delta)

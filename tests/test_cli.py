@@ -82,6 +82,15 @@ class TestPipeline:
         assert np.allclose(path[:, 4], path[:, 1] ** 2 + path[:, 3] ** 2 / 2,
                            rtol=1e-12, atol=0.0)
 
+    def test_compare_methods_writes_alternate(self, tmp_path):
+        config = RunConfig.from_dict(small_config(compare_methods=True, lp=None, mc=None))
+        code, summary = run_pipeline(config, out_dir=tmp_path)
+        assert code == 0
+        alt = summary["lambda"]["alternate"]
+        assert alt["method"] == "vanishing_discount"
+        assert alt["gap"] == abs(alt["value"] - summary["lambda"]["value"])
+        assert alt["gap"] <= 10 * 1e-4     # 10 * tol_lambda
+
     def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
         config = small_config()
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -151,9 +160,11 @@ class TestMainEntry:
         ("mc", "horizon", float("inf")),
         ("solver", "tol_lambda", "abc"),
         ("solver", "max_policy_iters", 0),
+        ("mc", "horizon", 4e-4),
+        ("solver", "cap_factor", 2.0),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
-            "solver-tol", "solver-iters"])
+            "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()

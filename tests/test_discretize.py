@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
+from ergodic_hjb import fields
 from ergodic_hjb.discretize import (
-    ControlFieldPair,
+    FeedbackControl,
     assemble_generator,
     build_grid,
     control_cap,
     gradient_central,
     fields_to_csv,
-    transition_generator,
+    m_matrix_violations,
 )
 from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.model import ProblemSpec
 from tests.conftest import make_problem
 
 
@@ -89,8 +93,8 @@ def test_generator_interior_stencil_matches_standard_laplacian():
     problem = make_problem(alphas=(0.0, 0.0), sources=None)
     # alpha = 0 is outside the standing assumptions but isolates the stencil
     g = build_grid(1, 1.0, 0.5)
-    gen = assemble_generator(g, problem, ControlFieldPair.zeros(g), discount=1.0)
-    row = gen.matrix.getrow(2).toarray().ravel()
+    gen = assemble_generator(g, problem, np.zeros((2, g.n_nodes, g.dim)), discount=1.0)
+    row = gen.getrow(2).toarray().ravel()
     h2 = 1.0 / 0.5**2
     assert row[1] == pytest.approx(-h2)
     assert row[3] == pytest.approx(-h2)
@@ -101,12 +105,12 @@ def test_generator_coupling_and_row_sums():
     problem = make_problem()
     g = build_grid(1, 2.0, 0.25)
     eps = 0.375
-    gen = assemble_generator(g, problem, ControlFieldPair.zeros(g), discount=eps)
+    gen = assemble_generator(g, problem, np.zeros((2, g.n_nodes, g.dim)), discount=eps)
     m = g.n_nodes
     node = g.origin_index
-    row = gen.matrix.getrow(node).toarray().ravel()
+    row = gen.getrow(node).toarray().ravel()
     assert row[node + m] == pytest.approx(-1.0)
-    sums = np.asarray(gen.matrix.sum(axis=1)).ravel()
+    sums = np.asarray(gen.sum(axis=1)).ravel()
     assert np.allclose(sums, eps)
 
 
@@ -114,10 +118,59 @@ def test_generator_m_matrix_scan(rng):
     problem = make_problem(dim=2, alphas=(0.7, 1.3))
     g = build_grid(2, 1.0, 0.25)
     xi = rng.uniform(-3.0, 3.0, size=(2, g.n_nodes, 2))
-    gen = assemble_generator(g, problem, ControlFieldPair(xi), discount=0.1)
-    assert gen.is_m_matrix()
-    assert gen.m_matrix_violations() == {
+    gen = assemble_generator(g, problem, xi, discount=0.1)
+    assert m_matrix_violations(gen) == {
         "positive_offdiag": 0, "nonpositive_diag": 0, "dominance_failures": 0}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(dim=st.sampled_from([1, 2]), h=st.sampled_from([0.1, 0.25, 0.5]),
+       cells=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       discount=st.floats(0.0, 2.0),
+       weights=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+       c0=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)))
+def test_generator_m_matrix_property(dim, h, cells, seed, discount, weights, c0):
+    # random controls spanning 1e-2..1e3 in magnitude, x-dependent switching rates
+    rng = np.random.default_rng(seed)
+    base = make_problem(dim=dim)
+    rates = tuple(fields.quadratic(dim, weights=weights[2 * k:2 * k + dim], c0=c0[k])
+                  for k in range(2))
+    problem = ProblemSpec(dimension=dim, hamiltonian=base.hamiltonian,
+                          switch_rates=rates, sources=base.sources)
+    g = build_grid(dim, cells * h, h)
+    direction = rng.normal(size=(2, g.n_nodes, dim))
+    direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
+    xi = direction * 10.0 ** rng.uniform(-2.0, 3.0, size=(2, g.n_nodes, 1))
+    gen = assemble_generator(g, problem, xi, discount)
+    assert m_matrix_violations(gen) == {
+        "positive_offdiag": 0, "nonpositive_diag": 0, "dominance_failures": 0}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_feedback_extends_to_larger_box(dim):
+    # the nested-domain warm start: a field on a small box read on a larger one
+    small, big = build_grid(dim, 1.0, 0.25), build_grid(dim, 2.0, 0.25)
+    v = np.random.default_rng(3).normal(size=(2, small.n_nodes, dim))
+    feedback = FeedbackControl.from_fields(small, v)
+    # shared nodes keep their values; outside the small box each point takes
+    # the value at its projection onto the box, a face node of the same spacing
+    nearest = [small.index_of(p) for p in np.clip(big.points, -1.0, 1.0)]
+    for k in (1, 2):
+        got = feedback(big.points, k)
+        assert np.max(np.abs(got - v[k - 1][nearest])) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_feedback_reproduces_affine_on_finer_grid(dim):
+    coarse, fine = build_grid(dim, 1.0, 0.25), build_grid(dim, 1.0, 0.05)
+    rng = np.random.default_rng(4)
+    slopes, offsets = rng.normal(size=(2, dim, dim)), rng.normal(size=(2, dim))
+    affine = [lambda x, k=k: x @ slopes[k].T + offsets[k] for k in range(2)]
+    feedback = FeedbackControl.from_fields(coarse, np.stack([f(coarse.points) for f in affine]))
+    for k in (1, 2):
+        exact = affine[k - 1](fine.points)
+        err = np.max(np.abs(feedback(fine.points, k) - exact))
+        assert err <= 1e-13 * (1 + np.max(np.abs(exact)))
 
 
 def test_generator_consistency_smooth_function():
@@ -129,17 +182,17 @@ def test_generator_consistency_smooth_function():
     eps = 0.5
 
     # zero control: second-order agreement with -u'' + alpha (u_k - u_j) + eps u
-    gen0 = assemble_generator(g, problem, ControlFieldPair.zeros(g), discount=eps)
+    gen0 = assemble_generator(g, problem, np.zeros((2, g.n_nodes, g.dim)), discount=eps)
     exact1 = np.sin(x) + 1.0 * (u1 - u2) + eps * u1
-    got = (gen0.matrix @ stacked)[: g.n_nodes]
+    got = (gen0 @ stacked)[: g.n_nodes]
     interior = g.interior_mask
     assert np.max(np.abs(got - exact1)[interior]) < 5e-4  # O(h^2) at h=0.01
 
     # constant control: first-order upwind agreement with + xi . grad u term
     xi = np.full((2, g.n_nodes, 1), 0.8)
-    gen = assemble_generator(g, problem, ControlFieldPair(xi), discount=eps)
+    gen = assemble_generator(g, problem, xi, discount=eps)
     exact1 = np.sin(x) + 0.8 * np.cos(x) + 1.0 * (u1 - u2) + eps * u1
-    got = (gen.matrix @ stacked)[: g.n_nodes]
+    got = (gen @ stacked)[: g.n_nodes]
     assert np.max(np.abs(got - exact1)[interior]) < 0.8 * 0.01 * 1.1  # O(h)
 
 
@@ -147,11 +200,11 @@ def test_discrete_comparison_via_ordered_rhs(rng):
     problem = make_problem(dim=1)
     g = build_grid(1, 2.0, 0.1)
     xi = rng.uniform(-2.0, 2.0, size=(2, g.n_nodes, 1))
-    gen = assemble_generator(g, problem, ControlFieldPair(xi), discount=0.7)
+    gen = assemble_generator(g, problem, xi, discount=0.7)
     rhs_low = rng.uniform(0.0, 1.0, size=2 * g.n_nodes)
     rhs_high = rhs_low + rng.uniform(0.0, 1.0, size=2 * g.n_nodes)
-    u = spsolve(gen.matrix.tocsc(), rhs_low)
-    v = spsolve(gen.matrix.tocsc(), rhs_high)
+    u = spsolve(gen.tocsc(), rhs_low)
+    v = spsolve(gen.tocsc(), rhs_high)
     assert np.all(v >= u - 1e-12)
 
 
@@ -159,7 +212,7 @@ def test_transition_generator_kills_constants():
     problem = make_problem(dim=2, alphas=(0.5, 2.0))
     g = build_grid(2, 1.0, 0.25)
     xi = np.random.default_rng(1).uniform(-2, 2, size=(2, g.n_nodes, 2))
-    q = transition_generator(g, problem, ControlFieldPair(xi))
+    q = -assemble_generator(g, problem, xi, 0.0)
     ones = np.ones(2 * g.n_nodes)
     assert np.max(np.abs(q @ ones)) < 1e-10
     off = q.tocoo()

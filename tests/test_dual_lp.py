@@ -48,7 +48,7 @@ class TestControlMesh:
         grid = build_grid(1, 6.0, 0.1)
         mesh = build_control_mesh(quadratic_1d, grid)
         sol = solve_ergodic_normalized(quadratic_1d, grid)
-        xi = extract_control(quadratic_1d, sol).state(1)
+        xi = extract_control(quadratic_1d, sol).values[0]
         cap = control_cap(quadratic_1d, grid)
         xi = np.clip(xi, -cap, cap)
         idx = mesh.nearest(xi)

@@ -150,6 +150,12 @@ class TestSimulatePaths:
                            seed=0, mode="psychic")
         with pytest.raises(ParameterError):
             simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=float("nan"), paths=4, seed=0)
+        # runs that tally no step: a horizon below half a step, a burn-in over every step
+        with pytest.raises(ParameterError, match="tallies no step"):
+            simulate_paths(quadratic_1d, ctrl, horizon=4e-4, dt=1e-3, paths=4, seed=0)
+        with pytest.raises(ParameterError, match="tallies no step"):
+            simulate_paths(quadratic_1d, ctrl, horizon=2e-3, dt=1e-3, paths=4, seed=0,
+                           burn_in=0.9)
 
 
 def _pinned_run(dim, rates, mode):

@@ -3,7 +3,6 @@ import pytest
 
 from ergodic_hjb import fields
 from ergodic_hjb.discretize import (
-    ControlFieldPair,
     assemble_generator,
     build_grid,
     gradient_central,
@@ -36,9 +35,9 @@ EVALUATION_MODES = pytest.mark.parametrize(
 @pytest.mark.parametrize("bad", [
     {"tol_lambda": "abc"}, {"tol_pde": float("nan")}, {"tol_lambda": float("inf")},
     {"max_policy_iters": 0}, {"max_policy_iters": 2.5}, {"max_policy_iters": True},
-    {"eps_min": 2.0}, {"cap_factor": -1.0}, {"control_cap": 0.0},
+    {"eps_min": 2.0}, {"control_cap": 0.0},
 ], ids=["tol-str", "tol-pde-nan", "tol-inf", "iters-0", "iters-float", "iters-bool",
-        "eps-order", "cap-factor", "control-cap"])
+        "eps-order", "control-cap"])
 def test_solver_options_checked(bad):
     with pytest.raises(ParameterError):
         SolverOptions(**bad)
@@ -85,18 +84,15 @@ class TestPenaltySource:
 class TestPolicyEvaluation:
     def test_scaled_identity(self, quadratic_1d):
         grid = build_grid(1, 2.0, 0.5)
-        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair.zeros(grid), 1.0)
         import scipy.sparse as sp
 
-        from ergodic_hjb.discretize import GeneratorMatrix
-
-        ident = GeneratorMatrix(sp.identity(2 * grid.n_nodes, format="csr") * 3.0, grid, 1.0)
+        ident = sp.identity(2 * grid.n_nodes, format="csr") * 3.0
         rhs = np.arange(2.0 * grid.n_nodes)
         assert np.allclose(policy_evaluation(ident, rhs)[0], rhs / 3.0)
 
     def test_constant_states_solve_coupled_system(self, quadratic_1d):
         grid = build_grid(1, 2.0, 0.1)
-        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair.zeros(grid), 1.0)
+        gen = assemble_generator(grid, quadratic_1d, np.zeros((2, grid.n_nodes, grid.dim)), 1.0)
         c = 4.25
         u, _ = policy_evaluation(gen, np.full(2 * grid.n_nodes, c))
         assert np.allclose(u, c, atol=1e-11)
@@ -104,10 +100,10 @@ class TestPolicyEvaluation:
     def test_random_rhs_residual(self, quadratic_1d, rng):
         grid = build_grid(1, 2.0, 0.05)
         xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
-        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair(xi), 0.3)
+        gen = assemble_generator(grid, quadratic_1d, xi, 0.3)
         rhs = rng.normal(size=2 * grid.n_nodes)
         u, _ = policy_evaluation(gen, rhs)
-        res = np.max(np.abs(gen.matrix @ u - rhs)) / np.max(np.abs(rhs))
+        res = np.max(np.abs(gen @ u - rhs)) / np.max(np.abs(rhs))
         assert res <= 1e-12
 
     @EVALUATION_MODES
@@ -115,7 +111,8 @@ class TestPolicyEvaluation:
         # constants solve both systems: u = c at discount 1, (u, lam) = (0, c) pinned
         grid = build_grid(1, 2.0, 0.1)
         ref = grid.origin_index if pinned else None
-        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair.zeros(grid), discount)
+        xi = np.zeros((2, grid.n_nodes, grid.dim))
+        gen = assemble_generator(grid, quadratic_1d, xi, discount)
         c = 4.25
         u, lam = policy_evaluation(gen, np.full(2 * grid.n_nodes, c), ref)
         expected_u, expected_lam = (0.0, c) if pinned else (c, 0.0)
@@ -127,12 +124,12 @@ class TestPolicyEvaluation:
         grid = build_grid(1, 2.0, 0.05)
         ref = grid.origin_index if pinned else None
         xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
-        gen = assemble_generator(grid, quadratic_1d, ControlFieldPair(xi), discount)
+        gen = assemble_generator(grid, quadratic_1d, xi, discount)
         rhs = rng.normal(size=2 * grid.n_nodes)
         u, lam = policy_evaluation(gen, rhs, ref)
         # normwise backward error, the accuracy policy_evaluation guarantees
-        scale = np.max(abs(gen.matrix) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
-        assert np.max(np.abs(gen.matrix @ u + lam - rhs)) / scale <= 1e-12
+        scale = np.max(abs(gen) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
+        assert np.max(np.abs(gen @ u + lam - rhs)) / scale <= 1e-12
         if pinned:
             assert u[ref] == 0.0
         else:
@@ -243,16 +240,15 @@ class TestErgodicDirect:
         cap = control_cap(quadratic_1d, grid)
         mag = np.linalg.norm(raw, axis=-1)
         xi = raw * np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)[..., None]
-        controls = ControlFieldPair(xi)
-        gen = assemble_generator(grid, quadratic_1d, controls, 0.0)
+        gen = assemble_generator(grid, quadratic_1d, xi, 0.0)
         pts = grid.points
-        lag = np.stack([quadratic_1d.hamiltonian.lagrangian(k, pts, controls.state(k))
+        lag = np.stack([quadratic_1d.hamiltonian.lagrangian(k, pts, xi[k - 1])
                         for k in (1, 2)])
         src = penalty_source(quadratic_1d, grid, default_penalty(quadratic_1d))
         deep = (np.abs(pts[:, 0]) + grid.h) ** 2 <= grid.radius**2 - 1.0
         deep2 = np.concatenate([deep, deep])
         for lam_lower in (sol.lam - 1e-5, sol.lam - 1.0):
-            defect = gen.matrix @ sol.u.ravel() + lam_lower - (src + lag).ravel()
+            defect = gen @ sol.u.ravel() + lam_lower - (src + lag).ravel()
             assert np.all(defect[deep2] <= 1e-6)
 
     def test_concavity_in_sources(self, quadratic_1d):
@@ -360,7 +356,7 @@ class TestExtractControl:
         control = extract_control(quadratic_1d, sol)
         x = grid.points[:, 0]
         window = np.abs(x) <= 3.0
-        assert np.max(np.abs(control.state(1)[window, 0] - SQRT2 * x[window])) <= 0.05
+        assert np.max(np.abs(control.values[0][window, 0] - SQRT2 * x[window])) <= 0.05
         assert control.duality_residual <= 1e-8
 
     def test_constant_value_gives_zero_control(self, quadratic_1d):
