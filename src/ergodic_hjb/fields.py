@@ -75,6 +75,19 @@ class CoefficientField:
         phase = (1.0 + r2) ** self.beta2
         return self.offset + self.c * r2 ** (self.beta1 / 2.0) * (2.0 + np.sin(phase))
 
+    def evaluator(self):
+        """This field as a callable ``x -> values``.
+
+        A field that does not depend on x (a constant, or a form whose x
+        terms carry zero weight) is evaluated once, here, and its callable
+        returns that scalar, which broadcasts against any point set.
+        """
+        x_weights = self.weights if self.form == "quadratic" else (self.c,)
+        if self.form == "constant" or not any(x_weights):
+            value = float(self(np.zeros(self.dim)))
+            return lambda x: value
+        return self
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = _as_points(x, self.dim)
         if self.form == "constant":

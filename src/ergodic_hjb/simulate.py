@@ -97,7 +97,7 @@ def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mod
     clock = np.array([g.standard_exponential() for g in gens]) if mode == "exponential" else None
     integrated = np.zeros(n_paths)
     radius = control.radius
-    alphas = (problem.switch_rate(1), problem.switch_rate(2))
+    alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
     sources = (problem.source(1), problem.source(2))
     ham = problem.hamiltonian
 
@@ -194,13 +194,15 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     ``burn_in`` is the fraction of the horizon discarded before cost
     accumulation.  Switching uses first-order thinning by default (guarded by
     ``dt * max rate <= 0.1``) or an integrated-intensity exponential clock as
-    a cross-check mode; each step evaluates the rate and the feedback once per
-    path, in its current state, whatever the rate's form.  Thinning switches
-    when ``Z < ndtri(rate dt)``, evaluating ``ndtri`` only below the step's
-    largest threshold.  Paths leaving the box are clamped and counted; a
-    nonzero ``clamp_count`` marks the estimate as unreliable (enlarge the
-    box).  With ``record_samples`` a thinned (X, S, xi, running cost) stream
-    is kept for occupation-measure estimation and the sample path.
+    a cross-check mode; each step evaluates the feedback and every rate that
+    depends on x once per path, in its current state (an x-free rate is
+    evaluated once per path chunk), with one switching rule for every rate
+    form.  Thinning switches when ``Z < ndtri(rate dt)``, evaluating
+    ``ndtri`` only below the step's largest threshold.  Paths leaving the box
+    are clamped and counted; a nonzero ``clamp_count`` marks the estimate as
+    unreliable (enlarge the box).  With ``record_samples`` a thinned (X, S,
+    xi, running cost) stream is kept for occupation-measure estimation and
+    the sample path.
     """
     n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
                                            burn_in, mode)

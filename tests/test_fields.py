@@ -99,3 +99,21 @@ def test_invalid_forms_rejected():
         fields.power_radial(1, 1.0, exponent=0.5)
     with pytest.raises(ParameterError):
         fields.quadratic(2, weights=(1.0,))
+
+
+@pytest.mark.parametrize("field", [
+    fields.constant(2, 0.7).shifted(0.2),
+    fields.quadratic(2, weights=(0.0, 0.0), c0=1.5),
+    fields.power_radial(2, c=0.0, exponent=2.5).shifted(0.3),
+    fields.trig_power(2, beta1=2.0, beta2=0.5, c=0.0).shifted(0.4),
+], ids=["constant", "quadratic", "power-radial", "trig-power"])
+def test_evaluator_of_x_free_field_is_one_scalar(field):
+    pts = np.random.default_rng(7).uniform(-3, 3, size=(50, 2))
+    value = field.evaluator()(pts)
+    assert np.ndim(value) == 0
+    assert np.array_equal(np.broadcast_to(value, (50,)), field(pts))
+
+
+def test_evaluator_of_x_dependent_field_is_the_field():
+    field = fields.quadratic(2, weights=(0.0, 1.0))
+    assert field.evaluator() is field

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ergodic_hjb import fields
 from ergodic_hjb.discretize import (
@@ -134,6 +135,22 @@ class TestPolicyEvaluation:
             assert u[ref] == 0.0
         else:
             assert lam == 0.0
+
+    def test_factor_fill_bounded(self, quadratic_2d, monkeypatch):
+        # the pinned 2D pattern is structurally symmetric: minimum degree on
+        # A + A^T gives nnz(L+U) up to 12.9 nnz(A), column ordering up to 26.1
+        fills = []
+        splu = spla.splu
+
+        def recording(a, *args, **kwargs):
+            lu = splu(a, *args, **kwargs)
+            fills.append((lu.nnz, a.nnz))
+            return lu
+
+        monkeypatch.setattr(spla, "splu", recording)
+        sol = solve_ergodic_normalized(quadratic_2d, build_grid(2, 5.0, 0.1))
+        assert len(fills) == sol.iterations
+        assert all(lu_nnz <= 16 * a_nnz for lu_nnz, a_nnz in fills), fills
 
 
 class TestDiscounted:
