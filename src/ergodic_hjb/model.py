@@ -13,6 +13,11 @@ constant, so ``x`` enters H_k and l_k only through the signature.  The
 supremum in H_k(x,p) = sup_xi { xi.p - l_k(x,xi) } is attained at
 xi = grad_p H_k(x,p), which is what the feedback-control extraction uses.
 
+A truncated superquadratic state (see :func:`truncate_hamiltonian`) is the
+convex envelope of ``ramp(H_k)`` instead, paired with its conjugate; it stays
+a Legendre pair, so every consumer of ``value``, ``grad_p`` and
+``lagrangian`` sees one consistent cost whether a state is truncated or not.
+
 Sign convention: the drift enters the Hamiltonian as ``+ b . p``.  In the
 controlled-diffusion reading the state drift of the optimally controlled
 process is ``-grad_p H_k(x, grad u_k)``; see :mod:`ergodic_hjb.simulate`.
@@ -21,7 +26,7 @@ process is ``-grad_p H_k(x, grad u_k)``; see :mod:`ergodic_hjb.simulate`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter
@@ -60,27 +65,136 @@ def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
     return np.where(v <= level, v, capped)
 
 
-def ramp_slope(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    above = np.maximum(v - level + 1.0, 1.0)
-    return np.where(v <= level, 1.0, above ** (2.0 / gamma - 1.0))
+class _RampEnvelope:
+    """Convex envelope of a driftless ramped power law, and its conjugate.
+
+    In the radial magnitude ``r = <p, a p>^(1/2)`` the ramped Hamiltonian is
+    ``phi(r) = ramp(r^gamma / gamma)``: the power law below the junction
+    radius ``r_n`` and the outer ramp branch above it.  The outer branch's
+    curvature has the sign of ``r^gamma / gamma - (gamma - 1)(level - 1)``, so
+    it is concave on ``[r_n, r_min]`` once ``level > (gamma - 1)/(gamma - 2)``.  The envelope
+    then bridges the dip with the common tangent of slope ``s_c``, which
+    touches the power law at ``r_t`` and the outer branch at ``r_o``;
+    otherwise ``phi`` is convex and ``r_t = r_o = r_n``.  The envelope and
+    ``phi`` share one conjugate (Rockafellar, Convex Analysis, Sec. 12), a
+    function of ``s = <xi, a^{-1} xi>^(1/2)``.  All queries are exact up to
+    root-finding precision.
+    """
+
+    def __init__(self, gamma: float, level: float):
+        g = float(gamma)
+        self.gamma = g
+        self.level = float(level)
+        r_n = (g * level) ** (1.0 / g)
+        self.s_c, self.r_t, self.r_o = r_n ** (g - 1.0), r_n, r_n
+        if self.level * (g - 2.0) <= g - 1.0:
+            return
+        r_min = (g * (g - 1.0) * (self.level - 1.0)) ** (1.0 / g)
+
+        def gap(s):
+            """Height of the outer branch above the power law's tangent of slope s."""
+            r_t = s ** (1.0 / (g - 1.0))
+            r_o = self._outer_radius(s, r_min)
+            return self._phi_out(r_o) - (r_t**g / g) - s * (r_o - r_t)
+
+        s_lo, s_hi = self._dphi_out(r_min), self.s_c
+        if not gap(s_lo) > 0.0:     # a dip below rounding: phi is convex to working precision
+            return
+        for _ in range(200):
+            mid = 0.5 * (s_lo + s_hi)
+            if gap(mid) > 0.0:
+                s_lo = mid
+            else:
+                s_hi = mid
+        self.s_c = 0.5 * (s_lo + s_hi)
+        self.r_t = self.s_c ** (1.0 / (g - 1.0))
+        self.r_o = float(self._outer_radius(self.s_c, r_min))
+
+    def _phi_out(self, r):
+        return ramp(r**self.gamma / self.gamma, self.level, self.gamma)
+
+    def _dphi_out(self, r):
+        g = self.gamma
+        return r ** (g - 1.0) * (r**g / g - self.level + 1.0) ** (2.0 / g - 1.0)
+
+    def _outer_radius(self, s, lo: float) -> np.ndarray:
+        """Invert the outer-branch slope on ``[lo, inf)``, where it increases, by bisection."""
+        lo = np.full(np.shape(s), lo)
+        hi = np.maximum(2.0 * lo, 2.0 * s * self.gamma ** (2.0 / self.gamma))
+        for _ in range(60):
+            grow = self._dphi_out(hi) < s
+            if not np.any(grow):
+                break
+            hi = np.where(grow, 2.0 * hi, hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            high = self._dphi_out(mid) > s
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+        return 0.5 * (lo + hi)
+
+    def value(self, m: np.ndarray) -> np.ndarray:
+        """Envelope at radial gradient magnitude ``m``."""
+        g = self.gamma
+        return np.where(m <= self.r_t, m**g / g,
+                        np.where(m < self.r_o, self.r_t**g / g + self.s_c * (m - self.r_t),
+                                 self._phi_out(m)))
+
+    def slope(self, m: np.ndarray) -> np.ndarray:
+        """Envelope slope at radial gradient magnitude ``m``: the optimal
+        control magnitude for that gradient."""
+        m = np.asarray(m, dtype=float)
+        out = np.where(m <= self.r_t, np.where(m > 0, m, 0.0) ** (self.gamma - 1.0), self.s_c)
+        far = m >= self.r_o
+        if np.any(far):
+            out = np.where(far, self._dphi_out(np.maximum(m, self.r_o)), out)
+        return out
+
+    def conjugate(self, s: np.ndarray) -> np.ndarray:
+        """Running cost at control magnitude ``s``."""
+        g = self.gamma
+        s = np.asarray(np.abs(s), dtype=float)
+        out = np.asarray(s ** (g / (g - 1.0)) * (1.0 - 1.0 / g))
+        steep = s > self.s_c
+        if np.any(steep):
+            r_star = self._outer_radius(s[steep], self.r_o)
+            out[steep] = s[steep] * r_star - self._phi_out(r_star)
+        return out
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Per-state Hamiltonian data for the power-law family."""
+    """Per-state Hamiltonian data for the power-law family.
+
+    With a ``truncation_level``, every superquadratic state is the convex
+    envelope of ``ramp(H_k)``; ``value``, ``grad_p`` and ``lagrangian`` then
+    evaluate that envelope, its slope map and its conjugate.  The envelopes
+    are built once, here, and truncation requires a driftless state.
+    """
 
     dim: int
     gammas: tuple[float, float]
     metrics: tuple[MetricField, MetricField]
     drifts: tuple[DriftField, DriftField]
     truncation_level: float | None = None
-    truncation_floor: float = 0.0
+    _envelopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.gammas:
             if g <= 1.0:
                 raise ParameterError(f"power exponent must exceed 1, got {g}")
+        level = self.truncation_level
+        if level is not None and not 0.0 < level < np.inf:
+            raise ParameterError(f"truncation level must be a finite number > 0, got {level}")
+        envelopes = []
+        for k in STATES:
+            if level is None or self.gamma(k) <= 2.0:
+                envelopes.append(None)
+            elif not self.drift(k).is_zero:
+                raise ParameterError("Hamiltonian truncation is supported only for driftless states")
+            else:
+                envelopes.append(_RampEnvelope(self.gamma(k), level))
+        object.__setattr__(self, "_envelopes", tuple(envelopes))
 
     def gamma(self, k: int) -> float:
         _check_state(k)
@@ -98,9 +212,6 @@ class HamiltonianSpec:
         _check_state(k)
         return self.drifts[k - 1]
 
-    def truncated(self, k: int) -> bool:
-        return self.truncation_level is not None and self.gamma(k) > 2.0
-
     # -- evaluation ---------------------------------------------------------
 
     def value_raw(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -110,46 +221,45 @@ class HamiltonianSpec:
         return q ** (g / 2.0) / g + np.sum(self.drift(k).b * p, axis=-1)
 
     def value(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        raw = self.value_raw(k, x, p)
-        if self.truncated(k):
-            return ramp(raw, self.truncation_level, self.gamma(k))
-        return raw
+        """H_k(x, p), or its truncated envelope."""
+        env = self._envelopes[k - 1]
+        if env is None:
+            return self.value_raw(k, x, p)
+        return env.value(np.sqrt(_quad(np.asarray(p, dtype=float), self.metric(k).a)))
 
-    def grad_p_raw(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def grad_p(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Analytic grad_p H_k; at p = 0 with gamma_k < 2 the power term is 0 by continuity."""
         g = self.gamma(k)
         p = np.asarray(p, dtype=float)
         a = self.metric(k).a
         q = _quad(p, a)
-        if g == 2.0:
+        env = self._envelopes[k - 1]
+        if env is not None:
+            m = np.sqrt(np.maximum(q, 0.0))
+            fac = np.where(m > 0, env.slope(m) / np.where(m > 0, m, 1.0), 0.0)
+        elif g == 2.0:
             fac = np.ones_like(q)
         else:
             fac = np.where(q > 0.0, np.where(q > 0.0, q, 1.0) ** (g / 2.0 - 1.0), 0.0)
         return fac[..., None] * (p @ a.T) + self.drift(k).b
 
-    def grad_p(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        grad = self.grad_p_raw(k, x, p)
-        if self.truncated(k):
-            slope = ramp_slope(self.value_raw(k, x, p), self.truncation_level, self.gamma(k))
-            return slope[..., None] * grad
-        return grad
-
     def lagrangian(self, k: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """l_k(x, xi); nonnegative, zero exactly at xi = b_k."""
+        """l_k(x, xi), the conjugate of ``value``; nonnegative, zero exactly at xi = b_k."""
         gc = self.conjugate_gamma(k)
         d = np.asarray(xi, dtype=float) - self.drift(k).b
-        return _quad(d, self.metric(k).a_inv) ** (gc / 2.0) / gc
+        q = _quad(d, self.metric(k).a_inv)
+        env = self._envelopes[k - 1]
+        if env is not None:
+            return env.conjugate(np.sqrt(q))
+        return q ** (gc / 2.0) / gc
 
     def duality_gap(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """H_k(x,p) - (p . xi* - l_k(x, xi*)) at the maximizer xi* = grad_p H_k.
 
         Zero in exact arithmetic; the contract is |gap| <= 1e-9 (1 + |H|).
-        Raises for a state whose Hamiltonian is truncated.
         """
-        if self.truncated(k):
-            raise ParameterError("duality gap is defined for untruncated Hamiltonians")
-        xi = self.grad_p_raw(k, x, p)
-        h = self.value_raw(k, x, p)
+        xi = self.grad_p(k, x, p)
+        h = self.value(k, x, p)
         return h - (np.sum(np.asarray(p) * xi, axis=-1) - self.lagrangian(k, x, xi))
 
     # -- audit helpers ------------------------------------------------------
@@ -168,20 +278,15 @@ class HamiltonianSpec:
         return c
 
 
-def truncate_hamiltonian(spec: HamiltonianSpec, level: float,
-                         floor: float = 1.0) -> HamiltonianSpec:
+def truncate_hamiltonian(spec: HamiltonianSpec, level: float) -> HamiltonianSpec:
     """Copy of the Hamiltonian data whose superquadratic states evaluate
-    through the concave ramp.
+    through the convex envelope of the concave ramp.
 
-    States with gamma <= 2 are left untouched.  ``floor`` is the lower bound
-    of the Hamiltonian range; it is recorded with the truncation level in
-    problem files.
+    States with gamma <= 2 are left untouched, and a spec with none of the
+    others is returned as it is.
     """
-    if level <= 0:
-        raise ParameterError("truncation level must be positive")
-    if not any(g > 2.0 for g in spec.gammas):
-        return spec
-    return replace(spec, truncation_level=float(level), truncation_floor=float(floor))
+    truncated = replace(spec, truncation_level=float(level))
+    return truncated if any(g > 2.0 for g in spec.gammas) else spec
 
 
 @dataclass(frozen=True)
@@ -237,7 +342,7 @@ class ProblemSpec:
             })
         d = {"dimension": self.dimension, "x_ref": list(self.x_ref), "states": states}
         if ham.truncation_level is not None:
-            d["truncation"] = {"level": ham.truncation_level, "floor": ham.truncation_floor}
+            d["truncation"] = {"level": ham.truncation_level}
         return d
 
     @staticmethod
@@ -251,10 +356,8 @@ class ProblemSpec:
             gammas=tuple(float(s["gamma"]) for s in states),
             metrics=tuple(MetricField.from_dict(s["a"], dim) for s in states),
             drifts=tuple(DriftField.from_dict(s["b"], dim) for s in states),
+            truncation_level=(float(d["truncation"]["level"]) if "truncation" in d else None),
         )
-        if "truncation" in d:
-            ham = replace(ham, truncation_level=float(d["truncation"]["level"]),
-                          truncation_floor=float(d["truncation"].get("floor", 1.0)))
         return ProblemSpec(
             dimension=dim,
             hamiltonian=ham,

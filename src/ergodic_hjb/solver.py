@@ -10,7 +10,9 @@ Two constructive routes are provided and should agree on every problem:
 
 Both use the same inner loop: evaluate the current feedback control through a
 sparse monotone linear solve, then improve it from the Hamiltonian gradient
-at the central difference of the value.  One evaluation serves both routes:
+at the central difference of the value.  The running cost and the
+improvement are the problem's own Legendre pair, ``HamiltonianSpec.lagrangian``
+and ``HamiltonianSpec.grad_p``, for truncated states too.  One evaluation serves both routes:
 the discounted matrix is factored as it is, the average-cost matrix is
 pinned at the reference node (``A + e_ref e_ref^T``), and the eigenvalue is
 the ratio of two triangular solves at that node.  The pattern (5-point
@@ -41,7 +43,7 @@ from .discretize import (
     gradient_central,
 )
 from .errors import ConvergenceError, MonotonicityError, ParameterError, SolverError
-from .model import ProblemSpec, STATES, _quad
+from .model import ProblemSpec, STATES
 
 
 @dataclass(frozen=True)
@@ -261,137 +263,9 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray,
     return u, float(lam)
 
 
-class _RampedRunningCost:
-    """Convex conjugate of the ramp-composed power Hamiltonian, radially reduced.
-
-    For a driftless state the radial profile ``phi(r) = ramp(r^gamma / gamma)``
-    is the power law below the junction radius and the sublinearized branch
-    above it, with a concave dip straddling the junction.  The conjugate (and
-    the matching optimal-slope map used for policy improvement) follow the
-    convex envelope of ``phi``: the exact power law up to the tangent touch
-    radius ``r_t``, a flat-slope segment across the dip, and the outer ramp
-    branch beyond ``r_o``.  All queries are exact up to root-finding
-    precision, so interior residuals are not limited by tabulation error.
-    """
-
-    def __init__(self, gamma: float, level: float):
-        g = float(gamma)
-        self.gamma = g
-        self.level = float(level)
-        self.r_n = (g * level) ** (1.0 / g)
-        self.s_n = self.r_n ** (g - 1.0)
-        curvature = (2.0 / g) * (2.0 / g - 1.0) * self.s_n**2 \
-            + (g - 1.0) * self.r_n ** (g - 2.0)
-        if curvature >= 0.0:
-            self.s_c, self.r_t, self.r_o = self.s_n, self.r_n, self.r_n
-            return
-        # slope of the outer branch dips below s_n and recovers; locate its
-        # minimum, then the common tangent touching both branches
-        hi = self.r_n
-        while self._dphi_out(2.0 * hi) <= self._dphi_out(hi):
-            hi *= 2.0
-        lo, hi = self.r_n, 2.0 * hi
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if self._dphi_out(m1) < self._dphi_out(m2):
-                hi = m2
-            else:
-                lo = m1
-        r_min = 0.5 * (lo + hi)
-        s_lo, s_hi = self._dphi_out(r_min) * (1.0 + 1e-12), self.s_n
-
-        def gap(s):
-            r_t = s ** (1.0 / (g - 1.0))
-            r_o = self._outer_radius(np.asarray([s]))[0]
-            return self._phi_out(r_o) - (r_t**g / g) - s * (r_o - r_t)
-
-        if gap(s_lo) <= 0.0:
-            raise SolverError("ramp conjugate: tangent construction failed")
-        for _ in range(200):
-            mid = 0.5 * (s_lo + s_hi)
-            if gap(mid) > 0.0:
-                s_lo = mid
-            else:
-                s_hi = mid
-        self.s_c = 0.5 * (s_lo + s_hi)
-        self.r_t = self.s_c ** (1.0 / (g - 1.0))
-        self.r_o = float(self._outer_radius(np.asarray([self.s_c]))[0])
-
-    def _phi_out(self, r):
-        g = self.gamma
-        return self.level - g / 2.0 + (g / 2.0) * (r**g / g - self.level + 1.0) ** (2.0 / g)
-
-    def _dphi_out(self, r):
-        g = self.gamma
-        return r ** (g - 1.0) * (r**g / g - self.level + 1.0) ** (2.0 / g - 1.0)
-
-    def _outer_radius(self, s: np.ndarray) -> np.ndarray:
-        """Invert the increasing part of the outer-branch slope by bisection."""
-        lo = np.full(s.shape, max(self.r_n, getattr(self, "r_o", self.r_n)))
-        hi = np.maximum(2.0 * lo, 2.0 * s * self.gamma ** (2.0 / self.gamma))
-        for _ in range(60):
-            grow = self._dphi_out(hi) < s
-            if not np.any(grow):
-                break
-            hi = np.where(grow, 2.0 * hi, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            high = self._dphi_out(mid) > s
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        return 0.5 * (lo + hi)
-
-    def value(self, s: np.ndarray) -> np.ndarray:
-        """Running cost at control magnitude ``s = <xi, a^{-1} xi>^(1/2)``."""
-        g = self.gamma
-        s = np.abs(np.asarray(s, dtype=float))
-        out = s ** (g / (g - 1.0)) * (1.0 - 1.0 / g)
-        steep = s > self.s_c
-        if np.any(steep):
-            r_star = self._outer_radius(s[steep])
-            out[steep] = s[steep] * r_star - self._phi_out(r_star)
-        return out
-
-    def slope(self, m: np.ndarray) -> np.ndarray:
-        """Envelope slope at radial gradient magnitude ``m = <g, a g>^(1/2)``:
-        the optimal control magnitude for that gradient."""
-        m = np.asarray(m, dtype=float)
-        out = np.where(m <= self.r_t, np.where(m > 0, m, 0.0) ** (self.gamma - 1.0), self.s_c)
-        far = m >= self.r_o
-        if np.any(far):
-            out = np.where(far, self._dphi_out(np.maximum(m, self.r_o)), out)
-        return out
-
-
-def _ramp_costs(problem: ProblemSpec) -> dict:
-    """Running-cost conjugates for truncated states; truncation pairs only
-    with driftless Hamiltonians (the ramp has no closed conjugate otherwise)."""
-    ham = problem.hamiltonian
-    costs = {}
-    for k in STATES:
-        if ham.truncated(k):
-            if not ham.drift(k).is_zero:
-                raise ParameterError(
-                    "Hamiltonian truncation is supported only for driftless states")
-            costs[k] = _RampedRunningCost(ham.gamma(k), ham.truncation_level)
-    return costs
-
-
-def _running_cost(problem: ProblemSpec, grid: Grid, xi: np.ndarray,
-                  ramp_costs: dict) -> np.ndarray:
-    """Per-node running cost of a feedback field: the exact Lagrangian, or the
-    ramped conjugate for truncated states."""
-    ham = problem.hamiltonian
-    pts = grid.points
-    lag = np.empty((2, grid.n_nodes))
-    for k in STATES:
-        if k in ramp_costs:
-            s = np.sqrt(_quad(xi[k - 1], ham.metric(k).a_inv))
-            lag[k - 1] = ramp_costs[k].value(s)
-        else:
-            lag[k - 1] = ham.lagrangian(k, pts, xi[k - 1])
-    return lag
+def _running_cost(problem: ProblemSpec, grid: Grid, xi: np.ndarray) -> np.ndarray:
+    """Per-node running cost l_k(x, xi_k(x)) of a feedback field, shape (2, n)."""
+    return np.stack([problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in STATES])
 
 
 def _clamp(xi: np.ndarray, cap: float) -> np.ndarray:
@@ -401,30 +275,15 @@ def _clamp(xi: np.ndarray, cap: float) -> np.ndarray:
     return xi * factor[..., None]
 
 
-def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float,
-             ramp_costs: dict):
+def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float):
     """Feedback improvement from the central gradient of the current value.
 
-    Returns the clamped control field (2, n, dim) and its running cost.  For
-    truncated states the improvement follows the envelope-slope map of the
-    ramped conjugate (it matches the pointwise Hamiltonian gradient outside
-    the concave bridge of the ramp).
+    Returns the clamped control field (2, n, dim) and its running cost.
     """
-    ham = problem.hamiltonian
-    pts = grid.points
-    xi = np.empty((2, grid.n_nodes, grid.dim))
-    for k in STATES:
-        g = gradient_central(grid, u[k - 1])
-        if k in ramp_costs:
-            a = ham.metric(k).a
-            ag = g @ a.T
-            m = np.sqrt(np.maximum(_quad(g, a), 0.0))
-            s = ramp_costs[k].slope(m)
-            raw = np.where(m[:, None] > 0, s[:, None] / np.where(m > 0, m, 1.0)[:, None] * ag, 0.0)
-        else:
-            raw = ham.grad_p(k, pts, g)
-        xi[k - 1] = _clamp(raw, cap)
-    return xi, _running_cost(problem, grid, xi, ramp_costs)
+    xi = np.stack([_clamp(problem.hamiltonian.grad_p(k, grid.points,
+                                                     gradient_central(grid, u[k - 1])), cap)
+                   for k in STATES])
+    return xi, _running_cost(problem, grid, xi)
 
 
 def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
@@ -444,10 +303,9 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
     tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * (1.0 + fmax)
     source_scale = 1.0 + fmax
-    ramp_costs = _ramp_costs(problem)
     xi = (np.zeros((2, n, grid.dim)) if warm is None
           else _clamp(np.array(warm, dtype=float), cap))
-    lag = _running_cost(problem, grid, xi, ramp_costs)
+    lag = _running_cost(problem, grid, xi)
     history = []
     theta = 1.0
     best = np.inf
@@ -456,7 +314,7 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     for it in range(1, opts.max_policy_iters + 1):
         rhs = src + lag.ravel()
         u, lam = policy_evaluation(gen, rhs, ref)
-        xi_star, lag_star = _improve(problem, grid, u.reshape(2, n), cap, ramp_costs)
+        xi_star, lag_star = _improve(problem, grid, u.reshape(2, n), cap)
         gen_star = assemble_generator(grid, problem, xi_star, discount)
         rhs_star = src + lag_star.ravel()
         defect = gen_star @ u + lam - rhs_star
@@ -476,7 +334,7 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
             xi, lag, gen = xi_star, lag_star, gen_star
         else:
             xi = theta * xi_star + (1.0 - theta) * xi
-            lag = _running_cost(problem, grid, xi, ramp_costs)
+            lag = _running_cost(problem, grid, xi)
             gen = assemble_generator(grid, problem, xi, discount)
     raise ConvergenceError(
         f"policy iteration did not reach tolerance {tol:.3e} in {opts.max_policy_iters} "
@@ -614,8 +472,6 @@ def extract_control(problem: ProblemSpec, solution: ErgodicSolution) -> Feedback
     for k in STATES:
         g = gradient_central(grid, solution.state(k))
         xi[k - 1] = ham.grad_p(k, pts, g)
-        if not ham.truncated(k):
-            gap = ham.duality_gap(k, pts, g)
-            h = ham.value_raw(k, pts, g)
-            worst = max(worst, float(np.max(np.abs(gap) / (1.0 + np.abs(h)))))
+        gap = ham.duality_gap(k, pts, g)
+        worst = max(worst, float(np.max(np.abs(gap) / (1.0 + np.abs(ham.value(k, pts, g))))))
     return FeedbackControl.from_fields(grid, xi, duality_residual=worst)

@@ -145,6 +145,19 @@ class TestMainEntry:
         assert err.strip() == f"config error: {message}"
         assert not (tmp_path / "out").exists()
 
+    def test_truncated_drifting_state_exit_2(self, tmp_path, capsys):
+        # the problem is rejected when it is read, before any stage writes
+        quartic = {**SMALL_PROBLEM["states"][0], "gamma": 4.0,
+                   "b": {"form": "constant", "value": [0.5]}}
+        problem = {**SMALL_PROBLEM, "states": [quartic, SMALL_PROBLEM["states"][1]],
+                   "truncation": {"level": 5.0}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(problem=problem, mc=None, lp=None)))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: Hamiltonian truncation is supported only for driftless states"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("mc", "pathz", 10),
         ("lp", "control_stepp", 0.5),

@@ -12,6 +12,7 @@ from ergodic_hjb.dual_lp import (
     stationarity_residual,
 )
 from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from tests.conftest import make_problem
 
@@ -119,6 +120,18 @@ class TestSolve:
         lam_bar, _ = solve_lp(assemble_lp(quadratic_1d, grid, mesh))
         lam_pde = solve_ergodic_normalized(quadratic_1d, build_grid(1, 6.0, 0.02)).lam
         assert abs(lam_bar - lam_pde) <= 0.03 * lam_pde
+
+    def test_truncated_quartic_against_pde(self):
+        # the LP prices a truncated state with the conjugate the PDE solve uses;
+        # an explicit mesh keeps 81 controls, where the automatic one has 309
+        problem = make_problem(gammas=(4.0, 4.0))
+        problem = problem.with_hamiltonian(truncate_hamiltonian(problem.hamiltonian, level=0.3))
+        sol = solve_ergodic_normalized(problem, build_grid(1, 6.0, 0.05))
+        assert extract_control(problem, sol).duality_residual <= 1e-12
+        grid = build_grid(1, 6.0, 0.1)
+        mesh = build_control_mesh(problem, grid, magnitudes=np.arange(0.0, 10.01, 0.25))
+        lam_bar, _ = solve_lp(assemble_lp(problem, grid, mesh))
+        assert abs(lam_bar - sol.lam) <= 5e-3
 
     def test_measure_mixing_is_exactly_linear(self, quadratic_1d):
         grid, mesh, lp = small_lp(quadratic_1d)

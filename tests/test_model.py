@@ -8,6 +8,7 @@ from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.errors import ParameterError
 from ergodic_hjb.model import (
     HamiltonianSpec,
+    ProblemSpec,
     load_problem,
     other_state,
     ramp,
@@ -161,13 +162,37 @@ def test_truncated_hamiltonian_chain_rule():
     fd = (h4.value(1, x, p + step) - h4.value(1, x, p - step)) / (2 * step)
     assert h4.grad_p(1, x, p)[0] == pytest.approx(fd, rel=1e-5)
     assert h4.value(1, x, p) < h4.value_raw(1, x, p)
-    with pytest.raises(ParameterError):
-        h4.duality_gap(1, x, p)
-    # only the truncated state of a mixed problem refuses the duality gap
+    assert abs(h4.duality_gap(1, x, p)) < 1e-12 * (1.0 + abs(h4.value(1, x, p)))
+    # both states of a mixed problem, truncated or not, close the duality gap
     h24 = truncate_hamiltonian(ham(dim=1, gammas=(2.0, 4.0)), level=2.0)
-    assert abs(h24.duality_gap(1, x, p)) < 1e-12
-    with pytest.raises(ParameterError):
-        h24.duality_gap(2, x, p)
+    for k in (1, 2):
+        assert abs(h24.duality_gap(k, x, p)) < 1e-12 * (1.0 + abs(h24.value(k, x, p)))
+
+
+@pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("level", [0.3, 1.0, 2.0, 3.0, 5.0, 28.7])
+def test_truncated_pair_is_a_legendre_pair(gamma, level, rng):
+    # the slope map of a convex envelope is nondecreasing, and the running cost
+    # is the conjugate of the envelope: no duality gap, Fenchel-Young everywhere
+    h = truncate_hamiltonian(ham(dim=1, gammas=(gamma, gamma)), level=level)
+    x = np.zeros((4001, 1))
+    p = np.linspace(0.0, 2.0 * (gamma * level) ** (1.0 / gamma) + 4.0, 4001)[:, None]
+    slope = h.grad_p(1, x, p)[:, 0]      # the bridge's slope is s_c up to one ulp
+    assert np.all(np.diff(slope) >= -1e-12 * slope[1:])
+    values = h.value(1, x, p)
+    assert np.all(np.abs(h.duality_gap(1, x, p)) <= 1e-12 * (1.0 + np.abs(values)))
+    xi = rng.uniform(-30.0, 30.0, size=(4001, 1))
+    assert np.all(h.lagrangian(1, x, xi) >= xi[:, 0] * p[:, 0] - values - 1e-9)
+
+
+def test_truncated_pair_with_metric(rng):
+    metric = fields.constant_metric(2, [[1.5, 0.4], [0.4, 0.8]])
+    h = truncate_hamiltonian(ham(dim=2, gammas=(4.0, 3.0), metric=metric), level=3.0)
+    x = np.zeros((500, 2))
+    p = rng.uniform(-4.0, 4.0, size=(500, 2))
+    for k in (1, 2):
+        gap = h.duality_gap(k, x, p)
+        assert np.all(np.abs(gap) <= 1e-12 * (1.0 + np.abs(h.value(k, x, p))))
 
 
 def test_truncation_identity_for_subquadratic():
@@ -222,3 +247,16 @@ def test_problem_roundtrip(tmp_path):
     path = tmp_path / "problem.json"
     save_problem(problem, path)
     assert load_problem(path) == problem
+
+
+def test_truncated_problem_roundtrip(tmp_path):
+    problem = make_problem(gammas=(4.0, 2.0))
+    problem = problem.with_hamiltonian(truncate_hamiltonian(problem.hamiltonian, level=5.0))
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    assert load_problem(path) == problem
+    # a floor written by older problem files is dropped like any unknown key
+    legacy = {**problem.to_dict(), "truncation": {"level": 5.0, "floor": 1.0}}
+    assert ProblemSpec.from_dict(legacy) == problem
+    with pytest.raises(ParameterError, match="finite number > 0"):
+        ProblemSpec.from_dict({**legacy, "truncation": {"level": float("nan")}})
