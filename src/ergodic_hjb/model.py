@@ -128,6 +128,8 @@ class _RampEnvelope:
             hi = np.where(grow, 2.0 * hi, hi)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):   # no bracket can move again
+                break
             high = self._dphi_out(mid) > s
             hi = np.where(high, mid, hi)
             lo = np.where(high, lo, mid)

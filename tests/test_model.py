@@ -165,8 +165,8 @@ def test_truncated_hamiltonian_chain_rule():
     assert abs(h4.duality_gap(1, x, p)) < 1e-12 * (1.0 + abs(h4.value(1, x, p)))
     # both states of a mixed problem, truncated or not, close the duality gap
     h24 = truncate_hamiltonian(ham(dim=1, gammas=(2.0, 4.0)), level=2.0)
-    for k in (1, 2):
-        assert abs(h24.duality_gap(k, x, p)) < 1e-12 * (1.0 + abs(h24.value(k, x, p)))
+    assert abs(h24.duality_gap(1, x, p)) < 1e-12
+    assert abs(h24.duality_gap(2, x, p)) < 1e-12 * (1.0 + abs(h24.value(2, x, p)))
 
 
 @pytest.mark.parametrize("gamma", [2.5, 3.0, 4.0])
