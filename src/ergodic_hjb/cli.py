@@ -122,11 +122,12 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
             mc_kwargs = {"horizon": float(mc["horizon"]), "dt": float(mc["dt"]),
                          "paths": int(mc["paths"]), "burn_in": float(mc["burn_in"]),
-                         "mode": mc["mode"]}
+                         "mode": mc["mode"], "seed": config.seed, "threads": config.threads}
+            if mc_kwargs["paths"] < 2:
+                raise ParameterError("mc.paths must be at least 2 to give a standard error")
             # the dt guard probes the rates on the largest box a control lives on
             simulate._check_arguments(problem, max([radius, *(config.radii or ())]),
                                       **mc_kwargs)
-            mc_kwargs.update(seed=config.seed, threads=config.threads)
             controls = (_parse_control(mc["control"], radius),
                         _parse_control(mc["perturbed"], radius) if mc["perturbed"] else None)
     except (KeyError, TypeError, ValueError) as exc:

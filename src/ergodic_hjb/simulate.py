@@ -10,9 +10,9 @@ the extracted optimal feedback, and strictly exceeds it for other fields.
 The feedback is a ``discretize.FeedbackControl``: the solver's extracted
 field (interpolated multilinearly between nodes) or an analytic one.
 
-Randomness comes from one counter-based Philox stream per path, keyed by
-``(seed, path index)``; accumulation is an ordered reduction over the path
-axis, so estimates are bit-identical across serial and threaded runs.
+Randomness comes from one counter-based Philox stream per fixed path chunk,
+keyed by ``(seed, chunk index)``; accumulation is an ordered reduction over
+the path axis, so estimates are bit-identical across serial and threaded runs.
 """
 
 from __future__ import annotations
@@ -71,22 +71,16 @@ class SimulationEstimate:
         }
 
 
-# fixed path-chunk and time-block sizes: the per-path draw layout (and hence
-# every estimate) is independent of the thread count and path total
+# fixed path-chunk size: the draw layout (and hence every estimate) is independent
+# of the thread count; a path's draws depend on the size of its chunk, so only
+# whole chunks keep their draws when the path total changes
 _PATH_CHUNK = 8192
-_TIME_BLOCK = 768
 
 
-def _path_generators(seed: int, lo: int, hi: int):
-    return [np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
-            for p in range(lo, hi)]
-
-
-def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mode,
+def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, seed, mode,
                     sample_stride):
     dim = problem.dimension
-    n_paths = hi - lo
-    gens = _path_generators(seed, lo, hi)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     x = np.zeros((n_paths, dim))
     in1 = np.ones(n_paths, dtype=bool)
     cost_acc = np.zeros(n_paths)
@@ -94,7 +88,7 @@ def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mod
     switches_from = np.zeros(2)
     rate_acc = np.zeros(2)
     clamps = 0
-    clock = np.array([g.standard_exponential() for g in gens]) if mode == "exponential" else None
+    clock = gen.standard_exponential(n_paths) if mode == "exponential" else None
     integrated = np.zeros(n_paths)
     radius = control.radius
     alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
@@ -103,54 +97,47 @@ def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mod
 
     noise = np.sqrt(2.0 * dt)
     kept = []
-    block_cap = min(n_steps, _TIME_BLOCK)
-    step = 0
-    draws = np.empty((n_paths, block_cap, dim + 1))
-    while step < n_steps:
-        block = min(block_cap, n_steps - step)
-        for i, g in enumerate(gens):
-            draws[i, :block] = g.standard_normal((block, dim + 1))
-        for b in range(block):
-            tallied = step + b >= burn_steps
-            state = 2 - in1
-            xi = control(x, state)
-            rate = np.where(in1, alphas[0](x), alphas[1](x))
-            if tallied:
-                run = np.where(in1, sources[0](x) + ham.lagrangian(1, x, xi),
-                               sources[1](x) + ham.lagrangian(2, x, xi))
-                cost_acc += run * dt
-                n1 = int(np.count_nonzero(in1))
-                time_in[0] += n1 * dt
-                time_in[1] += (n_paths - n1) * dt
-                r1 = float(rate @ in1)
-                rate_acc[0] += r1 * dt
-                rate_acc[1] += (float(rate.sum()) - r1) * dt
-                if sample_stride and (step + b) % sample_stride == 0:
-                    kept.append((x, state, xi, run))   # fresh arrays every step
-            z = draws[:, b, dim]
-            if mode == "thinning":
-                # U < rate dt realized as Z < ndtri(rate dt); ndtri is increasing, so
-                # only draws below the step's largest threshold can switch
-                flip = z < ndtri(rate.max() * dt)
-                flip[flip] = z[flip] < ndtri(rate[flip] * dt)
-            else:
-                integrated += rate * dt
-                flip = integrated >= clock
-                if np.any(flip):
-                    integrated[flip] = 0.0
-                    # Phi(Z) is uniform, so -log Phi(Z) is a fresh Exp(1) clock
-                    clock[flip] = -log_ndtr(z[flip])
+    for step in range(n_steps):
+        tallied = step >= burn_steps
+        state = 2 - in1
+        xi = control(x, state)
+        rate = np.where(in1, alphas[0](x), alphas[1](x))
+        if tallied:
+            run = np.where(in1, sources[0](x) + ham.lagrangian(1, x, xi),
+                           sources[1](x) + ham.lagrangian(2, x, xi))
+            cost_acc += run * dt
+            n1 = int(np.count_nonzero(in1))
+            time_in[0] += n1 * dt
+            time_in[1] += (n_paths - n1) * dt
+            r1 = float(rate @ in1)
+            rate_acc[0] += r1 * dt
+            rate_acc[1] += (float(rate.sum()) - r1) * dt
+            if sample_stride and step % sample_stride == 0:
+                kept.append((x, state, xi, run))   # fresh arrays every step
+        draws = gen.standard_normal((n_paths, dim + 1))
+        z = draws[:, dim]
+        if mode == "thinning":
+            # U < rate dt realized as Z < ndtri(rate dt); ndtri is increasing, so
+            # only draws below the step's largest threshold can switch
+            flip = z < ndtri(rate.max() * dt)
+            flip[flip] = z[flip] < ndtri(rate[flip] * dt)
+        else:
+            integrated += rate * dt
+            flip = integrated >= clock
             if np.any(flip):
-                if tallied:
-                    switches_from[0] += int(np.count_nonzero(flip & in1))
-                    switches_from[1] += int(np.count_nonzero(flip & ~in1))
-                in1 = in1 ^ flip
-            x = x - xi * dt + noise * draws[:, b, :dim]
-            out = np.abs(x) > radius
-            if np.any(out):
-                clamps += int(np.sum(out))
-                x = np.clip(x, -radius, radius)
-        step += block
+                integrated[flip] = 0.0
+                # Phi(Z) is uniform, so -log Phi(Z) is a fresh Exp(1) clock
+                clock[flip] = -log_ndtr(z[flip])
+        if np.any(flip):
+            if tallied:
+                switches_from[0] += int(np.count_nonzero(flip & in1))
+                switches_from[1] += int(np.count_nonzero(flip & ~in1))
+            in1 = in1 ^ flip
+        x = x - xi * dt + noise * draws[:, :dim]
+        out = np.abs(x) > radius
+        if np.any(out):
+            clamps += int(np.sum(out))
+            x = np.clip(x, -radius, radius)
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
         "rate_acc": rate_acc, "clamps": clamps, "kept": kept,
@@ -158,14 +145,19 @@ def _simulate_chunk(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mod
 
 
 def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: float,
-                     paths: int, burn_in: float, mode: str) -> tuple[int, int]:
+                     paths: int, burn_in: float, mode: str, seed: int,
+                     threads: int) -> tuple[int, int]:
     """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d.
 
     Returns the step count and the burn-in step count; at least one step
-    after the burn-in must be tallied.
+    after the burn-in must be tallied.  The seed must fit a Philox key word.
     """
     if mode not in ("thinning", "exponential"):
         raise ParameterError(f"unknown switching mode {mode!r}")
+    for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
+        if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                or not lo <= value < hi):
+            raise ParameterError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     if not (0 < horizon < np.inf and 0 < dt < np.inf and paths > 0):
         raise ParameterError("horizon, step and path count must be finite and positive")
     if not 0.0 <= burn_in < 1.0:
@@ -205,7 +197,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     the sample path.
     """
     n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
-                                           burn_in, mode)
+                                           burn_in, mode, seed, threads)
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
     pde_verified = gammas[0] == gammas[1]
 
@@ -213,10 +205,9 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     if record_samples:
         stride = max(1, (n_steps - burn_steps) * paths // max(sample_target, 1))
 
-    bounds = [(lo, min(lo + _PATH_CHUNK, paths)) for lo in range(0, paths, _PATH_CHUNK)]
-    args = [(problem, control, n_steps, dt, lo, hi, burn_steps, seed, mode, stride)
-            for lo, hi in bounds]
-    if threads > 1 and len(bounds) > 1:
+    args = [(problem, control, n_steps, dt, lo // _PATH_CHUNK, min(_PATH_CHUNK, paths - lo),
+             burn_steps, seed, mode, stride) for lo in range(0, paths, _PATH_CHUNK)]
+    if threads > 1 and len(args) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda a: _simulate_chunk(*a), args))
     else:

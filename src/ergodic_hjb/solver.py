@@ -102,6 +102,16 @@ def _wall_profile(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _source_scale(problem: ProblemSpec, grid: Grid) -> float:
+    """``1 + max |f_k|`` over the grid nodes and both states."""
+    return 1.0 + max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
+
+
+def wall_cap(problem: ProblemSpec, grid: Grid) -> float:
+    """Default height of the penalty wall, ``1e6 * (1 + max |f|)``."""
+    return 1e6 * _source_scale(problem, grid)
+
+
 def penalty_source(problem: ProblemSpec, grid: Grid, params: PenaltyParams) -> np.ndarray:
     """Per-state source f_k + min(cap, wall^alpha_exp), shape (2, n_nodes).
 
@@ -114,10 +124,7 @@ def penalty_source(problem: ProblemSpec, grid: Grid, params: PenaltyParams) -> n
     rho = np.max(np.abs(pts), axis=-1)
     t = grid.radius**2 - rho**2
     wall = _wall_profile(t)
-    cap = params.cap
-    if cap is None:
-        fmax = max(float(np.max(np.abs(problem.source(k)(pts)))) for k in STATES)
-        cap = 1e6 * (1.0 + fmax)
+    cap = params.cap if params.cap is not None else wall_cap(problem, grid)
     with np.errstate(over="ignore"):
         pen = np.minimum(cap, wall**params.alpha_exp)
     return np.stack([problem.source(k)(pts) + pen for k in STATES])
@@ -300,9 +307,8 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     """
     n = grid.n_nodes
     cap = opts.control_cap if opts.control_cap is not None else control_cap(problem, grid)
-    fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
-    tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * (1.0 + fmax)
-    source_scale = 1.0 + fmax
+    source_scale = _source_scale(problem, grid)
+    tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * source_scale
     xi = (np.zeros((2, n, grid.dim)) if warm is None
           else _clamp(np.array(warm, dtype=float), cap))
     lag = _running_cost(problem, grid, xi)

@@ -17,11 +17,13 @@ from .model import ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
     SolverOptions,
+    _running_cost,
     default_penalty,
     penalty_source,
     policy_evaluation,
     solve_discounted,
     solve_ergodic_normalized,
+    wall_cap,
 )
 
 
@@ -155,17 +157,14 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     Optional randomized trials perturb f by a nonnegative field and re-check
     the ordering of the nonlinear solves.
     """
-    pen = default_penalty(problem)
-    fmax = max(float(np.max(np.abs(problem.source(k)(grid.points)))) for k in STATES)
     # identical wall and control set for every source variant, else the shift
     # leaks into the cap and breaks the pointwise identity at the faces
-    pen = replace(pen, cap=1e6 * (1.0 + fmax))
+    pen = replace(default_penalty(problem), cap=wall_cap(problem, grid))
     opts = replace(opts, control_cap=control_cap(problem, grid))
     base = solve_discounted(problem, grid, discount, penalty=pen, opts=opts)
     gen = assemble_generator(grid, problem, base.controls, discount)
     src = penalty_source(problem, grid, pen).ravel()
-    lag = np.concatenate([problem.hamiltonian.lagrangian(k, grid.points, base.controls[k - 1])
-                          for k in STATES])
+    lag = _running_cost(problem, grid, base.controls).ravel()
     u, _ = policy_evaluation(gen, src + lag)
     v, _ = policy_evaluation(gen, src + lag + delta)
     linear_gap = float(np.min(v - u))

@@ -175,9 +175,11 @@ class TestMainEntry:
         ("solver", "max_policy_iters", 0),
         ("mc", "horizon", 4e-4),
         ("solver", "cap_factor", 2.0),
+        ("mc", "paths", 1),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
-            "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor"])
+            "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
+            "mc-one-path"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()
@@ -185,6 +187,26 @@ class TestMainEntry:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, flags", [
+        ({"seed": -1}, []),
+        ({"seed": "abc"}, []),
+        ({"seed": 1.5}, []),
+        ({"seed": 2**64}, []),
+        ({"threads": "2"}, []),
+        ({"threads": 0}, []),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--threads", "0"]),
+    ], ids=["seed-negative", "seed-string", "seed-float", "seed-too-large",
+            "threads-string", "threads-zero", "seed-flag", "threads-flag"])
+    def test_bad_seed_or_threads_exit_2(self, tmp_path, capsys, override, flags):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(**override)))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out"),
+                     *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()

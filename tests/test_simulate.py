@@ -7,7 +7,7 @@ from ergodic_hjb import fields
 from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh, stationarity_residual
 from ergodic_hjb.errors import ParameterError
-from ergodic_hjb.simulate import FeedbackControl, empirical_measure, simulate_paths
+from ergodic_hjb.simulate import _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_paths
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from tests.conftest import make_problem
 
@@ -84,6 +84,16 @@ class TestSimulatePaths:
         d = simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=1e-3, paths=64, seed=10)
         assert d.avg_cost != a.avg_cost
 
+    def test_two_chunks_threads_and_prefix(self, quadratic_1d):
+        # two path chunks reach the thread pool; chunk boundaries fix the draws
+        ctrl = FeedbackControl.linear(6.0, SQRT2)
+        kw = dict(horizon=5e-3, dt=1e-3, burn_in=0.0, seed=9)
+        serial = simulate_paths(quadratic_1d, ctrl, paths=_PATH_CHUNK + 64, **kw)
+        pooled = simulate_paths(quadratic_1d, ctrl, paths=_PATH_CHUNK + 64, threads=2, **kw)
+        assert np.array_equal(serial.tail_averages, pooled.tail_averages)
+        one_chunk = simulate_paths(quadratic_1d, ctrl, paths=_PATH_CHUNK, **kw)
+        assert np.array_equal(serial.tail_averages[:_PATH_CHUNK], one_chunk.tail_averages)
+
     def test_step_refinement_stable(self, quadratic_1d):
         ctrl = FeedbackControl.linear(6.0, SQRT2)
         coarse = simulate_paths(quadratic_1d, ctrl, horizon=10.0, dt=2e-3, paths=1500, seed=21)
@@ -150,6 +160,11 @@ class TestSimulatePaths:
                            seed=0, mode="psychic")
         with pytest.raises(ParameterError):
             simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=float("nan"), paths=4, seed=0)
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"seed": 2**64}, {"threads": 0},
+                    {"threads": "2"}):
+            with pytest.raises(ParameterError):
+                simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=1e-2, paths=4,
+                               **{"seed": 0, **bad})
         # runs that tally no step: a horizon below half a step, a burn-in over every step
         with pytest.raises(ParameterError, match="tallies no step"):
             simulate_paths(quadratic_1d, ctrl, horizon=4e-4, dt=1e-3, paths=4, seed=0)
@@ -174,14 +189,14 @@ def _pinned_run(dim, rates, mode):
 # exact (avg_cost, std_error, switch_count): a change here means the draw layout or
 # the arithmetic of the step loop changed, which must be deliberate and reported
 PINNED = {
-    ("1d", "constant", "thinning"): (1.8019137408624317, 0.11447293012405278, 122),
-    ("1d", "constant", "exponential"): (1.8474603362951463, 0.11292061790629486, 116),
-    ("1d", "x-dependent", "thinning"): (1.4481942329101367, 0.11308369631807429, 85),
-    ("1d", "x-dependent", "exponential"): (1.5623654906591267, 0.111505590454001, 79),
-    ("2d", "constant", "thinning"): (2.779375511883785, 0.12323026222439128, 111),
-    ("2d", "constant", "exponential"): (3.0266613620343987, 0.17457450721513879, 106),
-    ("2d", "x-dependent", "thinning"): (2.461287626499692, 0.12072513481185267, 91),
-    ("2d", "x-dependent", "exponential"): (2.8294452123464726, 0.177693539174011, 93),
+    ("1d", "constant", "thinning"): (1.674827279004266, 0.0921620439206865, 101),
+    ("1d", "constant", "exponential"): (1.7513554916049068, 0.11060241975477451, 127),
+    ("1d", "x-dependent", "thinning"): (1.3273246693358698, 0.09443733022608311, 74),
+    ("1d", "x-dependent", "exponential"): (1.5478864586431986, 0.11519317092718519, 87),
+    ("2d", "constant", "thinning"): (2.9891623809105266, 0.18765555542419118, 114),
+    ("2d", "constant", "exponential"): (3.2403809652602673, 0.19494937745127713, 122),
+    ("2d", "x-dependent", "thinning"): (2.689575202023308, 0.19045490680177316, 102),
+    ("2d", "x-dependent", "exponential"): (3.0247316038050274, 0.19510014423450883, 103),
 }
 
 
