@@ -78,7 +78,7 @@ def _write_history_csv(path, history):
 def _write_sample_path(path, problem, control, mc_kwargs: dict):
     est = simulate.simulate_paths(
         problem, control, **{**mc_kwargs, "horizon": min(mc_kwargs["horizon"], 5.0),
-                             "paths": 1, "burn_in": 0.0, "seed": mc_kwargs["seed"] + 1,
+                             "paths": 1, "burn_in": 0.0, "seed": (mc_kwargs["seed"] + 1) % 2**64,
                              "record_samples": True, "sample_target": 10**9})
     s = est.samples
     with open(path, "w", newline="") as fh:

@@ -290,6 +290,21 @@ def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,
     ).tocsr()
 
 
+def source_envelope(problem: "ProblemSpec", points: np.ndarray) -> float:
+    """A-priori source envelope ``1 + sum_k max f_k+^2 + max |grad f_k|^(2g/(2g-1))``.
+
+    The maxima run over ``points``; ``g`` is the growth exponent of state k.
+    """
+    total = 1.0
+    for k in (1, 2):
+        f = problem.source(k)(points)
+        gf = problem.source(k).gradient(points)
+        gamma = problem.hamiltonian.gamma(k)
+        total += np.max(np.maximum(f, 0.0) ** 2)
+        total += np.max(np.sum(gf * gf, axis=-1) ** (gamma / (2 * gamma - 1)))
+    return float(total)
+
+
 def control_cap(problem: "ProblemSpec", grid: Grid) -> float:
     """Norm cap for feedback controls during policy iteration.
 
@@ -298,14 +313,7 @@ def control_cap(problem: "ProblemSpec", grid: Grid) -> float:
     a safety factor of 2.  The true optimal control is bounded on compacts,
     so any cap above that bound is inert at the solution.
     """
-    pts = grid.points
-    total = 1.0
-    for k in (1, 2):
-        f = problem.source(k)(pts)
-        gf = problem.source(k).gradient(pts)
-        gamma = problem.hamiltonian.gamma(k)
-        total += np.max(np.maximum(f, 0.0) ** 2)
-        total += np.max(np.sum(gf * gf, axis=-1) ** (gamma / (2 * gamma - 1)))
+    total = source_envelope(problem, grid.points)
     cap = 0.0
     for k in (1, 2):
         gamma = problem.hamiltonian.gamma(k)

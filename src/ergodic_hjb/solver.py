@@ -112,14 +112,16 @@ def wall_cap(problem: ProblemSpec, grid: Grid) -> float:
     return 1e6 * _source_scale(problem, grid)
 
 
-def penalty_source(problem: ProblemSpec, grid: Grid, params: PenaltyParams) -> np.ndarray:
+def penalty_source(problem: ProblemSpec, grid: Grid,
+                   params: PenaltyParams | None = None) -> np.ndarray:
     """Per-state source f_k + min(cap, wall^alpha_exp), shape (2, n_nodes).
 
     The wall argument is the max-norm analogue of the squared distance to the
     boundary, ``radius^2 - |x|_inf^2``, so the layer is uniform along the box
-    faces; the penalty vanishes at depth >= 1 inside the wall.
+    faces; the penalty vanishes at depth >= 1 inside the wall.  ``None``
+    means ``default_penalty(problem)``; ``cap=0.0`` gives the raw sources.
     """
-    params = params.validated(problem)
+    params = (default_penalty(problem) if params is None else params).validated(problem)
     pts = grid.points
     rho = np.max(np.abs(pts), axis=-1)
     t = grid.radius**2 - rho**2
@@ -300,10 +302,9 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     ``src`` is the stacked (2*n,) right-hand side without the running cost.
     With a reference node ``ref`` the eigenvalue is an extra unknown and u_1
     is pinned there; with ``ref=None`` the system is discounted and the
-    returned eigenvalue is 0.  The control update is relaxed adaptively: a
-    stalling residual halves the step (central-gradient improvement against
-    upwind evaluation can limit-cycle at tiny amplitude), and sustained
-    progress restores full steps.  Fixed points are unaffected.
+    returned eigenvalue is 0.  Each iteration evaluates the frozen control,
+    improves it from the central gradient of the value, and makes the
+    improved operator and right-hand side the next iteration's.
     """
     n = grid.n_nodes
     cap = opts.control_cap if opts.control_cap is not None else control_cap(problem, grid)
@@ -311,37 +312,18 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * source_scale
     xi = (np.zeros((2, n, grid.dim)) if warm is None
           else _clamp(np.array(warm, dtype=float), cap))
-    lag = _running_cost(problem, grid, xi)
-    history = []
-    theta = 1.0
-    best = np.inf
-    stall = 0
+    rhs = src + _running_cost(problem, grid, xi).ravel()
     gen = assemble_generator(grid, problem, xi, discount)
+    history = []
     for it in range(1, opts.max_policy_iters + 1):
-        rhs = src + lag.ravel()
         u, lam = policy_evaluation(gen, rhs, ref)
-        xi_star, lag_star = _improve(problem, grid, u.reshape(2, n), cap)
-        gen_star = assemble_generator(grid, problem, xi_star, discount)
-        rhs_star = src + lag_star.ravel()
-        defect = gen_star @ u + lam - rhs_star
-        residual = _defect_norm(defect, rhs_star, source_scale, gen_star, u, lam, tol)
+        xi, lag = _improve(problem, grid, u.reshape(2, n), cap)
+        gen = assemble_generator(grid, problem, xi, discount)
+        rhs = src + lag.ravel()
+        residual = _defect_norm(gen @ u + lam - rhs, rhs, source_scale, gen, u, lam, tol)
         history.append((it, residual, lam))
         if residual <= tol:
-            return u.reshape(2, n), lam, xi_star, it, residual
-        if residual < 0.5 * best:
-            theta = min(1.0, 2.0 * theta)
-        elif residual > 0.9 * best:
-            stall += 1
-            if stall >= 2:
-                theta = max(theta / 2.0, 1.0 / 64.0)
-                stall = 0
-        best = min(best, residual)
-        if theta >= 1.0:
-            xi, lag, gen = xi_star, lag_star, gen_star
-        else:
-            xi = theta * xi_star + (1.0 - theta) * xi
-            lag = _running_cost(problem, grid, xi)
-            gen = assemble_generator(grid, problem, xi, discount)
+            return u.reshape(2, n), lam, xi, it, residual
     raise ConvergenceError(
         f"policy iteration did not reach tolerance {tol:.3e} in {opts.max_policy_iters} "
         f"iterations (last residual {history[-1][1]:.3e})", history=history)
@@ -354,8 +336,7 @@ def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
     """Howard iteration on the discounted system; discount must be positive."""
     if discount <= 0:
         raise ParameterError("discount must be positive")
-    src = (penalty_source(problem, grid, penalty) if penalty is not None
-           else np.stack([problem.source(k)(grid.points) for k in STATES])).ravel()
+    src = penalty_source(problem, grid, penalty).ravel()
     w, _, controls, iters, residual = _howard(
         problem, grid, src, discount, opts, warm, ref=None)
     return DiscountedSolution(grid=grid, w=w, discount=discount, iterations=iters,
@@ -363,29 +344,23 @@ def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
 
 
 def vanishing_discount(problem: ProblemSpec, grid: Grid,
-                       eps_schedule=None,
                        penalty: PenaltyParams | None = None,
                        opts: SolverOptions = SolverOptions()) -> ErgodicSolution:
     """Drive the discount to zero and read the eigenvalue at the reference node.
 
+    The discounts halve from ``opts.eps0`` until they reach ``opts.eps_min``.
     Each leg is warm-started from the previous control field; the schedule
     stops when consecutive eigenvalue estimates differ by at most
     ``opts.tol_lambda``.  Raises ``ConvergenceError`` carrying the
     (discount, eigenvalue) history if the schedule is exhausted first.
     """
-    if eps_schedule is None:
-        n_legs = int(math.ceil(math.log2(opts.eps0 / opts.eps_min))) + 1   # eps_min <= eps0
-        eps_schedule = [opts.eps0 * 2.0**-j for j in range(n_legs)]
-    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
-        raise ParameterError("discount schedule must be strictly decreasing")
-    if penalty is None:
-        penalty = default_penalty(problem)
+    n_legs = int(math.ceil(math.log2(opts.eps0 / opts.eps_min))) + 1   # eps_min <= eps0
     ref = grid.index_of(problem.ref_point)
     history = []
     warm = None
     prev_lam = None
     total_iters = 0
-    for eps in eps_schedule:
+    for eps in (opts.eps0 * 2.0**-j for j in range(n_legs)):
         sol = solve_discounted(problem, grid, eps, penalty=penalty, opts=opts, warm=warm)
         lam = eps * float(sol.w[0, ref])
         history.append((eps, lam))
@@ -408,8 +383,6 @@ def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
                              opts: SolverOptions = SolverOptions(),
                              warm: np.ndarray | None = None) -> ErgodicSolution:
     """Direct average-cost solve with (u, eigenvalue) unknowns and u_1(x_ref) = 0."""
-    if penalty is None:
-        penalty = default_penalty(problem)
     src = penalty_source(problem, grid, penalty).ravel()
     ref = grid.index_of(problem.ref_point)
     u, lam, controls, iters, residual = _howard(problem, grid, src, 0.0, opts, warm, ref)

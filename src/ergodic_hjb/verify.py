@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discretize import Grid, assemble_generator, control_cap, gradient_central
+from .discretize import Grid, assemble_generator, control_cap, gradient_central, source_envelope
 from .model import ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
@@ -49,18 +49,11 @@ def _inner_masks(grid: Grid):
 
 def _gradient_ratio(problem: ProblemSpec, grid: Grid, sol: ErgodicSolution):
     b1, b2 = _inner_masks(grid)
-    pts = grid.points
     numerator = 0.0
     for k in STATES:
         g = np.linalg.norm(gradient_central(grid, sol.state(k)), axis=-1)
         numerator = max(numerator, float(np.max(g[b1] ** (2.0 * problem.hamiltonian.gamma(k)))))
-    denom = 1.0
-    for k in STATES:
-        f = problem.source(k)(pts)
-        gf = np.linalg.norm(problem.source(k).gradient(pts), axis=-1)
-        gamma = problem.hamiltonian.gamma(k)
-        denom += float(np.max(np.maximum(f[b2], 0.0) ** 2))
-        denom += float(np.max(gf[b2] ** (2.0 * gamma / (2.0 * gamma - 1.0))))
+    denom = source_envelope(problem, grid.points[b2])
     ref = grid.index_of(problem.ref_point)
     coupling = float((sol.u[0, ref] - sol.u[1, ref]) ** 2)
     return numerator / denom, coupling / denom

@@ -211,6 +211,13 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    def test_largest_seed_writes_sample_path(self, tmp_path):
+        # the sample path is seeded one past the run seed, modulo 2^64
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(seed=2**64 - 1, lp=None)))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sample_path.csv").exists()
+
     def test_solve_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(mc=None, lp=None)))
