@@ -26,7 +26,7 @@ interpolates it multilinearly at arbitrary points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -142,22 +142,34 @@ def gradient_central(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out.reshape(grid.n_nodes, grid.dim)
 
 
-def _bilinear(grid: Grid, values: np.ndarray, pts: np.ndarray, k: int | np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the node field ``values[k - 1]`` at arbitrary
-    points; ``k`` is one state for every point or an array of one state per point."""
-    h, r = grid.h, grid.radius
-    rel = np.clip((pts + r) / h, 0.0, grid.n_axis - 1.0)
-    lo = np.minimum(rel.astype(int), grid.n_axis - 2)
+def _bilinear(grid: Grid, tables: tuple[np.ndarray, ...], pts: np.ndarray,
+              k: int | np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a two-state node field at arbitrary points.
+
+    ``tables`` holds one flat state-major node table per field component (the
+    entry of state ``s`` at node ``(i, j)`` sits at ``(s*n + i)*n + j``); ``k``
+    is one state for every point or an array of one state per point.  Each
+    component is gathered and weighted as a whole ``(points,)`` column, and
+    the columns are stacked last.
+    """
+    h, r, n = grid.h, grid.radius, grid.n_axis
+    rel = np.clip((pts + r) / h, 0.0, n - 1.0)
+    lo = np.minimum(rel.astype(int), n - 2)
     frac = rel - lo
-    v = values.reshape((2, *grid.shape, values.shape[-1]))
-    s = np.asarray(k) - 1
+    fx = frac[:, 0]
+    gx = 1 - fx
+    base = (np.asarray(k) - 1) * n + lo[:, 0]
     if grid.dim == 1:
-        i, fx = lo[:, 0], frac[:, :1]
-        return v[s, i] * (1 - fx) + v[s, i + 1] * fx
-    i, j = lo[:, 0], lo[:, 1]
-    fx, fy = frac[:, :1], frac[:, 1:]
-    return (v[s, i, j] * (1 - fx) * (1 - fy) + v[s, i + 1, j] * fx * (1 - fy)
-            + v[s, i, j + 1] * (1 - fx) * fy + v[s, i + 1, j + 1] * fx * fy)
+        i1 = base + 1
+        cols = [t.take(base) * gx + t.take(i1) * fx for t in tables]
+    else:
+        fy = frac[:, 1]
+        gy = 1 - fy
+        base = base * n + lo[:, 1]
+        i1, j1, ij1 = base + n, base + 1, base + n + 1
+        cols = [t.take(base) * gx * gy + t.take(i1) * fx * gy + t.take(j1) * gx * fy
+                + t.take(ij1) * fx * fy for t in tables]
+    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -178,6 +190,13 @@ class FeedbackControl:
     values: np.ndarray | None = None     # (2, n_nodes, dim) for kind == "grid"
     coefficient: float = 0.0
     duality_residual: float = 0.0
+    # one flat state-major node table per component of ``values``, for _bilinear
+    tables: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tables = () if self.values is None else tuple(
+            self.values[:, :, c].ravel() for c in range(self.values.shape[-1]))
+        object.__setattr__(self, "tables", tables)
 
     @staticmethod
     def from_fields(grid: Grid, values: np.ndarray,
@@ -200,7 +219,7 @@ class FeedbackControl:
             return np.zeros_like(x)
         if self.kind == "linear":
             return self.coefficient * x
-        return _bilinear(self.grid, self.values, x, k)
+        return _bilinear(self.grid, self.tables, x, k)
 
 
 def m_matrix_violations(matrix: sp.spmatrix) -> dict:

@@ -31,6 +31,21 @@ def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _sum_squares(x: np.ndarray, weights=None) -> np.ndarray:
+    """``sum_i w_i x_i x_i`` over the trailing axis, accumulated one axis column at a time.
+
+    Each term is ``(w_i x_i) x_i`` and the terms are added in axis order, as
+    ``np.sum(w * x * x, axis=-1)`` adds them, but every operation runs on a whole
+    column instead of on the short trailing axis.  ``weights=None`` means unit weights.
+    """
+    acc = None
+    for i in range(x.shape[-1]):
+        col = x[..., i]
+        term = col * col if weights is None else weights[i] * col * col
+        acc = term if acc is None else acc + term
+    return acc
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Scalar coefficient from the closed preset family.
@@ -67,9 +82,8 @@ class CoefficientField:
         if self.form == "constant":
             return np.full(x.shape[:-1], self.c + self.offset)
         if self.form == "quadratic":
-            w = np.asarray(self.weights)
-            return self.c + self.offset + np.sum(w * x * x, axis=-1)
-        r2 = np.sum(x * x, axis=-1)
+            return self.c + self.offset + _sum_squares(x, self.weights)
+        r2 = _sum_squares(x)
         if self.form == "power_radial":
             return self.offset + self.c * r2 ** (self.exponent / 2.0)
         phase = (1.0 + r2) ** self.beta2

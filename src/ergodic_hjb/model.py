@@ -49,8 +49,15 @@ def _check_state(k: int) -> None:
 
 
 def _quad(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """<v, m v> over the leading axes of ``v`` for one ``(d, d)`` matrix ``m``."""
-    return np.sum((v @ m) * v, axis=-1)
+    """<v, m v> over the leading axes of ``v`` for one ``(d, d)`` matrix ``m``.
+
+    The columns of ``(v @ m) * v`` are added in order, one whole column at a time.
+    """
+    terms = (v @ m) * v
+    acc = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        acc = acc + terms[..., i]
+    return acc
 
 
 def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
@@ -248,7 +255,9 @@ class HamiltonianSpec:
     def lagrangian(self, k: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """l_k(x, xi), the conjugate of ``value``; nonnegative, zero exactly at xi = b_k."""
         gc = self.conjugate_gamma(k)
-        d = np.asarray(xi, dtype=float) - self.drift(k).b
+        d = np.asarray(xi, dtype=float)
+        if not self.drift(k).is_zero:   # xi - 0.0 is xi exactly; skip the broadcast
+            d = d - self.drift(k).b
         q = _quad(d, self.metric(k).a_inv)
         env = self._envelopes[k - 1]
         if env is not None:

@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spsolve
 from ergodic_hjb import fields
 from ergodic_hjb.discretize import (
     FeedbackControl,
+    _bilinear,
     assemble_generator,
     build_grid,
     control_cap,
@@ -236,3 +237,35 @@ def test_exports(tmp_path):
     # the coordinate columns parse as numbers: both state blocks list the nodes
     table = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(table[:, :g.dim], np.vstack([g.points, g.points]))
+
+
+def _broadcast_bilinear(grid, values, pts, k):
+    """The multilinear interpolation written as one broadcast over (points, components)."""
+    rel = np.clip((pts + grid.radius) / grid.h, 0.0, grid.n_axis - 1.0)
+    lo = np.minimum(rel.astype(int), grid.n_axis - 2)
+    frac = rel - lo
+    v = values.reshape((2, *grid.shape, values.shape[-1]))
+    s = np.asarray(k) - 1
+    if grid.dim == 1:
+        i, fx = lo[:, 0], frac[:, :1]
+        return v[s, i] * (1 - fx) + v[s, i + 1] * fx
+    i, j = lo[:, 0], lo[:, 1]
+    fx, fy = frac[:, :1], frac[:, 1:]
+    return (v[s, i, j] * (1 - fx) * (1 - fy) + v[s, i + 1, j] * fx * (1 - fy)
+            + v[s, i, j + 1] * (1 - fx) * fy + v[s, i + 1, j + 1] * fx * fy)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bilinear_bit_identical_to_broadcast(dim):
+    rng = np.random.default_rng(40 + dim)
+    grid = build_grid(dim, 2.0, 0.25)
+    values = rng.normal(size=(2, grid.n_nodes, dim))
+    ctrl = FeedbackControl.from_fields(grid, values)
+    # points up to a cell and a half beyond every face, plus the faces themselves
+    pts = np.concatenate([rng.uniform(-2.4, 2.4, size=(500, dim)),
+                          np.full((1, dim), 2.0), np.full((1, dim), -2.0)])
+    states = rng.integers(1, 3, size=pts.shape[0])
+    for k in (1, 2, states):
+        got = _bilinear(grid, ctrl.tables, pts, k)
+        assert np.array_equal(got, _broadcast_bilinear(grid, values, pts, k))
+        assert np.array_equal(ctrl(pts, k), got)

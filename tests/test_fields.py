@@ -117,3 +117,19 @@ def test_evaluator_of_x_free_field_is_one_scalar(field):
 def test_evaluator_of_x_dependent_field_is_the_field():
     field = fields.quadratic(2, weights=(0.0, 1.0))
     assert field.evaluator() is field
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_call_bit_identical_to_broadcast_sum(dim):
+    # the per-axis accumulation keeps every element's arithmetic of the broadcast form
+    x = np.random.default_rng(dim).normal(scale=2.0, size=(257, dim))
+    w = np.linspace(0.3, 1.7, dim)
+    r2 = np.sum(x * x, axis=-1)
+    cases = [
+        (fields.quadratic(dim, weights=w, c0=0.4), 0.4 + np.sum(w * x * x, axis=-1)),
+        (fields.power_radial(dim, c=1.5, exponent=2.5), 1.5 * r2 ** 1.25),
+        (fields.trig_power(dim, beta1=2.0, beta2=0.5, c=0.8),
+         0.8 * r2 ** 1.0 * (2.0 + np.sin((1.0 + r2) ** 0.5))),
+    ]
+    for field, expected in cases:
+        assert np.array_equal(field(x), expected)

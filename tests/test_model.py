@@ -8,6 +8,7 @@ from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.errors import ParameterError
 from ergodic_hjb.model import (
     HamiltonianSpec,
+    _quad,
     ProblemSpec,
     load_problem,
     other_state,
@@ -260,3 +261,14 @@ def test_truncated_problem_roundtrip(tmp_path):
     assert ProblemSpec.from_dict(legacy) == problem
     with pytest.raises(ParameterError, match="finite number > 0"):
         ProblemSpec.from_dict({**legacy, "truncation": {"level": float("nan")}})
+
+
+def test_quad_bit_identical_to_broadcast_sum():
+    # the columns of (v @ m) * v are added in order, as np.sum adds them
+    rng = np.random.default_rng(5)
+    m = np.array([[2.0, 0.6, -0.3], [0.6, 1.5, 0.4], [-0.3, 0.4, 1.2]])
+    for dim in (1, 2, 3):
+        v = rng.normal(size=(301, dim))
+        a = m[:dim, :dim]
+        assert np.all(np.linalg.eigvalsh(a) > 0.0)
+        assert np.array_equal(_quad(v, a), np.sum((v @ a) * v, axis=-1))
