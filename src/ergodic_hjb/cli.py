@@ -42,8 +42,7 @@ ALL_STAGES = ("solve", "lp", "simulate", "audit")
 _GRID_KEYS = ("radius", "h")
 _LP_DEFAULTS = {"h": None, "control_step": 0.25, "directions": 8}   # h None: 5 * grid h
 _MC_DEFAULTS = {"horizon": 20.0, "dt": 1e-3, "paths": 2000, "burn_in": 0.1,
-                "mode": "thinning", "control": "extracted", "perturbed": None,
-                "sample_path": False}
+                "control": "extracted", "perturbed": None, "sample_path": False}
 
 
 def _section(config: RunConfig, name: str, allowed) -> dict:
@@ -53,6 +52,14 @@ def _section(config: RunConfig, name: str, allowed) -> dict:
     if unknown:
         raise ParameterError(f"unknown {name} keys: {sorted(unknown)}")
     return section
+
+
+def _checked(name: str, value, kind):
+    """``value`` if it is a JSON value of ``kind`` (``bool`` or ``int``); a bool is no int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParameterError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'},"
+                             f" got {value!r}")
+    return value
 
 
 def _parse_control(spec, radius: float):
@@ -111,18 +118,26 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         grid_cfg = _section(config, "grid", _GRID_KEYS)
         radius, h = grid_cfg["radius"], grid_cfg["h"]
         audits = _section(config, "audits", _DEFAULT_AUDITS)
+        for key, flag in audits.items():
+            _checked(f"audits.{key}", flag, bool)
+        _checked("compare_methods", config.compare_methods, bool)
         # x_ref must be a node of the smallest box a stage solves on
         build_grid(problem.dimension, min([radius, *(config.radii or ())]),
                    h).index_of(problem.ref_point)
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
             lp_grid = build_grid(problem.dimension, radius, float(lp["h"]))
-            lp_step, lp_directions = float(lp["control_step"]), int(lp["directions"])
+            lp_step = float(lp["control_step"])
+            lp_directions = _checked("lp.directions", lp["directions"], int)
+            if not 0.0 < lp_step < np.inf:
+                raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
         if config.mc is not None:
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
             mc_kwargs = {"horizon": float(mc["horizon"]), "dt": float(mc["dt"]),
-                         "paths": int(mc["paths"]), "burn_in": float(mc["burn_in"]),
-                         "mode": mc["mode"], "seed": config.seed, "threads": config.threads}
+                         "paths": _checked("mc.paths", mc["paths"], int),
+                         "burn_in": float(mc["burn_in"]),
+                         "seed": config.seed, "threads": config.threads}
+            _checked("mc.sample_path", mc["sample_path"], bool)
             if mc_kwargs["paths"] < 2:
                 raise ParameterError("mc.paths must be at least 2 to give a standard error")
             # the dt guard probes the rates on the largest box a control lives on

@@ -4,7 +4,11 @@ Simulates the regime-switching diffusion whose extended generator matches the
 discretized operator: under a feedback field xi the continuous component
 moves with drift ``-xi(X, S)`` and diffusion ``sqrt(2) dW`` (the unit
 Laplacian in the generator fixes the noise scale), while the discrete
-component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The long-run
+component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The switching
+time comes from the integrated intensity (Yin & Zhu, Hybrid Switching
+Diffusions, 2010): each path holds an Exp(1) clock that every step runs down
+by ``alpha_S(X) dt``, and the path switches when its clock reaches 0, drawing
+a fresh clock; no step draws anything for switching otherwise.  The long-run
 average of ``f_S(X) + l_S(X, xi(X, S))`` estimates the eigenvalue when xi is
 the extracted optimal feedback, and strictly exceeds it for other fields.
 The feedback is a ``discretize.FeedbackControl``: the solver's extracted
@@ -21,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .discretize import FeedbackControl, Grid
 from .dual_lp import ControlMesh, OccupationMeasure
@@ -55,7 +58,6 @@ class SimulationEstimate:
     paths: int
     burn_in: float
     seed: int
-    mode: str
     pde_verified: bool
     samples: SimulationSamples | None = None
 
@@ -66,7 +68,7 @@ class SimulationEstimate:
             "state_fraction": list(self.state_fraction),
             "switch_intensity": list(self.switch_intensity),
             "horizon": self.horizon, "dt": self.dt, "paths": self.paths,
-            "burn_in": self.burn_in, "seed": self.seed, "mode": self.mode,
+            "burn_in": self.burn_in, "seed": self.seed,
             "pde_verified": self.pde_verified,
         }
 
@@ -77,7 +79,7 @@ class SimulationEstimate:
 _PATH_CHUNK = 8192
 
 
-def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, seed, mode,
+def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, seed,
                     sample_stride):
     dim = problem.dimension
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
@@ -88,8 +90,7 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
     switches_from = np.zeros(2)
     rate_acc = np.zeros(2)
     clamps = 0
-    clock = gen.standard_exponential(n_paths) if mode == "exponential" else None
-    integrated = np.zeros(n_paths)
+    clock = gen.standard_exponential(n_paths)   # remaining integrated intensity
     radius = control.radius
     alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
     sources = (problem.source(1), problem.source(2))
@@ -114,26 +115,18 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
             rate_acc[1] += (float(rate.sum()) - r1) * dt
             if sample_stride and step % sample_stride == 0:
                 kept.append((x, state, xi, run))   # fresh arrays every step
-        draws = gen.standard_normal((n_paths, dim + 1))
-        z = draws[:, dim]
-        if mode == "thinning":
-            # U < rate dt realized as Z < ndtri(rate dt); ndtri is increasing, so
-            # only draws below the step's largest threshold can switch
-            flip = z < ndtri(rate.max() * dt)
-            flip[flip] = z[flip] < ndtri(rate[flip] * dt)
-        else:
-            integrated += rate * dt
-            flip = integrated >= clock
-            if np.any(flip):
-                integrated[flip] = 0.0
-                # Phi(Z) is uniform, so -log Phi(Z) is a fresh Exp(1) clock
-                clock[flip] = -log_ndtr(z[flip])
-        if np.any(flip):
+        draws = gen.standard_normal((n_paths, dim))
+        clock -= rate * dt
+        flip = clock <= 0.0
+        n_flip = int(np.count_nonzero(flip))
+        if n_flip:
+            clock[flip] = gen.standard_exponential(n_flip)
             if tallied:
-                switches_from[0] += int(np.count_nonzero(flip & in1))
-                switches_from[1] += int(np.count_nonzero(flip & ~in1))
+                from1 = int(np.count_nonzero(flip & in1))
+                switches_from[0] += from1
+                switches_from[1] += n_flip - from1
             in1 = in1 ^ flip
-        x = x - xi * dt + noise * draws[:, :dim]
+        x = x - xi * dt + noise * draws
         out = np.abs(x) > radius
         if np.any(out):
             clamps += int(np.sum(out))
@@ -145,15 +138,12 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
 
 
 def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: float,
-                     paths: int, burn_in: float, mode: str, seed: int,
-                     threads: int) -> tuple[int, int]:
+                     paths: int, burn_in: float, seed: int, threads: int) -> tuple[int, int]:
     """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d.
 
     Returns the step count and the burn-in step count; at least one step
     after the burn-in must be tallied.  The seed must fit a Philox key word.
     """
-    if mode not in ("thinning", "exponential"):
-        raise ParameterError(f"unknown switching mode {mode!r}")
     for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
         if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
                 or not lo <= value < hi):
@@ -179,25 +169,26 @@ def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: fl
 
 def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: float,
                    dt: float, paths: int, burn_in: float = 0.1, seed: int = 0,
-                   mode: str = "thinning", record_samples: bool = False,
+                   record_samples: bool = False,
                    sample_target: int = 200_000, threads: int = 1) -> SimulationEstimate:
     """Estimate the long-run average running cost under a feedback field.
 
     ``burn_in`` is the fraction of the horizon discarded before cost
-    accumulation.  Switching uses first-order thinning by default (guarded by
-    ``dt * max rate <= 0.1``) or an integrated-intensity exponential clock as
-    a cross-check mode; each step evaluates the feedback and every rate that
+    accumulation.  Each step evaluates the feedback and every rate that
     depends on x once per path, in its current state (an x-free rate is
-    evaluated once per path chunk), with one switching rule for every rate
-    form.  Thinning switches when ``Z < ndtri(rate dt)``, evaluating
-    ``ndtri`` only below the step's largest threshold.  Paths leaving the box
-    are clamped and counted; a nonzero ``clamp_count`` marks the estimate as
-    unreliable (enlarge the box).  With ``record_samples`` a thinned (X, S,
-    xi, running cost) stream is kept for occupation-measure estimation and
-    the sample path.
+    evaluated once per path chunk), and draws one normal per path and axis.
+    A path switches when its Exp(1) clock, run down by ``rate dt`` each step,
+    reaches 0; only the paths that switched draw fresh clocks, in one call on
+    the chunk's stream.  The rule is the same for every rate form; a path
+    switches at most once per step, and the guard ``dt * max rate <= 0.1``
+    keeps the chance of a second crossing within one step below about 0.5%.
+    Paths leaving the box are clamped and counted; a nonzero ``clamp_count``
+    marks the estimate as unreliable (enlarge the box).  With
+    ``record_samples`` a thinned (X, S, xi, running cost) stream is kept for
+    occupation-measure estimation and the sample path.
     """
     n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
-                                           burn_in, mode, seed, threads)
+                                           burn_in, seed, threads)
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
     pde_verified = gammas[0] == gammas[1]
 
@@ -206,7 +197,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
         stride = max(1, (n_steps - burn_steps) * paths // max(sample_target, 1))
 
     args = [(problem, control, n_steps, dt, lo // _PATH_CHUNK, min(_PATH_CHUNK, paths - lo),
-             burn_steps, seed, mode, stride) for lo in range(0, paths, _PATH_CHUNK)]
+             burn_steps, seed, stride) for lo in range(0, paths, _PATH_CHUNK)]
     if threads > 1 and len(args) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda a: _simulate_chunk(*a), args))
@@ -237,7 +228,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
             for i in range(2)),
         mean_rate=tuple(
             float(rate_acc[i] / time_in[i]) if time_in[i] > 0 else 0.0 for i in range(2)),
-        horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed, mode=mode,
+        horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed,
         pde_verified=pde_verified, samples=samples)
 
 

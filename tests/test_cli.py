@@ -176,10 +176,23 @@ class TestMainEntry:
         ("mc", "horizon", 4e-4),
         ("solver", "cap_factor", 2.0),
         ("mc", "paths", 1),
+        ("mc", "paths", 2.5),
+        ("mc", "paths", "10"),
+        ("mc", "sample_path", "yes"),
+        ("mc", "mode", "thinning"),
+        ("lp", "control_step", 0),
+        ("lp", "control_step", -0.5),
+        ("lp", "control_step", float("inf")),
+        ("lp", "directions", 8.0),
+        ("audits", "comparison", "no"),
+        ("audits", "assumptions", 1),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
             "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
-            "mc-one-path"])
+            "mc-one-path", "mc-paths-float", "mc-paths-string", "mc-sample-path-string",
+            "mc-mode-retired", "lp-control-step-zero", "lp-control-step-negative",
+            "lp-control-step-inf", "lp-directions-float", "audits-flag-string",
+            "audits-flag-int"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()
@@ -209,6 +222,15 @@ class TestMainEntry:
                      *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, None], ids=["string", "int", "null"])
+    def test_compare_methods_not_boolean_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(compare_methods=value)))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: compare_methods")
         assert not (tmp_path / "out").exists()
 
     def test_largest_seed_writes_sample_path(self, tmp_path):

@@ -100,37 +100,20 @@ class TestSimulatePaths:
         fine = simulate_paths(quadratic_1d, ctrl, horizon=10.0, dt=1e-3, paths=1500, seed=22)
         assert abs(coarse.avg_cost - fine.avg_cost) <= 3 * (coarse.std_error + fine.std_error)
 
-    @pytest.mark.parametrize("rates", [
-        (fields.constant(1, 2.0), fields.constant(1, 1.0)),
-        (fields.quadratic(1, (0.2,), c0=0.5), fields.quadratic(1, (0.1,), c0=1.0)),
-    ], ids=["constant", "x-dependent"])
-    def test_switching_modes_agree(self, rates):
-        # the sources differ by 1 between the states, so the cost sees the switching
-        problem = replace(make_problem(sources=(fields.quadratic(1),
-                                                fields.quadratic(1).shifted(1.0))),
-                          switch_rates=rates)
-        ctrl = FeedbackControl.linear(6.0, SQRT2)
-        thin = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5)
-        clock = simulate_paths(problem, ctrl, horizon=10.0, dt=1e-3, paths=1024, seed=5,
-                               mode="exponential")
-        assert abs(thin.avg_cost - clock.avg_cost) <= 3 * (thin.std_error + clock.std_error)
-        assert abs(thin.state_fraction[0] - clock.state_fraction[0]) <= 0.02
-
     def test_constant_rate_offset(self):
         # a rate of value 2 switches alike in every form: a constant c + offset, as the
         # PDE and the LP evaluate it, and a quadratic form with zero weights
         plain = make_problem(alphas=(2.0, 1.0))
         ctrl = FeedbackControl.linear(6.0, SQRT2)
-        for mode in ("thinning", "exponential"):
-            a, b, c = (simulate_paths(replace(plain, switch_rates=(rate, plain.switch_rates[1])),
-                                      ctrl, horizon=2.0, dt=1e-3, paths=128, seed=8, mode=mode)
-                       for rate in (fields.constant(1, 2.0), fields.constant(1, 1.0).shifted(1.0),
-                                    fields.quadratic(1, (0.0,), c0=2.0)))
-            for other in (b, c):
-                assert other.switch_count == a.switch_count
-                assert other.state_fraction == a.state_fraction
-                assert other.mean_rate == a.mean_rate
-                assert np.array_equal(other.tail_averages, a.tail_averages)
+        a, b, c = (simulate_paths(replace(plain, switch_rates=(rate, plain.switch_rates[1])),
+                                  ctrl, horizon=2.0, dt=1e-3, paths=128, seed=8)
+                   for rate in (fields.constant(1, 2.0), fields.constant(1, 1.0).shifted(1.0),
+                                fields.quadratic(1, (0.0,), c0=2.0)))
+        for other in (b, c):
+            assert other.switch_count == a.switch_count
+            assert other.state_fraction == a.state_fraction
+            assert other.mean_rate == a.mean_rate
+            assert np.array_equal(other.tail_averages, a.tail_averages)
 
     def test_switch_intensity_matches_rates(self):
         problem = make_problem(alphas=(2.0, 1.0))
@@ -156,9 +139,6 @@ class TestSimulatePaths:
             simulate_paths(make_problem(alphas=(30.0, 30.0)), ctrl, horizon=1.0,
                            dt=1e-2, paths=4, seed=0)
         with pytest.raises(ParameterError):
-            simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=1e-2, paths=4,
-                           seed=0, mode="psychic")
-        with pytest.raises(ParameterError):
             simulate_paths(quadratic_1d, ctrl, horizon=1.0, dt=float("nan"), paths=4, seed=0)
         for bad in ({"seed": -1}, {"seed": 1.5}, {"seed": 2**64}, {"threads": 0},
                     {"threads": "2"}):
@@ -173,7 +153,7 @@ class TestSimulatePaths:
                            burn_in=0.9)
 
 
-def _pinned_run(dim, rates, mode):
+def _pinned_run(dim, rates):
     """A short run with a grid control and sources that differ between the states."""
     grid = build_grid(dim, 3.0, 0.25 if dim == 1 else 0.5)
     x = grid.points
@@ -183,27 +163,23 @@ def _pinned_run(dim, rates, mode):
     if rates == "x-dependent":
         problem = replace(problem, switch_rates=(fields.quadratic(dim, (0.2,) * dim, c0=0.5),
                                                  fields.quadratic(dim, (0.1,) * dim, c0=1.0)))
-    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13, mode=mode)
+    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13)
 
 
 # exact (avg_cost, std_error, switch_count): a change here means the draw layout or
 # the arithmetic of the step loop changed, which must be deliberate and reported
 PINNED = {
-    ("1d", "constant", "thinning"): (1.674827279004266, 0.0921620439206865, 101),
-    ("1d", "constant", "exponential"): (1.7513554916049068, 0.11060241975477451, 127),
-    ("1d", "x-dependent", "thinning"): (1.3273246693358698, 0.09443733022608311, 74),
-    ("1d", "x-dependent", "exponential"): (1.5478864586431986, 0.11519317092718519, 87),
-    ("2d", "constant", "thinning"): (2.9891623809105266, 0.18765555542419118, 114),
-    ("2d", "constant", "exponential"): (3.2403809652602673, 0.19494937745127713, 122),
-    ("2d", "x-dependent", "thinning"): (2.689575202023308, 0.19045490680177316, 102),
-    ("2d", "x-dependent", "exponential"): (3.0247316038050274, 0.19510014423450883, 103),
+    ("1d", "constant"): (1.7281231862907251, 0.09176689050249606, 128),
+    ("1d", "x-dependent"): (1.4320469932756585, 0.08526312223764507, 92),
+    ("2d", "constant"): (2.860089730675118, 0.13741851643805428, 118),
+    ("2d", "x-dependent"): (3.247077476325772, 0.17927737612600683, 108),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED), ids="-".join)
 def test_estimates_pinned(case):
-    dim, rates, mode = case
-    est = _pinned_run(int(dim[0]), rates, mode)
+    dim, rates = case
+    est = _pinned_run(int(dim[0]), rates)
     assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[case]
 
 
