@@ -167,18 +167,19 @@ def _pinned_run(dim, rates):
 
 
 # exact (avg_cost, std_error, switch_count): a change here means the draw layout or
-# the arithmetic of the step loop changed, which must be deliberate and reported
+# the arithmetic of the step loop changed, which must be deliberate and reported;
+# the last key part names the switching rule, the integrated-intensity Exp(1) clock
 PINNED = {
-    ("1d", "constant"): (1.7281231862907251, 0.09176689050249606, 128),
-    ("1d", "x-dependent"): (1.4320469932756585, 0.08526312223764507, 92),
-    ("2d", "constant"): (2.860089730675118, 0.13741851643805428, 118),
-    ("2d", "x-dependent"): (3.247077476325772, 0.17927737612600683, 108),
+    ("1d", "constant", "exponential"): (1.7281231862907251, 0.09176689050249606, 128),
+    ("1d", "x-dependent", "exponential"): (1.4320469932756585, 0.08526312223764507, 92),
+    ("2d", "constant", "exponential"): (2.860089730675118, 0.13741851643805428, 118),
+    ("2d", "x-dependent", "exponential"): (3.247077476325772, 0.17927737612600683, 108),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED), ids="-".join)
 def test_estimates_pinned(case):
-    dim, rates = case
+    dim, rates, _ = case
     est = _pinned_run(int(dim[0]), rates)
     assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[case]
 
