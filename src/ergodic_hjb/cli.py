@@ -6,6 +6,12 @@ field dumps, eigenvalue histories, an optional sample path, and the audit
 bundle.  Outputs carry no timestamps and all randomness is seeded, so a rerun
 of the same config reproduces every file byte for byte.
 
+The occupation-measure LP reads nothing but the config, so it runs on one
+worker thread beside the PDE solve and the Monte Carlo estimates, which run on
+the calling thread (``threads`` sizes the Monte Carlo chunk pool only).  Its
+result is collected once the estimates are done, before the sample path is
+written, so an LP failure leaves only the solve's files behind.
+
 Exit codes: 0 all stages and requested audits passed; 1 a stage failed or an
 audit reported failure; 2 the config did not parse or validate.
 """
@@ -15,7 +21,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,7 +33,7 @@ from . import dual_lp, simulate, verify
 from .config import _DEFAULT_AUDITS, RunConfig, load_config, save_config
 from .discretize import build_grid, control_cap, fields_to_csv
 from .errors import ErgodicHJBError, ParameterError
-from .model import validate_assumptions
+from .model import switch_rate_violations, validate_assumptions
 from .solver import (
     PenaltyParams,
     SolverOptions,
@@ -60,6 +68,22 @@ def _checked(name: str, value, kind):
         raise ParameterError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'},"
                              f" got {value!r}")
     return value
+
+
+def _checked_radii(radii, dim: int, h: float) -> list:
+    """The ``radii`` schedule (empty when absent): finite numbers, strictly
+    increasing, each the half-width of a grid of spacing ``h``."""
+    if radii is None:
+        return []
+    if not isinstance(radii, list) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r)
+            for r in radii):
+        raise ParameterError(f"radii must be a list of finite numbers, got {radii!r}")
+    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ParameterError(f"radii must be strictly increasing, got {radii}")
+    for r in radii:
+        build_grid(dim, r, h)
+    return radii
 
 
 def _parse_control(spec, radius: float):
@@ -106,8 +130,9 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     Returns (exit code, summary dict).  Every section of the config is read
     and checked first, whichever stages are selected, so a bad key or value
     raises ``ParameterError`` before any stage runs or any file is written.
+    The LP's worker thread is joined before this returns or raises.
     """
-    lp_grid = mc = None
+    lp_mesh = mc = None
     controls = ()
     try:  # reads nothing but the config, so any error raised here is a config error
         problem = config.problem_spec()
@@ -121,9 +146,15 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         for key, flag in audits.items():
             _checked(f"audits.{key}", flag, bool)
         _checked("compare_methods", config.compare_methods, bool)
+        box_radii = [radius, *_checked_radii(config.radii, problem.dimension, h)]
         # x_ref must be a node of the smallest box a stage solves on
-        build_grid(problem.dimension, min([radius, *(config.radii or ())]),
-                   h).index_of(problem.ref_point)
+        build_grid(problem.dimension, min(box_radii), h).index_of(problem.ref_point)
+        # and every switching rate > 0 on the nodes of the largest
+        largest = build_grid(problem.dimension, max(box_radii), h)
+        bad = switch_rate_violations(problem, largest.points)
+        if bad:
+            raise ParameterError(f"switching rate of state {bad[0]['state']} is "
+                                 f"{bad[0]['lhs']!r} at {bad[0]['point']}, must be > 0")
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
             lp_grid = build_grid(problem.dimension, radius, float(lp["h"]))
@@ -131,6 +162,10 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             lp_directions = _checked("lp.directions", lp["directions"], int)
             if not 0.0 < lp_step < np.inf:
                 raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
+            lp_mesh = dual_lp.build_control_mesh(
+                problem, lp_grid,
+                magnitudes=np.arange(0.0, control_cap(problem, lp_grid) + lp_step, lp_step),
+                directions=lp_directions)
         if config.mc is not None:
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
             mc_kwargs = {"horizon": float(mc["horizon"]), "dt": float(mc["dt"]),
@@ -141,80 +176,83 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             if mc_kwargs["paths"] < 2:
                 raise ParameterError("mc.paths must be at least 2 to give a standard error")
             # the dt guard probes the rates on the largest box a control lives on
-            simulate._check_arguments(problem, max([radius, *(config.radii or ())]),
-                                      **mc_kwargs)
+            simulate._check_arguments(problem, max(box_radii), **mc_kwargs)
             controls = (_parse_control(mc["control"], radius),
                         _parse_control(mc["perturbed"], radius) if mc["perturbed"] else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
 
     out = Path(out_dir or config.out or "ergodic_hjb_out")
-    out.mkdir(parents=True, exist_ok=True)
     files = {}
     summary = {"schema_version": config.schema_version, "config": config.to_dict(),
                "lambda": None, "lp": None, "mc": None, "audits": None}
     reports = []
+    lam_lp = mc_est = None
 
-    solution = None
-    extracted = None
-    need_solve = "solve" in stages or ("simulate" in stages and "extracted" in controls)
+    # the LP needs nothing but the config: it runs on one worker thread while the
+    # solve and the Monte Carlo estimates run here, and is collected after them
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        lp_run = None
+        if "lp" in stages and lp_mesh is not None:
+            lp_run = pool.submit(lambda: dual_lp.solve_lp(
+                dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
+        out.mkdir(parents=True, exist_ok=True)
 
-    if need_solve:
-        grid = build_grid(problem.dimension, radius, h)
-        if config.method == "vanishing_discount":
-            solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
-        elif config.method == "nested_domains":
-            solution = nested_domains(problem, config.radii, h, penalty=penalty, opts=opts)
-        else:
-            solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
-        extracted = extract_control(problem, solution)
-        lam_block = {
-            "value": solution.lam,
-            "method": solution.method,
-            "residual": solution.residual,
-            "iterations": solution.iterations,
-            "history": [[float(a), float(b)] for a, b in solution.history],
-            "minimizer_interior": solution.minimizer_interior(),
-            "minimizer_location": [solution.grid.points[i].tolist()
-                                   for i in solution.minimizer_nodes()],
-            "duality_residual": extracted.duality_residual,
-        }
-        if config.compare_methods:
-            alt = (solve_ergodic_normalized(problem, solution.grid, penalty=penalty, opts=opts)
-                   if config.method == "vanishing_discount"
-                   else vanishing_discount(problem, solution.grid, penalty=penalty, opts=opts))
-            lam_block["alternate"] = {"method": alt.method, "value": alt.lam,
-                                      "gap": abs(alt.lam - solution.lam)}
-        summary["lambda"] = lam_block
-        fields_to_csv(solution.grid,
-                      {"u": solution.u,
-                       **{f"xi{j+1}": extracted.values[:, :, j]
-                          for j in range(problem.dimension)}},
-                      out / "fields.csv")
-        files["fields"] = "fields.csv"
-        _write_history_csv(out / "lambda_history.csv", solution.history)
-        files["lambda_history"] = "lambda_history.csv"
+        solution = None
+        extracted = None
+        need_solve = "solve" in stages or ("simulate" in stages and "extracted" in controls)
 
-    lam_lp = None
-    if "lp" in stages and lp_grid is not None:
-        cap = control_cap(problem, lp_grid)
-        mesh = dual_lp.build_control_mesh(
-            problem, lp_grid, magnitudes=np.arange(0.0, cap + lp_step, lp_step),
-            directions=lp_directions)
-        lam_lp, measure = dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, mesh))
-        summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
+        if need_solve:
+            grid = build_grid(problem.dimension, radius, h)
+            if config.method == "vanishing_discount":
+                solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
+            elif config.method == "nested_domains":
+                solution = nested_domains(problem, config.radii, h, penalty=penalty, opts=opts)
+            else:
+                solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
+            extracted = extract_control(problem, solution)
+            lam_block = {
+                "value": solution.lam,
+                "method": solution.method,
+                "residual": solution.residual,
+                "iterations": solution.iterations,
+                "history": [[float(a), float(b)] for a, b in solution.history],
+                "minimizer_interior": solution.minimizer_interior(),
+                "minimizer_location": [solution.grid.points[i].tolist()
+                                       for i in solution.minimizer_nodes()],
+                "duality_residual": extracted.duality_residual,
+            }
+            if config.compare_methods:
+                alt = (solve_ergodic_normalized(problem, solution.grid, penalty=penalty, opts=opts)
+                       if config.method == "vanishing_discount"
+                       else vanishing_discount(problem, solution.grid, penalty=penalty, opts=opts))
+                lam_block["alternate"] = {"method": alt.method, "value": alt.lam,
+                                          "gap": abs(alt.lam - solution.lam)}
+            summary["lambda"] = lam_block
+            fields_to_csv(solution.grid,
+                          {"u": solution.u,
+                           **{f"xi{j+1}": extracted.values[:, :, j]
+                              for j in range(problem.dimension)}},
+                          out / "fields.csv")
+            files["fields"] = "fields.csv"
+            _write_history_csv(out / "lambda_history.csv", solution.history)
+            files["lambda_history"] = "lambda_history.csv"
 
-    mc_est = None
-    if "simulate" in stages and mc is not None:
-        control, worse = (extracted if c == "extracted" else c for c in controls)
-        mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
-        summary["mc"] = mc_est.to_dict()
-        if worse is not None:
-            summary["mc"]["perturbed"] = simulate.simulate_paths(
-                problem, worse, **mc_kwargs).to_dict()
-        if mc["sample_path"]:
-            _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
-            files["sample_path"] = "sample_path.csv"
+        if "simulate" in stages and mc is not None:
+            control, worse = (extracted if c == "extracted" else c for c in controls)
+            mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
+            summary["mc"] = mc_est.to_dict()
+            if worse is not None:
+                summary["mc"]["perturbed"] = simulate.simulate_paths(
+                    problem, worse, **mc_kwargs).to_dict()
+
+        if lp_run is not None:
+            lam_lp, measure = lp_run.result()
+            summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
+
+    if mc_est is not None and mc["sample_path"]:
+        _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
+        files["sample_path"] = "sample_path.csv"
 
     if "audit" in stages:
         audit_grid = solution.grid if solution is not None else build_grid(

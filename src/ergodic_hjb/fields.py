@@ -70,6 +70,10 @@ class CoefficientField:
     def __post_init__(self):
         if self.form not in ("constant", "quadratic", "power_radial", "trig_power"):
             raise ParameterError(f"unknown coefficient form {self.form!r}")
+        params = (self.c, *self.weights, self.exponent, self.beta1, self.beta2, self.offset)
+        if not np.all(np.isfinite(params)):
+            raise ParameterError(f"{self.form} coefficient has a non-finite parameter: "
+                                 f"{self.to_dict()}")
         if self.form == "quadratic" and len(self.weights) != self.dim:
             raise ParameterError("quadratic form needs one weight per axis")
         if self.form == "power_radial" and self.exponent <= 1.0:

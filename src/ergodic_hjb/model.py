@@ -414,6 +414,22 @@ class AssumptionReport:
         }
 
 
+def switch_rate_violations(problem: ProblemSpec, points: np.ndarray, limit: int = 5) -> list:
+    """Points where a switching rate is not > 0 (NaN included), at most ``limit`` per state.
+
+    Each entry is a ``switch_rate_positive`` violation record of
+    :func:`validate_assumptions`; the run config is rejected on the first.
+    """
+    violations = []
+    for k in STATES:
+        a = problem.switch_rate(k)(points)
+        for i in np.flatnonzero(~(a > 0.0))[:limit]:
+            violations.append({"check": "switch_rate_positive", "state": k,
+                               "node": int(i), "point": points[i].tolist(),
+                               "lhs": float(a[i]), "rhs": 0.0})
+    return violations
+
+
 def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None = None) -> AssumptionReport:
     """Measure the standing-assumption constants on every node of ``box``.
 
@@ -425,22 +441,15 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
     carries pass/fail plus the offending nodes instead of raising.
     """
     pts = box.points
-    violations = []
+    violations = switch_rate_violations(problem, pts)
 
-    upsilon = 0.0
-    for k in STATES:
-        a = problem.switch_rate(k)(pts)
-        ga = problem.switch_rate(k).gradient(pts)
-        if np.any(a <= 0.0):
-            for i in np.flatnonzero(a <= 0.0)[:5]:
-                violations.append({"check": "switch_rate_positive", "state": k,
-                                   "node": int(i), "point": pts[i].tolist(),
-                                   "lhs": float(a[i]), "rhs": 0.0})
-            upsilon = float("inf")
-            continue
-        upsilon = max(upsilon, float(np.max(a)), float(np.max(1.0 / a)),
-                      float(np.max(np.linalg.norm(ga, axis=-1))))
-    upsilon = max(upsilon, 1.0)
+    upsilon = float("inf") if violations else 1.0
+    if not violations:
+        for k in STATES:
+            a = problem.switch_rate(k)(pts)
+            ga = problem.switch_rate(k).gradient(pts)
+            upsilon = max(upsilon, float(np.max(a)), float(np.max(1.0 / a)),
+                          float(np.max(np.linalg.norm(ga, axis=-1))))
 
     c2, c3, coercive = {}, {}, {}
     window = 2 * max(1, int(round(1.0 / box.h))) + 1

@@ -1,11 +1,13 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from ergodic_hjb import dual_lp, simulate
 from ergodic_hjb.cli import main, run_pipeline
 from ergodic_hjb.config import RunConfig, load_config, save_config
-from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.errors import LPError, ParameterError
 
 SMALL_PROBLEM = {
     "dimension": 1,
@@ -90,6 +92,53 @@ class TestPipeline:
         assert alt["method"] == "vanishing_discount"
         assert alt["gap"] == abs(alt["value"] - summary["lambda"]["value"])
         assert alt["gap"] <= 10 * 1e-4     # 10 * tol_lambda
+
+    def test_lp_runs_beside_the_monte_carlo(self, tmp_path, monkeypatch):
+        # the LP waits for the first MC estimate to start: a pipeline that ran
+        # the LP before the MC would time out here instead of hanging
+        mc_started = threading.Event()
+        seen = []
+        real_lp, real_mc = dual_lp.solve_lp, simulate.simulate_paths
+
+        def waiting_lp(lp, *args, **kwargs):
+            seen.append(mc_started.wait(timeout=30.0))
+            return real_lp(lp, *args, **kwargs)
+
+        def signalling_mc(*args, **kwargs):
+            mc_started.set()
+            return real_mc(*args, **kwargs)
+
+        monkeypatch.setattr(dual_lp, "solve_lp", waiting_lp)
+        monkeypatch.setattr(simulate, "simulate_paths", signalling_mc)
+        code, summary = run_pipeline(RunConfig.from_dict(small_config()), out_dir=tmp_path)
+        assert seen == [True]
+        assert code == 0
+        assert summary["lp"]["lambda_bar"] == pytest.approx(2**0.5, rel=0.05)
+
+    def test_lp_failure_reported_after_the_mc_estimates(self, tmp_path, monkeypatch, capsys):
+        message = "stationarity program infeasible; enlarge the control mesh or the box"
+        mc_calls = []
+        real_mc = simulate.simulate_paths
+
+        def failing_lp(lp, *args, **kwargs):
+            raise LPError(message)
+
+        def counted_mc(*args, **kwargs):
+            mc_calls.append(kwargs.get("record_samples", False))
+            return real_mc(*args, **kwargs)
+
+        monkeypatch.setattr(dual_lp, "solve_lp", failing_lp)
+        monkeypatch.setattr(simulate, "simulate_paths", counted_mc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config()))
+        threads_before = threading.active_count()
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert threading.active_count() == threads_before
+        assert capsys.readouterr().err.strip() == f"stage failure [pipeline]: {message}"
+        # the estimate ran; the sample path, which comes after the LP, did not
+        assert mc_calls == [False]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "fields.csv", "lambda_history.csv"]
 
     def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
         config = small_config()
@@ -202,6 +251,40 @@ class TestMainEntry:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("state, radii, message", [
+        ({"alpha": {"form": "constant", "c": -1}}, None, "switching rate of state 1 is -1.0"),
+        ({"alpha": {"form": "constant", "c": float("nan")}}, None, "non-finite parameter"),
+        ({"alpha": {"form": "quadratic", "c0": -0.5, "weights": [1.0]}}, None,
+         "switching rate of state 1 is -"),
+        ({"alpha": {"form": "quadratic", "c0": 1.0, "weights": [-0.1]}}, None,
+         "switching rate of state 1 is -"),
+        ({"f": {"form": "quadratic", "c0": float("inf"), "weights": [1.0]}}, None,
+         "non-finite parameter"),
+        ({}, [4.0, 2.0], "radii must be strictly increasing"),
+        ({}, [2.0, 2.0], "radii must be strictly increasing"),
+        ({}, ["a", 4.0], "radii must be a list of finite numbers"),
+        ({}, [2.0, float("nan")], "radii must be a list of finite numbers"),
+        ({}, [2.0, float("inf")], "radii must be a list of finite numbers"),
+        ({}, [True, 4.0], "radii must be a list of finite numbers"),
+        ({}, 4.0, "radii must be a list of finite numbers"),
+        ({}, [2.0, 3.05], "does not divide half-width 3.05"),
+    ], ids=["rate-negative", "rate-nan", "rate-quadratic-c0", "rate-quadratic-weight",
+            "source-inf", "radii-decreasing", "radii-repeated", "radii-string", "radii-nan",
+            "radii-inf", "radii-bool", "radii-not-list", "radii-not-dividing"])
+    def test_bad_rate_or_radii_exit_2(self, tmp_path, capsys, state, radii, message):
+        # switching rates must be > 0 on the solve box and radii a grid schedule,
+        # both checked with the rest of the config before any stage writes
+        states = [{**SMALL_PROBLEM["states"][0], **state}, SMALL_PROBLEM["states"][1]]
+        config = small_config(problem={**SMALL_PROBLEM, "states": states})
+        if radii is not None:
+            config.update(method="nested_domains", radii=radii)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, flags", [

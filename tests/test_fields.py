@@ -101,6 +101,20 @@ def test_invalid_forms_rejected():
         fields.quadratic(2, weights=(1.0,))
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: fields.constant(1, bad),
+    lambda bad: fields.quadratic(2, weights=(1.0, bad)),
+    lambda bad: fields.quadratic(1, c0=bad),
+    lambda bad: fields.power_radial(1, c=1.0, exponent=bad),
+    lambda bad: fields.trig_power(1, beta1=2.0, beta2=bad),
+    lambda bad: fields.constant(1, 1.0).shifted(bad),
+], ids=["constant", "weight", "c0", "exponent", "beta2", "offset"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameters_rejected(make, bad):
+    with pytest.raises(ParameterError, match="non-finite parameter"):
+        make(bad)
+
+
 @pytest.mark.parametrize("field", [
     fields.constant(2, 0.7).shifted(0.2),
     fields.quadratic(2, weights=(0.0, 0.0), c0=1.5),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ergodic_hjb.model import (
     other_state,
     ramp,
     save_problem,
+    switch_rate_violations,
     truncate_hamiltonian,
     validate_assumptions,
 )
@@ -228,6 +230,21 @@ def test_validate_assumptions_trig_source():
     assert report.passed
     assert all(report.coercive.values())
     assert max(float(v) for v in report.source_c2.values()) < 10.0
+
+
+def test_validate_assumptions_reports_nonpositive_rates():
+    # alpha_1 = x^2 - 0.5 is not > 0 on abs(x) <= 0.7; the audit and the config
+    # check read the same records
+    problem = replace(make_problem(),
+                      switch_rates=(fields.quadratic(1, c0=-0.5), fields.constant(1, 1.0)))
+    box = build_grid(1, 4.0, 0.1)
+    report = validate_assumptions(problem, box)
+    assert not report.passed
+    assert report.upsilon_alpha == math.inf
+    assert list(report.violations) == switch_rate_violations(problem, box.points)
+    assert len(report.violations) == 5
+    assert all(v["check"] == "switch_rate_positive" and v["state"] == 1 and v["lhs"] <= 0.0
+               for v in report.violations)
 
 
 def test_validate_assumptions_flags_declared_violation(quadratic_1d):
