@@ -153,8 +153,9 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         largest = build_grid(problem.dimension, max(box_radii), h)
         bad = switch_rate_violations(problem, largest.points)
         if bad:
+            at = ", ".join(f"{v:.6g}" for v in bad[0]["point"])
             raise ParameterError(f"switching rate of state {bad[0]['state']} is "
-                                 f"{bad[0]['lhs']!r} at {bad[0]['point']}, must be > 0")
+                                 f"{bad[0]['lhs']:.6g} at x = ({at}), must be > 0")
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
             lp_grid = build_grid(problem.dimension, radius, float(lp["h"]))

@@ -254,7 +254,8 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("state, radii, message", [
-        ({"alpha": {"form": "constant", "c": -1}}, None, "switching rate of state 1 is -1.0"),
+        ({"alpha": {"form": "constant", "c": -1}}, None,
+         "config error: switching rate of state 1 is -1 at x = (-4), must be > 0"),
         ({"alpha": {"form": "constant", "c": float("nan")}}, None, "non-finite parameter"),
         ({"alpha": {"form": "quadratic", "c0": -0.5, "weights": [1.0]}}, None,
          "switching rate of state 1 is -"),
