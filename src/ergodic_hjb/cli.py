@@ -6,10 +6,11 @@ field dumps, eigenvalue histories, an optional sample path, and the audit
 bundle.  Outputs carry no timestamps and all randomness is seeded, so a rerun
 of the same config reproduces every file byte for byte.
 
-The occupation-measure LP reads nothing but the config, so it runs on one
-worker thread beside the PDE solve and the Monte Carlo estimates, which run on
-the calling thread (``threads`` sizes the Monte Carlo chunk pool only).  Its
-result is collected once the estimates are done, before the sample path is
+The occupation-measure LP reads nothing but the config.  It starts once the
+PDE solve is done (at once when no solve runs), so a failed solve never waits
+for it, and runs on one worker thread beside the Monte Carlo estimates, which
+run on the calling thread (``threads`` sizes the Monte Carlo chunk pool only).
+Its result is collected once the estimates are done, before the sample path is
 written, so an LP failure leaves only the solve's files behind.
 
 Exit codes: 0 all stages and requested audits passed; 1 a stage failed or an
@@ -62,11 +63,15 @@ def _section(config: RunConfig, name: str, allowed) -> dict:
     return section
 
 
+_KINDS = {bool: ("boolean", bool), int: ("integer", int), float: ("number", (int, float))}
+
+
 def _checked(name: str, value, kind):
-    """``value`` if it is a JSON value of ``kind`` (``bool`` or ``int``); a bool is no int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParameterError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'},"
-                             f" got {value!r}")
+    """``value`` if it is a JSON value of ``kind``: ``bool``, ``int``, or ``float``
+    for any number; a bool is neither an integer nor a number."""
+    label, types = _KINDS[kind]
+    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+        raise ParameterError(f"{name} must be a JSON {label}, got {value!r}")
     return value
 
 
@@ -141,7 +146,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             **_section(config, "penalty", [f.name for f in fields(PenaltyParams)])
         ).validated(problem)
         grid_cfg = _section(config, "grid", _GRID_KEYS)
-        radius, h = grid_cfg["radius"], grid_cfg["h"]
+        radius, h = (_checked(f"grid.{key}", grid_cfg[key], float) for key in _GRID_KEYS)
         audits = _section(config, "audits", _DEFAULT_AUDITS)
         for key, flag in audits.items():
             _checked(f"audits.{key}", flag, bool)
@@ -158,8 +163,9 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
                                  f"{bad[0]['lhs']:.6g} at x = ({at}), must be > 0")
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
-            lp_grid = build_grid(problem.dimension, radius, float(lp["h"]))
-            lp_step = float(lp["control_step"])
+            lp_h, lp_step = (float(_checked(f"lp.{key}", lp[key], float))
+                             for key in ("h", "control_step"))
+            lp_grid = build_grid(problem.dimension, radius, lp_h)
             lp_directions = _checked("lp.directions", lp["directions"], int)
             if not 0.0 < lp_step < np.inf:
                 raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
@@ -169,17 +175,17 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
                 directions=lp_directions)
         if config.mc is not None:
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
-            mc_kwargs = {"horizon": float(mc["horizon"]), "dt": float(mc["dt"]),
-                         "paths": _checked("mc.paths", mc["paths"], int),
-                         "burn_in": float(mc["burn_in"]),
-                         "seed": config.seed, "threads": config.threads}
+            mc_kwargs = {key: float(_checked(f"mc.{key}", mc[key], float))
+                         for key in ("horizon", "dt", "burn_in")}
+            mc_kwargs.update(paths=_checked("mc.paths", mc["paths"], int),
+                             seed=config.seed, threads=config.threads)
             _checked("mc.sample_path", mc["sample_path"], bool)
             if mc_kwargs["paths"] < 2:
                 raise ParameterError("mc.paths must be at least 2 to give a standard error")
             # the dt guard probes the rates on the largest box a control lives on
             simulate._check_arguments(problem, max(box_radii), **mc_kwargs)
-            controls = (_parse_control(mc["control"], radius),
-                        _parse_control(mc["perturbed"], radius) if mc["perturbed"] else None)
+            controls = (_parse_control(mc["control"], radius), None if mc["perturbed"] is None
+                        else _parse_control(mc["perturbed"], radius))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -190,13 +196,10 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     reports = []
     lam_lp = mc_est = None
 
-    # the LP needs nothing but the config: it runs on one worker thread while the
-    # solve and the Monte Carlo estimates run here, and is collected after them
+    # the LP needs nothing but the config; it starts after the solve, so that a failed
+    # solve does not wait for it, runs on one worker thread beside the Monte Carlo
+    # estimates, which run here, and is collected after them
     with ThreadPoolExecutor(max_workers=1) as pool:
-        lp_run = None
-        if "lp" in stages and lp_mesh is not None:
-            lp_run = pool.submit(lambda: dual_lp.solve_lp(
-                dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
         out.mkdir(parents=True, exist_ok=True)
 
         solution = None
@@ -239,6 +242,11 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             _write_history_csv(out / "lambda_history.csv", solution.history)
             files["lambda_history"] = "lambda_history.csv"
 
+        lp_run = None
+        if "lp" in stages and lp_mesh is not None:
+            lp_run = pool.submit(lambda: dual_lp.solve_lp(
+                dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
+
         if "simulate" in stages and mc is not None:
             control, worse = (extracted if c == "extracted" else c for c in controls)
             mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
@@ -259,10 +267,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         audit_grid = solution.grid if solution is not None else build_grid(
             problem.dimension, radius, h)
         if audits["assumptions"]:
-            rep = validate_assumptions(problem, audit_grid)
-            reports.append(verify.AuditReport(
-                name="standing_assumptions", passed=rep.passed,
-                constants=rep.to_dict(), narrative=rep.narrative))
+            reports.append(validate_assumptions(problem, audit_grid))
         if audits["comparison"]:
             reports.append(verify.audit_comparison(problem, audit_grid, opts=opts))
         if audits["coercive"] and solution is not None:

@@ -45,7 +45,7 @@ class RunConfig:
             if f.type.startswith("dict") and not (
                     isinstance(value, dict) or value is None and f.default is None):
                 raise ParameterError(f"config section {f.name!r} must be an object")
-        if self.schema_version != SCHEMA_VERSION:
+        if self.schema_version != SCHEMA_VERSION or isinstance(self.schema_version, bool):
             raise ParameterError(
                 f"config schema version {self.schema_version} unsupported "
                 f"(this build reads version {SCHEMA_VERSION})")

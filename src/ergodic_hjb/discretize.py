@@ -108,8 +108,8 @@ class Grid:
 def build_grid(dim: int, radius: float, h: float) -> Grid:
     if dim not in (1, 2):
         raise ParameterError(f"dimension must be 1 or 2, got {dim}")
-    if radius <= 0 or h <= 0:
-        raise ParameterError("radius and spacing must be positive")
+    if not (0 < radius < np.inf and 0 < h < np.inf):
+        raise ParameterError("radius and spacing must be finite and positive")
     ratio = radius / h
     if abs(ratio - round(ratio)) > 1e-9:
         raise ParameterError(f"spacing {h} does not divide half-width {radius}")

@@ -190,7 +190,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         for g in self.gammas:
-            if g <= 1.0:
+            if not g > 1.0:
                 raise ParameterError(f"power exponent must exceed 1, got {g}")
         level = self.truncation_level
         if level is not None and not 0.0 < level < np.inf:
@@ -358,10 +358,15 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ProblemSpec":
-        dim = int(d["dimension"])
+        dim = d["dimension"]
+        if dim not in (1, 2) or isinstance(dim, bool):
+            raise ParameterError(f"dimension must be 1 or 2, got {dim!r}")
         states = d["states"]
         if len(states) != 2:
             raise ParameterError("problem file must declare exactly two states")
+        if not all(isinstance(s[key], dict) for s in states for key in ("a", "b", "alpha", "f")):
+            raise ParameterError("the fields a, b, alpha and f of a state must be objects")
+        dim = int(dim)
         ham = HamiltonianSpec(
             dim=dim,
             gammas=tuple(float(s["gamma"]) for s in states),
@@ -389,29 +394,19 @@ def load_problem(path) -> ProblemSpec:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
-    """Empirical standing-assumption constants measured on a grid."""
+class AuditReport:
+    """Outcome of one report-only audit: a pass flag, the measured constants,
+    a one-line narrative, and the worst node when the audit failed."""
 
-    upsilon_alpha: float
-    growth_c1: dict
-    source_c2: dict
-    source_c3: dict
-    coercive: dict
+    name: str
     passed: bool
-    violations: tuple
+    constants: dict
     narrative: str
+    worst_node: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "upsilon_alpha": self.upsilon_alpha,
-            "growth_c1": self.growth_c1,
-            "source_c2": self.source_c2,
-            "source_c3": self.source_c3,
-            "coercive": self.coercive,
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "narrative": self.narrative,
-        }
+        return {"name": self.name, "passed": self.passed, "constants": self.constants,
+                "narrative": self.narrative, "worst_node": self.worst_node}
 
 
 def switch_rate_violations(problem: ProblemSpec, points: np.ndarray, limit: int = 5) -> list:
@@ -430,15 +425,16 @@ def switch_rate_violations(problem: ProblemSpec, points: np.ndarray, limit: int 
     return violations
 
 
-def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None = None) -> AssumptionReport:
+def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None = None) -> AuditReport:
     """Measure the standing-assumption constants on every node of ``box``.
 
     Reports the smallest constants making the bounds hold on the samples:
     the switching-rate envelope, the source gradient-growth constant
     (|grad f| <= C2 (1 + |f|^(2 - 1/gamma))), the local-supremum constant
     over unit windows, and a coercivity flag (outer-shell minimum of f must
-    exceed the inner-shell minimum).  With ``declared`` bounds the report
-    carries pass/fail plus the offending nodes instead of raising.
+    exceed the inner-shell minimum).  Returns the ``standing_assumptions``
+    audit report; with ``declared`` bounds its pass flag and the
+    ``violations`` in its constants also cover them, instead of raising.
     """
     pts = box.points
     violations = switch_rate_violations(problem, pts)
@@ -453,7 +449,7 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
 
     c2, c3, coercive = {}, {}, {}
     window = 2 * max(1, int(round(1.0 / box.h))) + 1
-    rho = np.linalg.norm(pts, ord=np.inf, axis=-1) if box.dim > 1 else np.abs(pts[:, 0])
+    rho = np.max(np.abs(pts), axis=-1)
     inner = rho <= 0.25 * box.radius
     outer = rho >= 0.75 * box.radius
     for k in STATES:
@@ -461,11 +457,11 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
         gf = np.linalg.norm(problem.source(k).gradient(pts), axis=-1)
         envelope = 1.0 + np.abs(f) ** (2.0 - 1.0 / problem.hamiltonian.gamma(k))
         ratio = gf / envelope
-        c2[k] = float(np.max(ratio))
+        c2[str(k)] = float(np.max(ratio))
         local_sup = maximum_filter(np.abs(box.to_grid_shape(f)), size=window,
                                    mode="nearest").ravel()
-        c3[k] = float(np.max(local_sup / (np.abs(f) + 1.0)))
-        coercive[k] = bool(np.min(f[outer]) > np.min(f[inner]))
+        c3[str(k)] = float(np.max(local_sup / (np.abs(f) + 1.0)))
+        coercive[str(k)] = bool(np.min(f[outer]) > np.min(f[inner]))
         if declared and "c2" in declared:
             bad = ratio > declared["c2"]
             for i in np.flatnonzero(bad)[:5]:
@@ -481,7 +477,7 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
     else:
         angles = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
         p_samples = np.array([[m * np.cos(t), m * np.sin(t)] for m in mags for t in angles])
-    c1 = {k: problem.hamiltonian.growth_constant(k, x_samples, p_samples) for k in STATES}
+    c1 = {str(k): problem.hamiltonian.growth_constant(k, x_samples, p_samples) for k in STATES}
 
     passed = not violations
     if declared:
@@ -496,13 +492,9 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
     narrative = (f"upsilon_alpha={upsilon:.4g}, C1={max(c1.values()):.4g}, "
                  f"C2={max(c2.values()):.4g}, C3={max(c3.values()):.4g}, "
                  f"coercive={all(coercive.values())}")
-    return AssumptionReport(
-        upsilon_alpha=upsilon,
-        growth_c1={str(k): v for k, v in c1.items()},
-        source_c2={str(k): v for k, v in c2.items()},
-        source_c3={str(k): v for k, v in c3.items()},
-        coercive={str(k): v for k, v in coercive.items()},
-        passed=passed,
-        violations=tuple(violations),
-        narrative=narrative,
-    )
+    # passed and narrative repeat in constants: audits.json has always carried them there
+    constants = {"upsilon_alpha": upsilon, "growth_c1": c1, "source_c2": c2, "source_c3": c3,
+                 "coercive": coercive, "passed": passed, "violations": violations,
+                 "narrative": narrative}
+    return AuditReport(name="standing_assumptions", passed=passed, constants=constants,
+                       narrative=narrative)

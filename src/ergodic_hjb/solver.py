@@ -53,7 +53,8 @@ class PenaltyParams:
     ``beta`` controls the supersolution barrier steepness and must exceed
     ``max(2, gamma_1, gamma_2)``; the wall exponent ``alpha_exp`` must lie in
     the open bracket ``beta < alpha_exp < (beta + 1) * min(gamma, 2)``.
-    ``cap`` bounds the discrete wall height.
+    ``cap`` bounds the discrete wall height: ``None`` means :func:`wall_cap`,
+    ``0.0`` no wall.
     """
 
     beta: float
@@ -61,6 +62,11 @@ class PenaltyParams:
     cap: float | None = None
 
     def validated(self, problem: ProblemSpec) -> "PenaltyParams":
+        if self.cap is not None and (isinstance(self.cap, bool)
+                                     or not isinstance(self.cap, (int, float))
+                                     or not 0.0 <= self.cap < np.inf):
+            raise ParameterError(f"penalty cap must be null or a finite number >= 0, "
+                                 f"got {self.cap!r}")
         gammas = [problem.hamiltonian.gamma(k) for k in STATES]
         gmin2 = min(min(gammas), 2.0)
         if self.beta <= max(2.0, *gammas):

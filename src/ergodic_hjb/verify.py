@@ -8,12 +8,12 @@ raise on failure, so pipelines can aggregate them into an exit code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .discretize import Grid, assemble_generator, control_cap, gradient_central, source_envelope
-from .model import ProblemSpec, STATES
+from .model import AuditReport, ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
     SolverOptions,
@@ -25,19 +25,6 @@ from .solver import (
     solve_ergodic_normalized,
     wall_cap,
 )
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    name: str
-    passed: bool
-    constants: dict
-    narrative: str
-    worst_node: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "constants": self.constants,
-                "narrative": self.narrative, "worst_node": self.worst_node}
 
 
 def _inner_masks(grid: Grid):

@@ -1,8 +1,12 @@
 import json
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergodic_hjb import dual_lp, simulate
 from ergodic_hjb.cli import main, run_pipeline
@@ -42,6 +46,17 @@ def small_config(**overrides):
     return base
 
 
+# one value of this pool at one key of FUZZ_BASE: every leaf key of the run
+# config, and the problem's dimension, reference point and first state
+FUZZ_POOL = [True, "no", 0, -1, float("nan"), float("inf"), None, [], {}]
+FUZZ_BASE = small_config(penalty={"beta": 4.0, "alpha_exp": 5.0, "cap": None})
+FUZZ_KEYS = ([(k,) for k, v in FUZZ_BASE.items() if not isinstance(v, dict)]
+             + [(k, key) for k, v in FUZZ_BASE.items() if isinstance(v, dict) and k != "problem"
+                for key in v]
+             + [("problem", "dimension"), ("problem", "x_ref")]
+             + [("problem", "states", 0, key) for key in SMALL_PROBLEM["states"][0]])
+
+
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         config = RunConfig.from_dict(small_config())
@@ -65,6 +80,8 @@ class TestConfig:
     def test_schema_version_checked(self):
         with pytest.raises(ParameterError):
             RunConfig.from_dict(small_config(schema_version=99))
+        with pytest.raises(ParameterError):
+            RunConfig.from_dict(small_config(schema_version=True))
 
 
 class TestPipeline:
@@ -139,6 +156,16 @@ class TestPipeline:
         assert mc_calls == [False]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "fields.csv", "lambda_history.csv"]
+
+    def test_failed_solve_skips_the_lp(self, tmp_path, monkeypatch, capsys):
+        # the LP starts after the solve, so a failed solve never waits for it
+        lp_calls = []
+        monkeypatch.setattr(dual_lp, "solve_lp", lambda *args, **kwargs: lp_calls.append(args))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(solver={"max_policy_iters": 1})))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("stage failure [pipeline]: policy iteration")
+        assert lp_calls == []
 
     def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
         config = small_config()
@@ -235,13 +262,24 @@ class TestMainEntry:
         ("lp", "directions", 8.0),
         ("audits", "comparison", "no"),
         ("audits", "assumptions", 1),
+        ("grid", "h", True),
+        ("grid", "radius", True),
+        ("grid", "radius", float("inf")),
+        ("lp", "h", True),
+        ("lp", "h", float("inf")),
+        ("lp", "control_step", True),
+        ("mc", "horizon", "2"),
+        ("mc", "burn_in", "0.1"),
+        ("mc", "perturbed", 0),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
             "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
             "mc-one-path", "mc-paths-float", "mc-paths-string", "mc-sample-path-string",
             "mc-mode-retired", "lp-control-step-zero", "lp-control-step-negative",
             "lp-control-step-inf", "lp-directions-float", "audits-flag-string",
-            "audits-flag-int"])
+            "audits-flag-int", "grid-h-bool", "grid-radius-bool", "grid-radius-inf",
+            "lp-h-bool", "lp-h-inf", "lp-control-step-bool", "mc-horizon-string",
+            "mc-burn-in-string", "mc-perturbed-zero"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()
@@ -251,6 +289,34 @@ class TestMainEntry:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cap", ["x", float("nan"), -1.0, True],
+                             ids=["string", "nan", "negative", "bool"])
+    def test_bad_penalty_cap_exit_2(self, tmp_path, capsys, cap):
+        config = small_config(penalty={"beta": 4.0, "alpha_exp": 5.0, "cap": cap})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: penalty cap must be null or a finite number >= 0, got {cap!r}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"dimension": float("inf")}, "dimension must be 1 or 2, got inf"),
+        ({"dimension": True}, "dimension must be 1 or 2, got True"),
+        ({"states": [{**SMALL_PROBLEM["states"][0], "a": "no"}, SMALL_PROBLEM["states"][1]]},
+         "the fields a, b, alpha and f of a state must be objects"),
+        ({"states": [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "b": None}]},
+         "the fields a, b, alpha and f of a state must be objects"),
+        ({"states": [{**SMALL_PROBLEM["states"][0], "gamma": float("nan")},
+                     SMALL_PROBLEM["states"][1]]}, "power exponent must exceed 1, got nan"),
+    ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan"])
+    def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("state, radii, message", [
@@ -316,6 +382,25 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: compare_methods")
         assert not (tmp_path / "out").exists()
+
+    # 150 of the 261 key-value pairs, about 6 s
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_POOL))
+    @example(key=("penalty", "cap"), value="no")
+    def test_one_bad_value_never_escapes(self, key, value):
+        # main returns 0, 1 or 2 and raises nothing; exit 2 leaves no output
+        config = json.loads(json.dumps(FUZZ_BASE))
+        *parents, last = key
+        node = config
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            code = main(["pipeline", "--config", str(path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert code != 2 or not out.exists()
 
     def test_largest_seed_writes_sample_path(self, tmp_path):
         # the sample path is seeded one past the run seed, modulo 2^64

@@ -208,17 +208,17 @@ def test_truncation_identity_for_subquadratic():
 def test_validate_assumptions_constant_rates(quadratic_1d):
     box = build_grid(1, 6.0, 0.1)
     report = validate_assumptions(quadratic_1d, box)
-    assert report.upsilon_alpha == pytest.approx(1.0)
+    assert report.constants["upsilon_alpha"] == pytest.approx(1.0)
     assert report.passed
-    assert all(report.coercive.values())
+    assert all(report.constants["coercive"].values())
 
 
 def test_validate_assumptions_c2_quadratic(quadratic_1d):
     box = build_grid(1, 6.0, 0.05)
     report = validate_assumptions(quadratic_1d, box)
     # max of 2|x| / (1 + |x|^3) is ~1.06, attained near x = 2^(-1/3)
-    assert 1.0 <= report.source_c2["1"] <= 1.1
-    assert report.source_c2["1"] <= 2.0
+    assert 1.0 <= report.constants["source_c2"]["1"] <= 1.1
+    assert report.constants["source_c2"]["1"] <= 2.0
 
 
 def test_validate_assumptions_trig_source():
@@ -228,8 +228,8 @@ def test_validate_assumptions_trig_source():
     box = build_grid(1, 6.0, 0.05)
     report = validate_assumptions(problem, box)
     assert report.passed
-    assert all(report.coercive.values())
-    assert max(float(v) for v in report.source_c2.values()) < 10.0
+    assert all(report.constants["coercive"].values())
+    assert max(float(v) for v in report.constants["source_c2"].values()) < 10.0
 
 
 def test_validate_assumptions_reports_nonpositive_rates():
@@ -240,18 +240,18 @@ def test_validate_assumptions_reports_nonpositive_rates():
     box = build_grid(1, 4.0, 0.1)
     report = validate_assumptions(problem, box)
     assert not report.passed
-    assert report.upsilon_alpha == math.inf
-    assert list(report.violations) == switch_rate_violations(problem, box.points)
-    assert len(report.violations) == 5
+    assert report.constants["upsilon_alpha"] == math.inf
+    assert list(report.constants["violations"]) == switch_rate_violations(problem, box.points)
+    assert len(report.constants["violations"]) == 5
     assert all(v["check"] == "switch_rate_positive" and v["state"] == 1 and v["lhs"] <= 0.0
-               for v in report.violations)
+               for v in report.constants["violations"])
 
 
 def test_validate_assumptions_flags_declared_violation(quadratic_1d):
     box = build_grid(1, 4.0, 0.1)
     report = validate_assumptions(quadratic_1d, box, declared={"c2": 0.5})
     assert not report.passed
-    assert any(v["check"] == "source_gradient_growth" for v in report.violations)
+    assert any(v["check"] == "source_gradient_growth" for v in report.constants["violations"])
 
 
 def test_problem_roundtrip(tmp_path):
