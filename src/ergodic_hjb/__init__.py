@@ -32,6 +32,7 @@ from .simulate import FeedbackControl, empirical_measure, simulate_paths
 from .solver import (
     DiscountedSolution,
     ErgodicSolution,
+    LUFactor,
     PenaltyParams,
     SolverOptions,
     extract_control,
@@ -61,6 +62,7 @@ __all__ = [
     "DiscountedSolution",
     "ErgodicSolution",
     "penalty_source",
+    "LUFactor",
     "policy_evaluation",
     "solve_discounted",
     "vanishing_discount",

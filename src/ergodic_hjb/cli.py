@@ -226,6 +226,9 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
                                        for i in solution.minimizer_nodes()],
                 "duality_residual": extracted.duality_residual,
             }
+            if config.method == "direct":
+                # the 2h solve the direct solve started from; null when none ran
+                lam_block["coarse_value"] = solution.coarse_lam
             if config.compare_methods:
                 alt = (solve_ergodic_normalized(problem, solution.grid, penalty=penalty, opts=opts)
                        if config.method == "vanishing_discount"

@@ -12,6 +12,7 @@ constant, so they are held as plain arrays rather than evaluated per point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,13 @@ from .errors import CoefficientError, ParameterError
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def number(value, what: str) -> float:
+    """``value`` read from a problem file as a float: a JSON number, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:
@@ -155,19 +163,25 @@ class CoefficientField:
     @staticmethod
     def from_dict(d: dict, dim: int) -> "CoefficientField":
         form = d["form"]
-        offset = float(d.get("offset", 0.0))
+
+        def param(key, default=None):
+            value = d[key] if default is None else d.get(key, default)
+            return number(value, f"coefficient parameter {key}")
+
+        offset = param("offset", 0.0)
         if form == "constant":
-            return CoefficientField("constant", dim, c=float(d["c"]), offset=offset)
+            return CoefficientField("constant", dim, c=param("c"), offset=offset)
         if form == "quadratic":
-            return CoefficientField("quadratic", dim, c=float(d.get("c0", 0.0)),
-                                    weights=tuple(float(w) for w in d["weights"]),
+            return CoefficientField("quadratic", dim, c=param("c0", 0.0),
+                                    weights=tuple(number(w, "quadratic weight")
+                                                  for w in d["weights"]),
                                     offset=offset)
         if form == "power_radial":
-            return CoefficientField("power_radial", dim, c=float(d["c"]),
-                                    exponent=float(d["exponent"]), offset=offset)
+            return CoefficientField("power_radial", dim, c=param("c"),
+                                    exponent=param("exponent"), offset=offset)
         if form == "trig_power":
-            return CoefficientField("trig_power", dim, c=float(d["c"]),
-                                    beta1=float(d["beta1"]), beta2=float(d["beta2"]),
+            return CoefficientField("trig_power", dim, c=param("c"),
+                                    beta1=param("beta1"), beta2=param("beta2"),
                                     offset=offset)
         raise ParameterError(f"unknown coefficient form {form!r}")
 
@@ -221,7 +235,11 @@ class DriftField:
     def from_dict(d: dict, dim: int) -> "DriftField":
         if d.get("form", "constant") != "constant":
             raise ParameterError("drift supports only the constant preset")
-        return DriftField(dim, tuple(float(v) for v in d["value"]))
+        value = d["value"]
+        if not isinstance(value, (list, tuple)) or len(value) != dim:
+            raise ParameterError(f"drift value must list one number per axis ({dim}), "
+                                 f"got {value!r}")
+        return DriftField(dim, tuple(number(v, "drift component") for v in value))
 
 
 @dataclass(frozen=True)
@@ -267,7 +285,8 @@ class MetricField:
         if form == "identity":
             return MetricField(dim)
         if form == "constant_spd":
-            return MetricField(dim, tuple(tuple(float(v) for v in r) for r in d["matrix"]))
+            return MetricField(dim, tuple(tuple(number(v, "metric entry") for v in r)
+                                          for r in d["matrix"]))
         raise ParameterError(f"unknown metric form {form!r}")
 
 

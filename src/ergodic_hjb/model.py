@@ -33,7 +33,7 @@ from scipy.ndimage import maximum_filter
 
 from .discretize import Grid
 from .errors import ParameterError
-from .fields import CoefficientField, DriftField, MetricField
+from .fields import CoefficientField, DriftField, MetricField, number
 
 STATES = (1, 2)
 
@@ -367,6 +367,9 @@ class ProblemSpec:
         if not all(isinstance(s[key], dict) for s in states for key in ("a", "b", "alpha", "f")):
             raise ParameterError("the fields a, b, alpha and f of a state must be objects")
         dim = int(dim)
+        x_ref = d.get("x_ref", [0.0] * dim)
+        if not isinstance(x_ref, (list, tuple)) or not x_ref:
+            raise ParameterError(f"x_ref must be a non-empty list of coordinates, got {x_ref!r}")
         ham = HamiltonianSpec(
             dim=dim,
             gammas=tuple(float(s["gamma"]) for s in states),
@@ -379,7 +382,7 @@ class ProblemSpec:
             hamiltonian=ham,
             switch_rates=tuple(CoefficientField.from_dict(s["alpha"], dim) for s in states),
             sources=tuple(CoefficientField.from_dict(s["f"], dim) for s in states),
-            x_ref=tuple(float(v) for v in d.get("x_ref", (0.0,) * dim)),
+            x_ref=tuple(number(v, "x_ref coordinate") for v in x_ref),
         )
 
 

@@ -16,6 +16,7 @@ from .discretize import Grid, assemble_generator, control_cap, gradient_central,
 from .model import AuditReport, ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
+    LUFactor,
     SolverOptions,
     _running_cost,
     default_penalty,
@@ -145,8 +146,10 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     gen = assemble_generator(grid, problem, base.controls, discount)
     src = penalty_source(problem, grid, pen).ravel()
     lag = _running_cost(problem, grid, base.controls).ravel()
-    u, _ = policy_evaluation(gen, src + lag)
-    v, _ = policy_evaluation(gen, src + lag + delta)
+    # one factor of the frozen-policy matrix serves both right-hand sides
+    factor = LUFactor()
+    u, _ = policy_evaluation(gen, src + lag, factor=factor)
+    v, _ = policy_evaluation(gen, src + lag + delta, factor=factor)
     linear_gap = float(np.min(v - u))
     worst = None
     if linear_gap < -1e-10:

@@ -110,6 +110,17 @@ class TestPipeline:
         assert alt["gap"] == abs(alt["value"] - summary["lambda"]["value"])
         assert alt["gap"] <= 10 * 1e-4     # 10 * tol_lambda
 
+    @pytest.mark.parametrize("method", ["direct", "vanishing_discount"])
+    def test_coarse_value_only_for_the_direct_method(self, tmp_path, method):
+        config = RunConfig.from_dict(small_config(method=method, lp=None, mc=None))
+        assert run_pipeline(config, out_dir=tmp_path)[0] == 0
+        lam = json.loads((tmp_path / "summary.json").read_text())["lambda"]
+        if method == "direct":
+            # the h = 0.2 solve the h = 0.1 solve started from
+            assert lam["coarse_value"] == pytest.approx(lam["value"], rel=1e-2)
+        else:
+            assert "coarse_value" not in lam
+
     def test_lp_runs_beside_the_monte_carlo(self, tmp_path, monkeypatch):
         # the LP waits for the first MC estimate to start: a pipeline that ran
         # the LP before the MC would time out here instead of hanging
@@ -311,7 +322,21 @@ class TestMainEntry:
          "the fields a, b, alpha and f of a state must be objects"),
         ({"states": [{**SMALL_PROBLEM["states"][0], "gamma": float("nan")},
                      SMALL_PROBLEM["states"][1]]}, "power exponent must exceed 1, got nan"),
-    ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan"])
+        ({"states": [{**SMALL_PROBLEM["states"][0], "alpha": {"form": "constant", "c": True}},
+                     SMALL_PROBLEM["states"][1]]},
+         "coefficient parameter c must be a number, got True"),
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1],
+                      "f": {"form": "quadratic", "c0": True, "weights": [1.0]}}]},
+         "coefficient parameter c0 must be a number, got True"),
+        ({"states": [{**SMALL_PROBLEM["states"][0], "b": {"form": "constant", "value": []}},
+                     SMALL_PROBLEM["states"][1]]},
+         "drift value must list one number per axis (1), got []"),
+        ({"x_ref": []}, "x_ref must be a non-empty list of coordinates, got []"),
+        ({"x_ref": {}}, "x_ref must be a non-empty list of coordinates, got {}"),
+    ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan",
+            "rate-c-bool", "source-c0-bool", "drift-empty", "x-ref-empty-list",
+            "x-ref-empty-object"])
     def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))

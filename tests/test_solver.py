@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from ergodic_hjb import fields
+from ergodic_hjb import fields, solver
 from ergodic_hjb.discretize import (
     assemble_generator,
     build_grid,
+    control_cap,
     gradient_central,
 )
-from ergodic_hjb.errors import ConvergenceError, ParameterError
+from ergodic_hjb.errors import ConvergenceError, ParameterError, SolverError
 from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.solver import (
     ErgodicSolution,
+    LUFactor,
     PenaltyParams,
     SolverOptions,
     default_penalty,
@@ -149,19 +151,143 @@ class TestPolicyEvaluation:
 
     def test_factor_fill_bounded(self, quadratic_2d, monkeypatch):
         # the pinned 2D pattern is structurally symmetric: minimum degree on
-        # A + A^T gives nnz(L+U) up to 12.9 nnz(A), column ordering up to 26.1
+        # A + A^T gives nnz(L+U) up to 12.9 nnz(A), column ordering up to 26.1;
+        # the held factor serves the Howard iterations whose policy barely moved
         fills = []
         splu = spla.splu
 
         def recording(a, *args, **kwargs):
             lu = splu(a, *args, **kwargs)
-            fills.append((lu.nnz, a.nnz))
+            fills.append((lu.nnz, a.nnz, a.shape[0]))
             return lu
 
         monkeypatch.setattr(spla, "splu", recording)
-        sol = solve_ergodic_normalized(quadratic_2d, build_grid(2, 5.0, 0.1))
-        assert len(fills) == sol.iterations
-        assert all(lu_nnz <= 16 * a_nnz for lu_nnz, a_nnz in fills), fills
+        grid = build_grid(2, 5.0, 0.1)
+        sol = solve_ergodic_normalized(quadratic_2d, grid)
+        fine = [f for f in fills if f[2] == 2 * grid.n_nodes]
+        assert 1 <= len(fine) < sol.iterations
+        assert all(lu_nnz <= 16 * a_nnz for lu_nnz, a_nnz, _ in fills), fills
+
+
+def _counting_splu(monkeypatch):
+    """Record the size of every factorization from here on."""
+    sizes = []
+    splu = spla.splu
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return sizes
+
+
+def _policy_system(problem, grid, xi, discount):
+    """Generator and right-hand side of the frozen feedback ``xi``, wall included."""
+    lag = np.stack([problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in (1, 2)])
+    rhs = (penalty_source(problem, grid, default_penalty(problem)) + lag).ravel()
+    return assemble_generator(grid, problem, xi, discount), rhs
+
+
+def _converged_control(problem, grid):
+    sol = solve_ergodic_normalized(problem, grid)
+    raw = extract_control(problem, sol).values
+    cap = control_cap(problem, grid)
+    mag = np.linalg.norm(raw, axis=-1)
+    return raw * np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)[..., None]
+
+
+class TestFactorReuse:
+    @EVALUATION_MODES
+    def test_nearby_policy_reuses_the_factor(self, quadratic_1d, rng, monkeypatch,
+                                             discount, pinned):
+        grid = build_grid(1, 6.0, 0.05)
+        ref = grid.origin_index if pinned else None
+        xi = _converged_control(quadratic_1d, grid)
+        near = xi * (1.0 + 1e-2 * rng.uniform(-1.0, 1.0, xi.shape))
+        factor = LUFactor()
+        policy_evaluation(*_policy_system(quadratic_1d, grid, xi, discount), ref, factor)
+        gen, rhs = _policy_system(quadratic_1d, grid, near, discount)
+        sizes = _counting_splu(monkeypatch)
+        u, lam = policy_evaluation(gen, rhs, ref, factor)
+        assert sizes == []
+        scale = np.max(abs(gen) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
+        assert np.max(np.abs(gen @ u + lam - rhs)) / scale <= 1e-12
+        fresh_u, fresh_lam = policy_evaluation(gen, rhs, ref)
+        assert len(sizes) == 1
+        assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
+        assert abs(lam - fresh_lam) <= 1e-12 * max(1.0, abs(fresh_lam))
+
+    @EVALUATION_MODES
+    def test_distant_policy_refactors_once(self, quadratic_1d, monkeypatch, discount, pinned):
+        # the zero control's factor cannot precondition the converged control's
+        # system: the holder gives it up and the evaluation is the fresh one
+        grid = build_grid(1, 6.0, 0.05)
+        ref = grid.origin_index if pinned else None
+        zero = np.zeros((2, grid.n_nodes, 1))
+        factor = LUFactor()
+        policy_evaluation(*_policy_system(quadratic_1d, grid, zero, discount), ref, factor)
+        gen, rhs = _policy_system(quadratic_1d, grid, _converged_control(quadratic_1d, grid),
+                                  discount)
+        sizes = _counting_splu(monkeypatch)
+        u, lam = policy_evaluation(gen, rhs, ref, factor)
+        assert sizes == [2 * grid.n_nodes]
+        assert factor.matrix is gen
+        fresh_u, fresh_lam = policy_evaluation(gen, rhs, ref)
+        assert np.array_equal(u, fresh_u) and lam == fresh_lam
+
+    def test_same_matrix_is_not_refactored(self, quadratic_1d, monkeypatch):
+        grid = build_grid(1, 4.0, 0.1)
+        gen, rhs = _policy_system(quadratic_1d, grid, np.zeros((2, grid.n_nodes, 1)), 0.0)
+        sizes = _counting_splu(monkeypatch)
+        factor = LUFactor()
+        first = policy_evaluation(gen, rhs, grid.origin_index, factor)
+        second = policy_evaluation(gen, rhs, grid.origin_index, factor)
+        assert len(sizes) == 1
+        assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+
+class TestCoarseStart:
+    def test_coarse_solve_starts_the_fine_one(self, quadratic_1d, monkeypatch):
+        grid = build_grid(1, 4.0, 0.1)
+        sizes = _counting_splu(monkeypatch)
+        sol = solve_ergodic_normalized(quadratic_1d, grid)
+        coarse = build_grid(1, 4.0, 0.2)
+        assert 2 * coarse.n_nodes in sizes
+        assert sol.coarse_lam == pytest.approx(sol.lam, rel=1e-2)
+        cold = solve_ergodic_normalized(quadratic_1d, grid,
+                                        warm=np.zeros((2, grid.n_nodes, 1)))
+        assert cold.coarse_lam is None
+        # both stop at the Howard tolerance 1e-9 (1 + max |f|)
+        assert sol.lam == pytest.approx(cold.lam, abs=1e-9 * (1.0 + 16.0))
+
+    @pytest.mark.parametrize("error", [SolverError, ConvergenceError])
+    def test_failed_coarse_solve_runs_the_fine_one_cold(self, quadratic_1d, monkeypatch,
+                                                        error):
+        grid = build_grid(1, 4.0, 0.1)
+        howard = solver._howard
+
+        def failing_on_coarse(problem, g, *args):
+            if g.h != grid.h:
+                raise error("coarse solve failed")
+            return howard(problem, g, *args)
+
+        monkeypatch.setattr(solver, "_howard", failing_on_coarse)
+        sol = solve_ergodic_normalized(quadratic_1d, grid)
+        cold = solve_ergodic_normalized(quadratic_1d, grid,
+                                        warm=np.zeros((2, grid.n_nodes, 1)))
+        assert sol.coarse_lam is None
+        assert sol.residual <= 1e-9 * (1.0 + 16.0)
+        assert np.array_equal(sol.u, cold.u) and sol.lam == cold.lam
+
+    def test_no_coarse_grid_when_2h_does_not_divide(self, quadratic_1d, monkeypatch):
+        # R/h = 41: the 2h grid of the box does not exist
+        grid = build_grid(1, 4.1, 0.1)
+        sizes = _counting_splu(monkeypatch)
+        sol = solve_ergodic_normalized(quadratic_1d, grid)
+        assert sol.coarse_lam is None
+        assert set(sizes) == {2 * grid.n_nodes}
+        assert sol.lam == pytest.approx(SQRT2, rel=0.01)
 
 
 class TestDiscounted:

@@ -1,6 +1,7 @@
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from ergodic_hjb import fields
+from ergodic_hjb import fields, verify
 from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.solver import solve_ergodic_normalized
 from ergodic_hjb.verify import (
@@ -71,6 +72,29 @@ def test_comparison_constant_shift_identity(quadratic_1d):
     grid = build_grid(1, 4.0, 0.1)
     report = audit_comparison(quadratic_1d, grid, delta=1.0, discount=1.0)
     assert report.constants["constant_shift_error"] <= 1e-8
+
+
+def test_comparison_factors_the_frozen_policy_once(quadratic_1d, monkeypatch):
+    # both right-hand sides of the frozen-policy check share one factor
+    factored = []
+    splu, evaluate = spla.splu, verify.policy_evaluation
+
+    def counting_splu(a, *args, **kwargs):
+        factored.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    def counting_evaluation(*args, **kwargs):
+        before = len(factored)
+        out = evaluate(*args, **kwargs)
+        per_call.append(len(factored) - before)
+        return out
+
+    per_call = []
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(verify, "policy_evaluation", counting_evaluation)
+    report = audit_comparison(quadratic_1d, build_grid(1, 4.0, 0.1), delta=1.0)
+    assert per_call == [1, 0]
+    assert report.constants["linear_min_gap"] >= -1e-10
 
 
 def test_consistency_report_pass_and_fail():
