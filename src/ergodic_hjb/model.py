@@ -372,10 +372,11 @@ class ProblemSpec:
             raise ParameterError(f"x_ref must be a non-empty list of coordinates, got {x_ref!r}")
         ham = HamiltonianSpec(
             dim=dim,
-            gammas=tuple(float(s["gamma"]) for s in states),
+            gammas=tuple(number(s["gamma"], "gamma") for s in states),
             metrics=tuple(MetricField.from_dict(s["a"], dim) for s in states),
             drifts=tuple(DriftField.from_dict(s["b"], dim) for s in states),
-            truncation_level=(float(d["truncation"]["level"]) if "truncation" in d else None),
+            truncation_level=(number(d["truncation"]["level"], "truncation level")
+                              if "truncation" in d else None),
         )
         return ProblemSpec(
             dimension=dim,

@@ -23,10 +23,10 @@ penalty source near the wall (a finite stand-in for boundary blow-up) which
 confines the minimizer strictly inside the domain when the source is
 coercive.
 
-The Howard loop carries the last LU factor into the next evaluation
-(:class:`LUFactor`).  A factor of a nearby policy preconditions an iterative
-refinement to a componentwise backward error of 1e-15; when the policy moved
-too far for it, the old factor is dropped before the new one is built.  A
+Every evaluation runs one iterative refinement to a componentwise backward
+error of 1e-15, with the LU factor the Howard loop carries from the last
+evaluation (:class:`LUFactor`).  When the policy moved too far for that factor,
+it is dropped before the new one is built, and the refinement reruns.  A
 direct solve started cold first solves on the 2h grid of the same box, when
 that grid exists, and starts from its feedback (nested iteration, as in full
 multigrid); if that 2h solve fails, the h solve runs cold.
@@ -248,11 +248,11 @@ class LUFactor:
     z: np.ndarray | None = None
 
 
-# a held factor of another matrix refines for at most this many steps, each of
-# which must shrink the componentwise defect by REUSE_SHRINK, down to REUSE_TOL
-REUSE_STEPS = 30
-REUSE_SHRINK = 4.0
-REUSE_TOL = 1e-15
+# refinement stops at a componentwise backward error of REFINE_TOL, and gives up
+# after REFINE_STEPS steps or at a step that shrinks that error by less than REFINE_SHRINK
+REFINE_STEPS = 30
+REFINE_SHRINK = 4.0
+REFINE_TOL = 1e-15
 
 
 def _factor(matrix: sp.csr_matrix, ref: int | None):
@@ -281,57 +281,31 @@ def _pinned_solve(lu, z, ref: int | None, r: np.ndarray):
     return u - lam * z, lam
 
 
-def _reuse(factor: LUFactor, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None):
-    """Refinement preconditioned by the held factor of another matrix.
+def _refine(factor: LUFactor, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None):
+    """Iterative refinement of ``A u + lam = rhs`` preconditioned by the held factor.
 
-    Returns ``(u, lam)`` once the componentwise defect is below ``REUSE_TOL``
-    times ``|A||u| + |rhs| + |lam|`` (which implies the normwise 1e-12 that
-    :func:`_refine` checks), or None as soon as a step shrinks that measure
-    by less than ``REUSE_SHRINK``: the held policy is too far from this one.
-    A normwise stopping test would let the penalty rows, which dominate the
-    norm, hide a defect that stalls the Howard loop.
+    Returns ``(u, lam, converged)``.  ``converged`` is True once the defect is
+    below ``REFINE_TOL`` times ``|A||u| + |rhs| + |lam|`` in every row, and
+    False after ``REFINE_STEPS`` steps or as soon as a step shrinks that
+    measure by less than ``REFINE_SHRINK``.  A normwise stopping test would let
+    the penalty rows, which dominate the norm, hide a defect that stalls the
+    Howard loop.
     """
     absmat = abs(matrix)
     u, lam = _pinned_solve(factor.lu, factor.z, ref, rhs)
     previous = np.inf
-    for _ in range(REUSE_STEPS):
+    for _ in range(REFINE_STEPS):
         defect = rhs - matrix @ u - lam
         scale = absmat @ np.abs(u) + np.abs(rhs) + abs(lam)
         omega = float(np.max(np.abs(defect) / np.maximum(scale, 1e-300)))
-        if omega <= REUSE_TOL:
-            return u, lam
-        if not omega * REUSE_SHRINK <= previous:
-            return None
+        if omega <= REFINE_TOL:
+            return u, lam, True
+        if not omega * REFINE_SHRINK <= previous:
+            return u, lam, False
         previous = omega
         du, dlam = _pinned_solve(factor.lu, factor.z, ref, defect)
         u, lam = u + du, lam + dlam
-    return None
-
-
-def _refine(lu, z, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None):
-    """Solve with the factor of ``matrix`` itself, refine, and check the backward error.
-
-    One refinement step for the discounted system, two for the pinned one;
-    ``SolverError`` when the normwise backward error stays above 1e-12.
-    """
-    absmat = abs(matrix)
-
-    def backward_scale(u):
-        """Normwise backward-error denominator ||A| |u||_inf + ||rhs||_inf."""
-        return max(float(np.max(absmat @ np.abs(u))) + float(np.max(np.abs(rhs))), 1e-300)
-
-    u, lam = _pinned_solve(lu, z, ref, rhs)
-    for _ in range(1 if ref is None else 2):
-        defect = rhs - matrix @ u - lam
-        if float(np.max(np.abs(defect))) <= 1e-13 * backward_scale(u):
-            break
-        du, dlam = _pinned_solve(lu, z, ref, defect)
-        u, lam = u + du, lam + dlam
-    defect = rhs - matrix @ u - lam
-    rel = float(np.max(np.abs(defect))) / (backward_scale(u) + abs(lam))
-    if not np.all(np.isfinite(u)) or rel > 1e-12:
-        raise SolverError(f"policy evaluation reached relative residual {rel:.3e} > 1e-12")
-    return u, lam
+    return u, lam, False
 
 
 def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = None,
@@ -346,34 +320,33 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = 
     give the eigenvalue as the ratio ``y[ref] / z[ref]``.  The factorization
     orders by minimum degree on ``A + A^T`` (``MMD_AT_PLUS_A``): the pattern
     is structurally symmetric, and the ordering halves the fill of COLAMD.
-    Iterative refinement (one step discounted, two average-cost) keeps the
-    defect near roundoff; ``SolverError`` reports the achieved residual if the
-    system is too ill-conditioned.
 
-    ``factor`` is an :class:`LUFactor` holder carried between calls.  A held
-    factor of this very matrix is used as it is.  A held factor of another
-    matrix (same ``ref``) first preconditions a refinement of up to
-    ``REUSE_STEPS`` steps (:func:`_reuse`); when that stalls, the holder is
-    emptied before the new factorization, so two factors are never alive at
-    once.  Either way the holder ends up holding the factor used.
+    ``factor`` is an :class:`LUFactor` holder carried between calls (``None``:
+    an empty one), and :func:`_refine` is the one refinement loop.  A held
+    factor (same ``ref``) is tried first.  If it belongs to another matrix and
+    does not converge, the holder is emptied before this matrix is factored,
+    so two factors are never alive at once, and the refinement restarts from
+    the new factor's solve; one step gives a fresh factor a componentwise
+    backward error of order eps (Skeel, 1980).  A refinement that still stalls
+    must reach a normwise backward error <= 1e-12, or ``SolverError`` reports
+    it.  The holder ends up holding the factor used.
     """
     rhs = np.asarray(rhs, dtype=float)
-    result = None
-    if factor is not None and not (factor.ref == ref and factor.matrix is matrix):
-        if factor.lu is not None and factor.ref == ref:
-            result = _reuse(factor, matrix, rhs, ref)
-        if result is None:
-            # drop the old factor before splu builds the new one
-            factor.lu = factor.z = factor.matrix = None
-    if result is None:
-        if factor is not None and factor.lu is not None:
-            lu, z = factor.lu, factor.z
-        else:
-            lu, z = _factor(matrix, ref)
-            if factor is not None:
-                factor.lu, factor.matrix, factor.ref, factor.z = lu, matrix, ref, z
-        result = _refine(lu, z, matrix, rhs, ref)
-    u, lam = result
+    factor = LUFactor() if factor is None else factor
+    converged = False
+    if factor.lu is not None and factor.ref == ref:
+        u, lam, converged = _refine(factor, matrix, rhs, ref)
+    if not converged and not (factor.matrix is matrix and factor.ref == ref):
+        # drop the stalled iterate and the old factor before splu builds the new one
+        u = factor.lu = factor.z = factor.matrix = None
+        factor.lu, factor.z = _factor(matrix, ref)
+        factor.matrix, factor.ref = matrix, ref
+        u, lam, converged = _refine(factor, matrix, rhs, ref)
+    if not converged:
+        scale = np.max(abs(matrix) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
+        rel = float(np.max(np.abs(rhs - matrix @ u - lam)) / max(scale, 1e-300))
+        if not (np.all(np.isfinite(u)) and rel <= 1e-12):
+            raise SolverError(f"policy evaluation reached relative residual {rel:.3e} > 1e-12")
     if ref is not None:
         u[ref] = 0.0
     return u, float(lam)
@@ -520,11 +493,12 @@ def _direct(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | None,
 def _coarse_start(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | None,
                   opts: SolverOptions):
     """``(lam_2h, warm)`` from a cold direct solve on the 2h grid of ``grid``'s box:
-    its eigenvalue and its feedback at the h nodes, the way ``nested_domains``
-    carries a feedback to the next box.  ``(None, None)`` when that grid does
-    not exist or misses x_ref, or when its solve fails.  Only these two leave
-    here: a 2h solution and feedback kept alive through the h solve pinned
-    heap memory and raised peak RSS on the 2D benchmark by up to 30 MB."""
+    its eigenvalue and its feedback at the h nodes (:func:`_feedback_at`, which
+    also carries ``nested_domains`` to the next box).  ``(None, None)`` when
+    that grid does not exist or misses x_ref, or when its solve fails.  Only
+    these two leave here: a 2h solution and feedback kept alive through the h
+    solve pinned heap memory and raised peak RSS on the 2D benchmark by up to
+    30 MB."""
     try:
         coarse = build_grid(grid.dim, grid.radius, 2.0 * grid.h)
         coarse.index_of(problem.ref_point)
@@ -534,8 +508,14 @@ def _coarse_start(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | Non
         sol = _direct(problem, coarse, penalty, opts, None)
     except (SolverError, ConvergenceError):
         return None, None
-    feedback = extract_control(problem, sol)
-    return sol.lam, np.stack([feedback(grid.points, k) for k in STATES])
+    return sol.lam, _feedback_at(problem, sol, grid)
+
+
+def _feedback_at(problem: ProblemSpec, solution: ErgodicSolution, grid: Grid) -> np.ndarray:
+    """``solution``'s feedback at ``grid``'s nodes, extended by its face values
+    outside ``solution``'s box: a warm start of shape (2, n_nodes, dim)."""
+    feedback = extract_control(problem, solution)
+    return np.stack([feedback(grid.points, k) for k in STATES])
 
 
 def nested_domains(problem: ProblemSpec, radii, h: float,
@@ -543,7 +523,8 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
                    opts: SolverOptions = SolverOptions()) -> ErgodicSolution:
     """Direct ergodic solves on growing boxes.
 
-    The eigenvalue sequence must be non-increasing up to ``10 * tol_lambda``
+    Each box after the first starts from the previous box's feedback.  The
+    eigenvalue sequence must be non-increasing up to ``10 * tol_lambda``
     (violations raise ``MonotonicityError``: the discretization is too coarse
     for the schedule).  The minimizer location per leg is recorded and must
     land on the same point for the last two legs.
@@ -555,12 +536,9 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
     lam_seq = []
     minimizers = []
     sol = None
-    feedback = None
     for radius in radii:
         grid = build_grid(problem.dimension, radius, h)
-        # the previous box's feedback, extended by its face values outside that box
-        warm = (None if feedback is None
-                else np.stack([feedback(grid.points, k) for k in STATES]))
+        warm = None if sol is None else _feedback_at(problem, sol, grid)
         sol = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts, warm=warm)
         lam_seq.append((radius, sol.lam))
         nodes = sol.minimizer_nodes()
@@ -572,7 +550,6 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
             raise MonotonicityError(
                 f"eigenvalue increased from {lam_seq[-2][1]:.6g} to {lam_seq[-1][1]:.6g} "
                 f"beyond tolerance {tol_mono:.2g}", sequence=lam_seq)
-        feedback = extract_control(problem, sol)
     if len(minimizers) >= 2:
         last, prev = np.asarray(minimizers[-1]), np.asarray(minimizers[-2])
         if not np.allclose(last, prev, atol=h / 2):

@@ -334,9 +334,14 @@ class TestMainEntry:
          "drift value must list one number per axis (1), got []"),
         ({"x_ref": []}, "x_ref must be a non-empty list of coordinates, got []"),
         ({"x_ref": {}}, "x_ref must be a non-empty list of coordinates, got {}"),
+        ({"states": [{**SMALL_PROBLEM["states"][0], "gamma": "3"},
+                     SMALL_PROBLEM["states"][1]]}, "gamma must be a number, got '3'"),
+        ({"truncation": {"level": True}}, "truncation level must be a number, got True"),
+        ({"truncation": {"level": "0.5"}}, "truncation level must be a number, got '0.5'"),
     ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan",
             "rate-c-bool", "source-c0-bool", "drift-empty", "x-ref-empty-list",
-            "x-ref-empty-object"])
+            "x-ref-empty-object", "gamma-string", "truncation-level-bool",
+            "truncation-level-string"])
     def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_hjb import fields, solver
 from ergodic_hjb.discretize import (
@@ -197,6 +199,14 @@ def _converged_control(problem, grid):
     return raw * np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)[..., None]
 
 
+@pytest.fixture(scope="module")
+def benchmark_control():
+    """The 1D benchmark, its R=6, h=0.05 grid, and the converged control there."""
+    problem = make_problem()
+    grid = build_grid(1, 6.0, 0.05)
+    return problem, grid, _converged_control(problem, grid)
+
+
 class TestFactorReuse:
     @EVALUATION_MODES
     def test_nearby_policy_reuses_the_factor(self, quadratic_1d, rng, monkeypatch,
@@ -245,6 +255,62 @@ class TestFactorReuse:
         second = policy_evaluation(gen, rhs, grid.origin_index, factor)
         assert len(sizes) == 1
         assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+    def test_discounted_factor_is_not_used_for_the_pinned_system(self, quadratic_1d,
+                                                                 monkeypatch):
+        grid = build_grid(1, 4.0, 0.1)
+        zero = np.zeros((2, grid.n_nodes, 1))
+        factor = LUFactor()
+        policy_evaluation(*_policy_system(quadratic_1d, grid, zero, 1.0), None, factor)
+        gen, rhs = _policy_system(quadratic_1d, grid, zero, 0.0)
+        sizes = _counting_splu(monkeypatch)
+        u, lam = policy_evaluation(gen, rhs, grid.origin_index, factor)
+        assert len(sizes) == 1
+        assert factor.ref == grid.origin_index
+        fresh_u, fresh_lam = policy_evaluation(gen, rhs, grid.origin_index)
+        assert np.array_equal(u, fresh_u) and lam == fresh_lam
+
+    @EVALUATION_MODES
+    @pytest.mark.parametrize("held", [False, True], ids=["empty", "held"])
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_nan_entry_raises(self, quadratic_1d, discount, pinned, held, where):
+        # a NaN in the matrix fails the factorization, one in the right-hand
+        # side the final backward-error check; no non-finite u comes back
+        grid = build_grid(1, 4.0, 0.1)
+        ref = grid.origin_index if pinned else None
+        gen, rhs = _policy_system(quadratic_1d, grid, np.zeros((2, grid.n_nodes, 1)), discount)
+        factor = LUFactor()
+        if held:
+            policy_evaluation(gen, rhs, ref, factor)
+        bad, bad_rhs = gen.copy(), rhs.copy()
+        if where == "matrix":
+            bad.data[bad.indptr[3]] = np.nan
+        else:
+            bad_rhs[3] = np.nan
+        with pytest.raises(SolverError):
+            policy_evaluation(bad, bad_rhs, ref, factor)
+
+    # at most 25 examples of the 1D benchmark's 482 unknowns, about 1 s
+    @settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    @given(delta=st.floats(0.0, 1.0), seed=st.integers(0, 2**16), pinned=st.booleans())
+    def test_perturbed_policy_meets_the_gate(self, benchmark_control, delta, seed, pinned):
+        # whether the held factor converges or is replaced, the evaluation is
+        # accurate, agrees with a fresh factor, and factors at most once
+        problem, grid, xi = benchmark_control
+        ref, discount = (grid.origin_index, 0.0) if pinned else (None, 1.0)
+        near = xi * (1.0 + delta * np.random.default_rng(seed).uniform(-1.0, 1.0, xi.shape))
+        factor = LUFactor()
+        policy_evaluation(*_policy_system(problem, grid, xi, discount), ref, factor)
+        gen, rhs = _policy_system(problem, grid, near, discount)
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = _counting_splu(mp)
+            u, lam = policy_evaluation(gen, rhs, ref, factor)
+        assert len(sizes) <= 1
+        scale = np.max(abs(gen) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
+        assert np.max(np.abs(gen @ u + lam - rhs)) / scale <= 1e-12
+        fresh_u, fresh_lam = policy_evaluation(gen, rhs, ref)
+        assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
+        assert abs(lam - fresh_lam) <= 1e-12 * max(1.0, abs(fresh_lam))
 
 
 class TestCoarseStart:
