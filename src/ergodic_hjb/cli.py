@@ -6,12 +6,15 @@ field dumps, eigenvalue histories, an optional sample path, and the audit
 bundle.  Outputs carry no timestamps and all randomness is seeded, so a rerun
 of the same config reproduces every file byte for byte.
 
-The occupation-measure LP reads nothing but the config.  It starts once the
-PDE solve is done (at once when no solve runs), so a failed solve never waits
-for it, and runs on one worker thread beside the Monte Carlo estimates, which
-run on the calling thread (``threads`` sizes the Monte Carlo chunk pool only).
-Its result is collected once the estimates are done, before the sample path is
-written, so an LP failure leaves only the solve's files behind.
+``run_pipeline`` reads and checks every config section, then runs the stages
+in this order: the solve (``_solve_stage``); the LP, submitted to one worker
+thread; the Monte Carlo estimates (``simulate.simulate_paths``, on the calling
+thread; ``threads`` sizes their chunk pool only); the LP's result, collected
+once the estimates are done; the sample path (``_write_sample_path``); the
+audits (``_audit_stage``); and last ``config.json`` and ``summary.json``.  The
+LP reads nothing but the config and starts after the solve (at once when no
+solve runs), so a failed solve never waits for it, and an LP failure leaves
+only the solve's files behind.
 
 Exit codes: 0 all stages and requested audits passed; 1 a stage failed or an
 audit reported failure; 2 the config did not parse or validate.
@@ -103,12 +106,11 @@ def _parse_control(spec, radius: float):
     raise ParameterError(f"unknown control spec {spec!r} (extracted | zero | linear:<c>)")
 
 
-def _write_history_csv(path, history):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["parameter", "lambda"])
-        for param, lam in history:
-            writer.writerow([repr(float(param)), repr(float(lam))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_sample_path(path, problem, control, mc_kwargs: dict):
@@ -117,16 +119,76 @@ def _write_sample_path(path, problem, control, mc_kwargs: dict):
                              "paths": 1, "burn_in": 0.0, "seed": (mc_kwargs["seed"] + 1) % 2**64,
                              "record_samples": True, "sample_target": 10**9})
     s = est.samples
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = s.x.shape[1]
-        writer.writerow(["t"] + [f"x{j+1}" for j in range(dim)] + ["state"]
-                        + [f"u{j+1}" for j in range(dim)] + ["running_cost"])
-        dt = mc_kwargs["dt"] * s.stride
-        for i in range(s.x.shape[0]):
-            writer.writerow([repr(i * dt)] + [repr(float(v)) for v in s.x[i]]
-                            + [int(s.state[i])] + [repr(float(v)) for v in s.control[i]]
-                            + [repr(float(s.cost[i]))])
+    axes, dt = range(1, s.x.shape[1] + 1), mc_kwargs["dt"] * s.stride
+    _write_csv(path, ["t", *(f"x{j}" for j in axes), "state", *(f"u{j}" for j in axes),
+                      "running_cost"],
+               ([repr(i * dt), *map(repr, s.x[i].tolist()), int(s.state[i]),
+                 *map(repr, s.control[i].tolist()), repr(float(s.cost[i]))]
+                for i in range(s.x.shape[0])))
+
+
+def _solve_stage(config: RunConfig, problem, grid, penalty, opts, out: Path):
+    """Solve by ``config.method`` on ``grid`` (on the ``radii`` boxes for nested
+    domains), extract the feedback, and write ``fields.csv`` and
+    ``lambda_history.csv``; returns ``(solution, extracted, lambda block)``."""
+    if config.method == "vanishing_discount":
+        solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
+    elif config.method == "nested_domains":
+        solution = nested_domains(problem, config.radii, grid.h, penalty=penalty, opts=opts)
+    else:
+        solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
+    extracted = extract_control(problem, solution)
+    block = {
+        "value": solution.lam,
+        "method": solution.method,
+        "residual": solution.residual,
+        "iterations": solution.iterations,
+        "history": [[float(a), float(b)] for a, b in solution.history],
+        "minimizer_interior": solution.minimizer_interior(),
+        "minimizer_location": [solution.grid.points[i].tolist()
+                               for i in solution.minimizer_nodes()],
+        "duality_residual": extracted.duality_residual,
+    }
+    if config.method == "direct":
+        # the 2h solve the direct solve started from; null when none ran
+        block["coarse_value"] = solution.coarse_lam
+    if config.compare_methods:
+        alt = (solve_ergodic_normalized if config.method == "vanishing_discount"
+               else vanishing_discount)(problem, solution.grid, penalty=penalty, opts=opts)
+        block["alternate"] = {"method": alt.method, "value": alt.lam,
+                              "gap": abs(alt.lam - solution.lam)}
+    fields_to_csv(solution.grid,
+                  {"u": solution.u,
+                   **{f"xi{j+1}": extracted.values[:, :, j] for j in range(problem.dimension)}},
+                  out / "fields.csv")
+    _write_csv(out / "lambda_history.csv", ["parameter", "lambda"],
+               ([repr(float(param)), repr(float(lam))] for param, lam in solution.history))
+    return solution, extracted, block
+
+
+def _audit_stage(problem, audits: dict, opts, grid, solution, summary: dict, out: Path) -> dict:
+    """The requested audits on ``grid``, and the consistency of λ with the LP and
+    Monte Carlo blocks of ``summary``; writes ``audits.json`` and ``audits.md``
+    and returns the ``audits`` block."""
+    reports = []
+    if audits["assumptions"]:
+        reports.append(validate_assumptions(problem, grid))
+    if audits["comparison"]:
+        reports.append(verify.audit_comparison(problem, grid, opts=opts))
+    if audits["coercive"] and solution is not None:
+        reports.append(verify.audit_coercive_lower_bound(problem, solution))
+    if audits["gradient_bound"]:
+        reports.append(verify.audit_gradient_bound(problem, grid, opts=opts))
+    lp, mc = summary["lp"] or {}, summary["mc"] or {}
+    if solution is not None and (lp or mc):
+        reports.append(verify.consistency_report(solution.lam, lp.get("lambda_bar"),
+                                                 mc.get("avg_cost"), mc.get("std_error", 0.0)))
+    block = {"passed": all(r.passed for r in reports), "reports": [r.to_dict() for r in reports]}
+    with open(out / "audits.json", "w") as fh:
+        json.dump(block, fh, indent=2, sort_keys=True)
+    with open(out / "audits.md", "w") as fh:
+        fh.write(verify.reports_to_markdown(reports))
+    return block
 
 
 def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[int, dict]:
@@ -137,8 +199,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     raises ``ParameterError`` before any stage runs or any file is written.
     The LP's worker thread is joined before this returns or raises.
     """
-    lp_mesh = mc = None
-    controls = ()
+    controls = ()   # the Monte Carlo controls; none without an mc section
     try:  # reads nothing but the config, so any error raised here is a config error
         problem = config.problem_spec()
         opts = SolverOptions(**_section(config, "solver", [f.name for f in fields(SolverOptions)]))
@@ -190,116 +251,49 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
 
     out = Path(out_dir or config.out or "ergodic_hjb_out")
+    grid = build_grid(problem.dimension, radius, h)
     files = {}
     summary = {"schema_version": config.schema_version, "config": config.to_dict(),
                "lambda": None, "lp": None, "mc": None, "audits": None}
-    reports = []
-    lam_lp = mc_est = None
 
     # the LP needs nothing but the config; it starts after the solve, so that a failed
     # solve does not wait for it, runs on one worker thread beside the Monte Carlo
     # estimates, which run here, and is collected after them
     with ThreadPoolExecutor(max_workers=1) as pool:
         out.mkdir(parents=True, exist_ok=True)
-
-        solution = None
-        extracted = None
-        need_solve = "solve" in stages or ("simulate" in stages and "extracted" in controls)
-
-        if need_solve:
-            grid = build_grid(problem.dimension, radius, h)
-            if config.method == "vanishing_discount":
-                solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
-            elif config.method == "nested_domains":
-                solution = nested_domains(problem, config.radii, h, penalty=penalty, opts=opts)
-            else:
-                solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
-            extracted = extract_control(problem, solution)
-            lam_block = {
-                "value": solution.lam,
-                "method": solution.method,
-                "residual": solution.residual,
-                "iterations": solution.iterations,
-                "history": [[float(a), float(b)] for a, b in solution.history],
-                "minimizer_interior": solution.minimizer_interior(),
-                "minimizer_location": [solution.grid.points[i].tolist()
-                                       for i in solution.minimizer_nodes()],
-                "duality_residual": extracted.duality_residual,
-            }
-            if config.method == "direct":
-                # the 2h solve the direct solve started from; null when none ran
-                lam_block["coarse_value"] = solution.coarse_lam
-            if config.compare_methods:
-                alt = (solve_ergodic_normalized(problem, solution.grid, penalty=penalty, opts=opts)
-                       if config.method == "vanishing_discount"
-                       else vanishing_discount(problem, solution.grid, penalty=penalty, opts=opts))
-                lam_block["alternate"] = {"method": alt.method, "value": alt.lam,
-                                          "gap": abs(alt.lam - solution.lam)}
-            summary["lambda"] = lam_block
-            fields_to_csv(solution.grid,
-                          {"u": solution.u,
-                           **{f"xi{j+1}": extracted.values[:, :, j]
-                              for j in range(problem.dimension)}},
-                          out / "fields.csv")
-            files["fields"] = "fields.csv"
-            _write_history_csv(out / "lambda_history.csv", solution.history)
-            files["lambda_history"] = "lambda_history.csv"
-
-        lp_run = None
-        if "lp" in stages and lp_mesh is not None:
-            lp_run = pool.submit(lambda: dual_lp.solve_lp(
-                dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
-
-        if "simulate" in stages and mc is not None:
+        if "solve" in stages or ("simulate" in stages and "extracted" in controls):
+            solution, extracted, summary["lambda"] = _solve_stage(
+                config, problem, grid, penalty, opts, out)
+            files.update(fields="fields.csv", lambda_history="lambda_history.csv")
+        else:
+            solution = extracted = None
+        lp_run = None if "lp" not in stages or config.lp is None else pool.submit(
+            lambda: dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
+        if "simulate" in stages and config.mc is not None:
             control, worse = (extracted if c == "extracted" else c for c in controls)
-            mc_est = simulate.simulate_paths(problem, control, **mc_kwargs)
-            summary["mc"] = mc_est.to_dict()
+            summary["mc"] = simulate.simulate_paths(problem, control, **mc_kwargs).to_dict()
             if worse is not None:
                 summary["mc"]["perturbed"] = simulate.simulate_paths(
                     problem, worse, **mc_kwargs).to_dict()
-
         if lp_run is not None:
             lam_lp, measure = lp_run.result()
             summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
 
-    if mc_est is not None and mc["sample_path"]:
+    if summary["mc"] is not None and mc["sample_path"]:
         _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
-        files["sample_path"] = "sample_path.csv"
-
+        files.update(sample_path="sample_path.csv")
     if "audit" in stages:
-        audit_grid = solution.grid if solution is not None else build_grid(
-            problem.dimension, radius, h)
-        if audits["assumptions"]:
-            reports.append(validate_assumptions(problem, audit_grid))
-        if audits["comparison"]:
-            reports.append(verify.audit_comparison(problem, audit_grid, opts=opts))
-        if audits["coercive"] and solution is not None:
-            reports.append(verify.audit_coercive_lower_bound(problem, solution))
-        if audits["gradient_bound"]:
-            reports.append(verify.audit_gradient_bound(problem, audit_grid, opts=opts))
-        if solution is not None and (lam_lp is not None or mc_est is not None):
-            reports.append(verify.consistency_report(
-                solution.lam, lam_lp,
-                mc_est.avg_cost if mc_est is not None else None,
-                mc_est.std_error if mc_est is not None else 0.0))
-        summary["audits"] = {"passed": all(r.passed for r in reports),
-                             "reports": [r.to_dict() for r in reports]}
-        with open(out / "audits.json", "w") as fh:
-            json.dump(summary["audits"], fh, indent=2, sort_keys=True)
-        with open(out / "audits.md", "w") as fh:
-            fh.write(verify.reports_to_markdown(reports))
-        files["audits_json"] = "audits.json"
-        files["audits_md"] = "audits.md"
+        summary["audits"] = _audit_stage(problem, audits, opts,
+                                         solution.grid if solution is not None else grid,
+                                         solution, summary, out)
+        files.update(audits_json="audits.json", audits_md="audits.md")
 
     save_config(config, out / "config.json")
-    files["config"] = "config.json"
+    files.update(config="config.json")
     summary["files"] = files
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-
-    if "audit" in stages and reports and not all(r.passed for r in reports):
-        return 1, summary
-    return 0, summary
+    return (1 if summary["audits"] is not None and not summary["audits"]["passed"] else 0), summary
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -358,6 +352,8 @@ def main(argv=None) -> int:
                 if value is not None:
                     mc[key] = value
             config.mc = mc
+        if args.command == "lp" and config.lp is None:
+            config.lp = {}   # the LP with its defaults, as simulate without an mc section
         code, summary = run_pipeline(config, stages=_STAGE_SETS[args.command],
                                      out_dir=args.out)
     except ParameterError as exc:

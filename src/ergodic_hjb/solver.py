@@ -259,6 +259,8 @@ def _factor(matrix: sp.csr_matrix, ref: int | None):
     """SuperLU factor of ``matrix`` (pinned at ``ref``) and its solve against ones."""
     pinned = (matrix if ref is None
               else matrix + sp.csr_matrix(([1.0], ([ref], [ref])), matrix.shape))
+    if not np.isfinite(pinned.data).all():
+        raise SolverError("sparse factorization failed: the matrix has a non-finite entry")
     try:
         lu = spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:

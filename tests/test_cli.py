@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ergodic_hjb import dual_lp, simulate
 from ergodic_hjb.cli import main, run_pipeline
 from ergodic_hjb.config import RunConfig, load_config, save_config
-from ergodic_hjb.errors import LPError, ParameterError
+from ergodic_hjb.errors import CoefficientError, LPError, ParameterError
 
 SMALL_PROBLEM = {
     "dimension": 1,
@@ -110,9 +110,11 @@ class TestPipeline:
         assert alt["gap"] == abs(alt["value"] - summary["lambda"]["value"])
         assert alt["gap"] <= 10 * 1e-4     # 10 * tol_lambda
 
-    @pytest.mark.parametrize("method", ["direct", "vanishing_discount"])
-    def test_coarse_value_only_for_the_direct_method(self, tmp_path, method):
-        config = RunConfig.from_dict(small_config(method=method, lp=None, mc=None))
+    @pytest.mark.parametrize("method, radii", [
+        ("direct", None), ("vanishing_discount", None), ("nested_domains", [3.0, 4.0]),
+    ], ids=["direct", "vanishing_discount", "nested_domains"])
+    def test_coarse_value_only_for_the_direct_method(self, tmp_path, method, radii):
+        config = RunConfig.from_dict(small_config(method=method, radii=radii, lp=None, mc=None))
         assert run_pipeline(config, out_dir=tmp_path)[0] == 0
         lam = json.loads((tmp_path / "summary.json").read_text())["lambda"]
         if method == "direct":
@@ -120,6 +122,11 @@ class TestPipeline:
             assert lam["coarse_value"] == pytest.approx(lam["value"], rel=1e-2)
         else:
             assert "coarse_value" not in lam
+        if method == "nested_domains":
+            # one (R, lambda) entry per box, non-increasing in R
+            assert [r for r, _ in lam["history"]] == radii
+            assert lam["history"][1][1] <= lam["history"][0][1]
+            assert lam["value"] == lam["history"][-1][1]
 
     def test_lp_runs_beside_the_monte_carlo(self, tmp_path, monkeypatch):
         # the LP waits for the first MC estimate to start: a pipeline that ran
@@ -165,6 +172,24 @@ class TestPipeline:
         assert capsys.readouterr().err.strip() == f"stage failure [pipeline]: {message}"
         # the estimate ran; the sample path, which comes after the LP, did not
         assert mc_calls == [False]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "fields.csv", "lambda_history.csv"]
+
+    def test_mc_failure_ends_the_run_cleanly(self, tmp_path, monkeypatch, capsys):
+        # the LP worker is joined before the failure is reported, and nothing
+        # after the solve's files is written
+        message = "metric is not positive definite at x = (3.1)"
+
+        def failing_mc(*args, **kwargs):
+            raise CoefficientError(message)
+
+        monkeypatch.setattr(simulate, "simulate_paths", failing_mc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config()))
+        threads_before = threading.active_count()
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert threading.active_count() == threads_before
+        assert capsys.readouterr().err.strip() == f"stage failure [pipeline]: {message}"
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "fields.csv", "lambda_history.csv"]
 
@@ -438,6 +463,37 @@ class TestMainEntry:
         path.write_text(json.dumps(small_config(seed=2**64 - 1, lp=None)))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "sample_path.csv").exists()
+
+    @pytest.mark.parametrize("command, blocks, files", [
+        ("solve", ["lambda"], ["config", "fields", "lambda_history"]),
+        ("lp", ["lp"], ["config"]),
+        ("simulate", ["lambda", "mc"], ["config", "fields", "lambda_history", "sample_path"]),
+        ("audit", ["audits", "lambda", "lp", "mc"],
+         ["audits_json", "audits_md", "config", "fields", "lambda_history", "sample_path"]),
+        ("pipeline", ["audits", "lambda", "lp", "mc"],
+         ["audits_json", "audits_md", "config", "fields", "lambda_history", "sample_path"]),
+    ], ids=["solve", "lp", "simulate", "audit", "pipeline"])
+    def test_subcommand_outputs(self, tmp_path, command, blocks, files):
+        # each subcommand fills its own summary blocks and writes its own files
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(small_config()))
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(k for k in ("lambda", "lp", "mc", "audits")
+                      if summary[k] is not None) == blocks
+        assert sorted(summary["files"]) == files
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*summary["files"].values(), "summary.json"])
+
+    def test_lp_subcommand_without_lp_section(self, tmp_path, capsys):
+        # like simulate without an mc section, lp runs with the section's defaults
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(small_config(lp=None)))
+        assert main(["lp", "--config", str(path), "--out", str(out)]) == 0
+        assert "lambda_bar = 1.416" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["lp"]["lambda_bar"] == pytest.approx(1.41627, abs=1e-5)
+        assert summary["config"]["lp"] == {}
 
     def test_solve_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.json"

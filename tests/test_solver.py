@@ -274,8 +274,9 @@ class TestFactorReuse:
     @pytest.mark.parametrize("held", [False, True], ids=["empty", "held"])
     @pytest.mark.parametrize("where", ["matrix", "rhs"])
     def test_nan_entry_raises(self, quadratic_1d, discount, pinned, held, where):
-        # a NaN in the matrix fails the factorization, one in the right-hand
-        # side the final backward-error check; no non-finite u comes back
+        # a NaN in the matrix is named before the factorization, one in the
+        # right-hand side fails the final backward-error check; no non-finite
+        # u comes back
         grid = build_grid(1, 4.0, 0.1)
         ref = grid.origin_index if pinned else None
         gen, rhs = _policy_system(quadratic_1d, grid, np.zeros((2, grid.n_nodes, 1)), discount)
@@ -287,7 +288,7 @@ class TestFactorReuse:
             bad.data[bad.indptr[3]] = np.nan
         else:
             bad_rhs[3] = np.nan
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="non-finite entry" if where == "matrix" else None):
             policy_evaluation(bad, bad_rhs, ref, factor)
 
     # at most 25 examples of the 1D benchmark's 482 unknowns, about 1 s
