@@ -35,8 +35,9 @@ import numpy as np
 
 from . import dual_lp, simulate, verify
 from .config import _DEFAULT_AUDITS, RunConfig, load_config, save_config
-from .discretize import build_grid, control_cap, fields_to_csv
-from .errors import ErgodicHJBError, ParameterError
+from .discretize import build_grid, control_cap
+from .errors import CoefficientError, ErgodicHJBError, ParameterError
+from .fields import number
 from .model import switch_rate_violations, validate_assumptions
 from .solver import (
     PenaltyParams,
@@ -66,16 +67,9 @@ def _section(config: RunConfig, name: str, allowed) -> dict:
     return section
 
 
-_KINDS = {bool: ("boolean", bool), int: ("integer", int), float: ("number", (int, float))}
-
-
-def _checked(name: str, value, kind):
-    """``value`` if it is a JSON value of ``kind``: ``bool``, ``int``, or ``float``
-    for any number; a bool is neither an integer nor a number."""
-    label, types = _KINDS[kind]
-    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
-        raise ParameterError(f"{name} must be a JSON {label}, got {value!r}")
-    return value
+def _flag(name: str, value):
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be a JSON boolean, got {value!r}")
 
 
 def _checked_radii(radii, dim: int, h: float) -> list:
@@ -157,10 +151,13 @@ def _solve_stage(config: RunConfig, problem, grid, penalty, opts, out: Path):
                else vanishing_discount)(problem, solution.grid, penalty=penalty, opts=opts)
         block["alternate"] = {"method": alt.method, "value": alt.lam,
                               "gap": abs(alt.lam - solution.lam)}
-    fields_to_csv(solution.grid,
-                  {"u": solution.u,
-                   **{f"xi{j+1}": extracted.values[:, :, j] for j in range(problem.dimension)}},
-                  out / "fields.csv")
+    # per state and node: the coordinates, the state, u and the feedback components
+    dim, axes = problem.dimension, range(1, problem.dimension + 1)
+    _write_csv(out / "fields.csv",
+               [*(f"x{j}" for j in axes), "state", "u", *(f"xi{j}" for j in axes)],
+               ([*map(repr, row[:dim]), k, *map(repr, row[dim:])] for k in (1, 2)
+                for row in np.column_stack([solution.grid.points, solution.u[k - 1],
+                                            extracted.values[k - 1]]).tolist()))
     _write_csv(out / "lambda_history.csv", ["parameter", "lambda"],
                ([repr(float(param)), repr(float(lam))] for param, lam in solution.history))
     return solution, extracted, block
@@ -207,11 +204,14 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             **_section(config, "penalty", [f.name for f in fields(PenaltyParams)])
         ).validated(problem)
         grid_cfg = _section(config, "grid", _GRID_KEYS)
-        radius, h = (_checked(f"grid.{key}", grid_cfg[key], float) for key in _GRID_KEYS)
+        radius, h = (number(grid_cfg[key], f"grid.{key}") for key in _GRID_KEYS)
         audits = _section(config, "audits", _DEFAULT_AUDITS)
         for key, flag in audits.items():
-            _checked(f"audits.{key}", flag, bool)
-        _checked("compare_methods", config.compare_methods, bool)
+            _flag(f"audits.{key}", flag)
+        _flag("compare_methods", config.compare_methods)
+        simulate._check_seed_threads(config.seed, config.threads)
+        if config.out is not None and not isinstance(config.out, str):
+            raise ParameterError(f"out must be null or a string, got {config.out!r}")
         box_radii = [radius, *_checked_radii(config.radii, problem.dimension, h)]
         # x_ref must be a node of the smallest box a stage solves on
         build_grid(problem.dimension, min(box_radii), h).index_of(problem.ref_point)
@@ -224,10 +224,9 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
                                  f"{bad[0]['lhs']:.6g} at x = ({at}), must be > 0")
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
-            lp_h, lp_step = (float(_checked(f"lp.{key}", lp[key], float))
-                             for key in ("h", "control_step"))
+            lp_h, lp_step = (number(lp[key], f"lp.{key}") for key in ("h", "control_step"))
             lp_grid = build_grid(problem.dimension, radius, lp_h)
-            lp_directions = _checked("lp.directions", lp["directions"], int)
+            lp_directions = number(lp["directions"], "lp.directions", integer=True)
             if not 0.0 < lp_step < np.inf:
                 raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
             lp_mesh = dual_lp.build_control_mesh(
@@ -236,17 +235,18 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
                 directions=lp_directions)
         if config.mc is not None:
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
-            mc_kwargs = {key: float(_checked(f"mc.{key}", mc[key], float))
-                         for key in ("horizon", "dt", "burn_in")}
-            mc_kwargs.update(paths=_checked("mc.paths", mc["paths"], int),
+            mc_kwargs = {key: number(mc[key], f"mc.{key}") for key in ("horizon", "dt", "burn_in")}
+            mc_kwargs.update(paths=number(mc["paths"], "mc.paths", integer=True),
                              seed=config.seed, threads=config.threads)
-            _checked("mc.sample_path", mc["sample_path"], bool)
+            _flag("mc.sample_path", mc["sample_path"])
             if mc_kwargs["paths"] < 2:
                 raise ParameterError("mc.paths must be at least 2 to give a standard error")
             # the dt guard probes the rates on the largest box a control lives on
             simulate._check_arguments(problem, max(box_radii), **mc_kwargs)
             controls = (_parse_control(mc["control"], radius), None if mc["perturbed"] is None
                         else _parse_control(mc["perturbed"], radius))
+    except CoefficientError as exc:   # an invalid coefficient of the problem section
+        raise ParameterError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
 

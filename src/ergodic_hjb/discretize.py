@@ -342,23 +342,3 @@ def control_cap(problem: "ProblemSpec", grid: Grid) -> float:
         cap = max(cap, lam_max ** (gamma / 2.0) * grad_scale + b_max)
     return 2.0 * cap
 
-
-def fields_to_csv(grid: Grid, fields: dict[str, np.ndarray], path) -> None:
-    """Write node-indexed scalar fields as CSV: coordinates, state, one column per field.
-
-    Each field is either shape (n_nodes,) (written for state 0 = shared) or
-    (2, n_nodes) (written per state).
-    """
-    import csv
-
-    arrays = [np.asarray(v) for v in fields.values()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j+1}" for j in range(grid.dim)] + ["state"] + list(fields))
-        for k in (1, 2):
-            for i in range(grid.n_nodes):
-                row = [repr(float(c)) for c in grid.points[i]] + [k]
-                for arr in arrays:
-                    val = arr[k - 1, i] if arr.ndim == 2 else arr[i]
-                    row.append(repr(float(val)))
-                writer.writerow(row)

@@ -25,11 +25,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def number(value, what: str) -> float:
-    """``value`` read from a problem file as a float: a JSON number, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def number(value, what: str, integer: bool = False):
+    """``value`` read from a config or problem file: a JSON number, never a bool or a
+    string, returned as a float; with ``integer``, a JSON integer returned as an int."""
+    kind, label = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParameterError(f"{what} must be {label}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ParameterError(f"{what} must be a number in the float range") from None
 
 
 def _as_points(x: np.ndarray, dim: int) -> np.ndarray:

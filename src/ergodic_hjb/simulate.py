@@ -29,6 +29,7 @@ import numpy as np
 from .discretize import FeedbackControl, Grid
 from .dual_lp import ControlMesh, OccupationMeasure
 from .errors import ParameterError
+from .fields import number
 from .model import ProblemSpec, STATES
 
 
@@ -58,7 +59,6 @@ class SimulationEstimate:
     paths: int
     burn_in: float
     seed: int
-    pde_verified: bool
     samples: SimulationSamples | None = None
 
     def to_dict(self) -> dict:
@@ -69,7 +69,6 @@ class SimulationEstimate:
             "switch_intensity": list(self.switch_intensity),
             "horizon": self.horizon, "dt": self.dt, "paths": self.paths,
             "burn_in": self.burn_in, "seed": self.seed,
-            "pde_verified": self.pde_verified,
         }
 
 
@@ -137,17 +136,21 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
     }
 
 
+def _check_seed_threads(seed, threads) -> None:
+    """Reject a seed that does not fit a Philox key word and a thread count below 1."""
+    for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
+        if not lo <= number(value, name, integer=True) < hi:
+            raise ParameterError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+
+
 def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: float,
                      paths: int, burn_in: float, seed: int, threads: int) -> tuple[int, int]:
     """Reject what ``simulate_paths`` cannot run; rates are probed on [-radius, radius]^d.
 
     Returns the step count and the burn-in step count; at least one step
-    after the burn-in must be tallied.  The seed must fit a Philox key word.
+    after the burn-in must be tallied.
     """
-    for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
-        if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                or not lo <= value < hi):
-            raise ParameterError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    _check_seed_threads(seed, threads)
     if not (0 < horizon < np.inf and 0 < dt < np.inf and paths > 0):
         raise ParameterError("horizon, step and path count must be finite and positive")
     if not 0.0 <= burn_in < 1.0:
@@ -189,8 +192,6 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     """
     n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
                                            burn_in, seed, threads)
-    gammas = [problem.hamiltonian.gamma(k) for k in STATES]
-    pde_verified = gammas[0] == gammas[1]
 
     stride = 0
     if record_samples:
@@ -228,8 +229,7 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
             for i in range(2)),
         mean_rate=tuple(
             float(rate_acc[i] / time_in[i]) if time_in[i] > 0 else 0.0 for i in range(2)),
-        horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed,
-        pde_verified=pde_verified, samples=samples)
+        horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed, samples=samples)
 
 
 def empirical_measure(samples: SimulationSamples, grid: Grid, mesh: ControlMesh) -> OccupationMeasure:

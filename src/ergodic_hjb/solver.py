@@ -35,7 +35,6 @@ multigrid); if that 2h solve fails, the h solve runs cold.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -51,6 +50,7 @@ from .discretize import (
     gradient_central,
 )
 from .errors import ConvergenceError, MonotonicityError, ParameterError, SolverError
+from .fields import number
 from .model import ProblemSpec, STATES
 
 
@@ -159,14 +159,11 @@ class SolverOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            value, integral = getattr(self, f.name), type(f.default) is int
+            value, what = getattr(self, f.name), f"solver option {f.name}"
             if value is None and f.default is None:
                 continue
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
-                    or not 0 < value < math.inf):
-                kind = "an integer" if integral else "a finite number"
-                raise ParameterError(f"solver option {f.name} must be {kind} > 0, got {value!r}")
+            if not 0 < number(value, what, integer=type(f.default) is int) < math.inf:
+                raise ParameterError(f"{what} must be finite and > 0, got {value!r}")
         if self.eps_min > self.eps0:
             raise ParameterError(f"solver option eps_min={self.eps_min} exceeds eps0={self.eps0}")
 

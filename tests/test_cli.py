@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ergodic_hjb import dual_lp, simulate
 from ergodic_hjb.cli import main, run_pipeline
 from ergodic_hjb.config import RunConfig, load_config, save_config
+from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.errors import CoefficientError, LPError, ParameterError
+from ergodic_hjb.solver import SolverOptions, extract_control, solve_ergodic_normalized
 
 SMALL_PROBLEM = {
     "dimension": 1,
@@ -127,6 +129,36 @@ class TestPipeline:
             assert [r for r, _ in lam["history"]] == radii
             assert lam["history"][1][1] <= lam["history"][0][1]
             assert lam["value"] == lam["history"][-1][1]
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+    def test_fields_csv(self, tmp_path, dim):
+        # per state, one row per node: the coordinates, the state, u and the feedback
+        state = {**SMALL_PROBLEM["states"][0], "b": {"form": "constant", "value": [0.0] * dim},
+                 "f": {"form": "quadratic", "c0": 0.0, "weights": [1.0] * dim}}
+        config = RunConfig.from_dict(small_config(
+            problem={"dimension": dim, "x_ref": [0.0] * dim, "states": [state, state]},
+            grid={"radius": 2.0, "h": 0.25}, lp=None, mc=None))
+        assert run_pipeline(config, stages=("solve",), out_dir=tmp_path)[0] == 0
+        lines = (tmp_path / "fields.csv").read_text().splitlines()
+        axes = range(1, dim + 1)
+        assert lines[0] == ",".join([*(f"x{j}" for j in axes), "state", "u",
+                                     *(f"xi{j}" for j in axes)])
+        # the same solve as the run's: every value survives its repr round trip
+        problem = config.problem_spec()
+        solution = solve_ergodic_normalized(problem, build_grid(dim, 2.0, 0.25),
+                                            opts=SolverOptions(tol_lambda=1e-4))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert solution.lam == summary["lambda"]["value"]
+        xi = extract_control(problem, solution).values
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        n = solution.grid.n_nodes
+        assert table.shape == (2 * n, 2 * dim + 2)
+        for k in (1, 2):
+            block = table[(k - 1) * n:k * n]
+            assert np.array_equal(block[:, :dim], solution.grid.points)
+            assert np.all(block[:, dim] == k)
+            assert np.array_equal(block[:, dim + 1], solution.u[k - 1])
+            assert np.array_equal(block[:, dim + 2:], xi[k - 1])
 
     def test_lp_runs_beside_the_monte_carlo(self, tmp_path, monkeypatch):
         # the LP waits for the first MC estimate to start: a pipeline that ran
@@ -307,6 +339,10 @@ class TestMainEntry:
         ("mc", "horizon", "2"),
         ("mc", "burn_in", "0.1"),
         ("mc", "perturbed", 0),
+        ("grid", "radius", 10**400),
+        ("lp", "h", 10**400),
+        ("mc", "horizon", 10**400),
+        ("solver", "tol_lambda", 10**400),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
             "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
@@ -315,7 +351,8 @@ class TestMainEntry:
             "lp-control-step-inf", "lp-directions-float", "audits-flag-string",
             "audits-flag-int", "grid-h-bool", "grid-radius-bool", "grid-radius-inf",
             "lp-h-bool", "lp-h-inf", "lp-control-step-bool", "mc-horizon-string",
-            "mc-burn-in-string", "mc-perturbed-zero"])
+            "mc-burn-in-string", "mc-perturbed-zero", "grid-radius-huge-int", "lp-h-huge-int",
+            "mc-horizon-huge-int", "solver-tol-huge-int"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
         # every section is checked before the first stage writes anything
         config = small_config()
@@ -363,10 +400,18 @@ class TestMainEntry:
                      SMALL_PROBLEM["states"][1]]}, "gamma must be a number, got '3'"),
         ({"truncation": {"level": True}}, "truncation level must be a number, got True"),
         ({"truncation": {"level": "0.5"}}, "truncation level must be a number, got '0.5'"),
+        ({"states": [{**SMALL_PROBLEM["states"][0],
+                      "a": {"form": "constant_spd", "matrix": [[-1.0]]}},
+                     SMALL_PROBLEM["states"][1]]},
+         "metric is not positive definite (eigenvalues [-1.])"),
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1],
+                      "a": {"form": "constant_spd", "matrix": [[1.0, 0.0]]}}]},
+         "metric has shape (1, 2), expected (1,1)"),
     ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan",
             "rate-c-bool", "source-c0-bool", "drift-empty", "x-ref-empty-list",
             "x-ref-empty-object", "gamma-string", "truncation-level-bool",
-            "truncation-level-string"])
+            "truncation-level-string", "metric-not-positive", "metric-wrong-shape"])
     def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))
@@ -418,8 +463,11 @@ class TestMainEntry:
         ({"threads": 0}, []),
         ({}, ["--seed", "-1"]),
         ({}, ["--threads", "0"]),
+        ({"seed": -1, "mc": None, "lp": None}, []),
+        ({"threads": 0, "mc": None, "lp": None}, []),
     ], ids=["seed-negative", "seed-string", "seed-float", "seed-too-large",
-            "threads-string", "threads-zero", "seed-flag", "threads-flag"])
+            "threads-string", "threads-zero", "seed-flag", "threads-flag",
+            "seed-negative-no-mc", "threads-zero-no-mc"])
     def test_bad_seed_or_threads_exit_2(self, tmp_path, capsys, override, flags):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(**override)))
@@ -428,6 +476,17 @@ class TestMainEntry:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", [5, True, []], ids=["int", "bool", "list"])
+    def test_bad_out_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        # checked whether or not --out overrides it; nothing is written in the working dir
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(out=out)))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: out ")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     @pytest.mark.parametrize("value", ["no", 0, None], ids=["string", "int", "null"])
     def test_compare_methods_not_boolean_exit_2(self, tmp_path, capsys, value):

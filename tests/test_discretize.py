@@ -12,7 +12,6 @@ from ergodic_hjb.discretize import (
     build_grid,
     control_cap,
     gradient_central,
-    fields_to_csv,
     m_matrix_violations,
 )
 from ergodic_hjb.errors import ParameterError
@@ -225,18 +224,6 @@ def test_control_cap_exceeds_benchmark_optimum(quadratic_1d):
     g = build_grid(1, 6.0, 0.1)
     cap = control_cap(quadratic_1d, g)
     assert cap > np.sqrt(2.0) * 6.0
-
-
-def test_exports(tmp_path):
-    g = build_grid(1, 1.0, 0.5)
-    fpath = tmp_path / "fields.csv"
-    fields_to_csv(g, {"u": np.zeros((2, g.n_nodes))}, fpath)
-    lines = fpath.read_text().strip().splitlines()
-    assert lines[0] == "x1,state,u"
-    assert len(lines) == 1 + 2 * g.n_nodes
-    # the coordinate columns parse as numbers: both state blocks list the nodes
-    table = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
-    assert np.array_equal(table[:, :g.dim], np.vstack([g.points, g.points]))
 
 
 def _broadcast_bilinear(grid, values, pts, k):

@@ -9,6 +9,7 @@ from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh, stationarity_re
 from ergodic_hjb.errors import ParameterError
 from ergodic_hjb.simulate import _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_paths
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
+from ergodic_hjb.verify import consistency_report
 from tests.conftest import make_problem
 
 SQRT2 = np.sqrt(2.0)
@@ -125,11 +126,16 @@ class TestSimulatePaths:
             sigma = np.sqrt(expected / (est.state_fraction[i] * 1024 * 9.0))
             assert abs(observed - expected) <= 3 * sigma + 0.01 * expected
 
-    def test_mixed_exponents_flagged_unverified(self):
+    def test_mixed_exponents_agree_with_the_pde(self):
+        # every state prices its cost through its own exponent, so the extracted
+        # control's average cost matches lambda for gamma = (2, 3) as for equal ones
         problem = make_problem(gammas=(2.0, 3.0))
-        est = simulate_paths(problem, FeedbackControl.zero(6.0), horizon=0.5,
-                             dt=1e-2, paths=8, seed=0)
-        assert not est.pde_verified
+        solution = solve_ergodic_normalized(problem, build_grid(1, 6.0, 0.05))
+        est = simulate_paths(problem, extract_control(problem, solution), horizon=20.0,
+                             dt=2e-3, paths=2000, burn_in=0.1, seed=0)
+        report = consistency_report(solution.lam, None, est.avg_cost, est.std_error)
+        assert report.passed, report.narrative
+        assert est.clamp_count == 0
 
     def test_guards(self, quadratic_1d):
         ctrl = FeedbackControl.zero(6.0)
