@@ -78,8 +78,7 @@ def _checked_radii(radii, dim: int, h: float) -> list:
     if radii is None:
         return []
     if not isinstance(radii, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) and math.isfinite(r)
-            for r in radii):
+            math.isfinite(number(r, "radii entry")) for r in radii):
         raise ParameterError(f"radii must be a list of finite numbers, got {radii!r}")
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ParameterError(f"radii must be strictly increasing, got {radii}")

@@ -211,6 +211,8 @@ class FeedbackControl:
 
     @staticmethod
     def linear(radius: float, coefficient: float) -> "FeedbackControl":
+        if not np.isfinite(coefficient):
+            raise ParameterError(f"linear control coefficient must be finite, got {coefficient}")
         return FeedbackControl(kind="linear", radius=radius, coefficient=coefficient)
 
     def __call__(self, x: np.ndarray, k: int | np.ndarray) -> np.ndarray:

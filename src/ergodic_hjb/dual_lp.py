@@ -53,7 +53,9 @@ def build_control_mesh(problem: ProblemSpec, grid: Grid, magnitudes=None,
 
     ``magnitudes`` defaults to a uniform grid of step 0.25 from 0 to the cap;
     a supplied list must include 0.  The mesh always contains the zero
-    control, so any feedback field rounds to it within one mesh step.
+    control, so any feedback field rounds to it within one mesh step.  In 2D
+    each magnitude is taken along ``directions`` equispaced angles; fewer than
+    3 are rejected in either dimension.
     """
     if magnitudes is None:
         cap = control_cap(problem, grid)
@@ -63,11 +65,11 @@ def build_control_mesh(problem: ProblemSpec, grid: Grid, magnitudes=None,
         raise ParameterError("control magnitudes must include 0")
     step = float(np.max(np.diff(magnitudes))) if magnitudes.size > 1 else 0.0
     pos = magnitudes[magnitudes > 0]
+    if directions < 3:
+        raise ParameterError(f"need at least 3 directions, got {directions}")
     if grid.dim == 1:
         vals = np.concatenate([-pos[::-1], [0.0], pos])[:, None]
     else:
-        if directions < 3:
-            raise ParameterError("need at least 3 directions in 2D")
         angles = np.linspace(0.0, 2 * np.pi, directions, endpoint=False)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         vals = np.concatenate([np.zeros((1, 2)), (pos[:, None, None] * units).reshape(-1, 2)])

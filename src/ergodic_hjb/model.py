@@ -77,15 +77,15 @@ class _RampEnvelope:
 
     In the radial magnitude ``r = <p, a p>^(1/2)`` the ramped Hamiltonian is
     ``phi(r) = ramp(r^gamma / gamma)``: the power law below the junction
-    radius ``r_n`` and the outer ramp branch above it.  The outer branch's
-    curvature has the sign of ``r^gamma / gamma - (gamma - 1)(level - 1)``, so
-    it is concave on ``[r_n, r_min]`` once ``level > (gamma - 1)/(gamma - 2)``.  The envelope
-    then bridges the dip with the common tangent of slope ``s_c``, which
-    touches the power law at ``r_t`` and the outer branch at ``r_o``;
-    otherwise ``phi`` is convex and ``r_t = r_o = r_n``.  The envelope and
-    ``phi`` share one conjugate (Rockafellar, Convex Analysis, Sec. 12), a
-    function of ``s = <xi, a^{-1} xi>^(1/2)``.  All queries are exact up to
-    root-finding precision.
+    radius ``r_n`` and the outer ramp branch above it, where
+    ``w = r^gamma / gamma - level + 1`` gives the value ``level - gamma/2 +
+    (gamma/2) w^(2/gamma)`` and the slope ``r^(gamma-1) w^(2/gamma-1)``.  The
+    slope is least at ``w = (gamma - 2)(level - 1)``; past the junction
+    (``w > 1``) the envelope bridges that dip with the common tangent of slope
+    ``s_c``, which touches the power law at ``r_t`` and the outer branch at
+    ``r_o``; otherwise ``phi`` is convex and ``r_t = r_o = r_n``.  The envelope
+    and ``phi`` share one conjugate (Rockafellar, Convex Analysis, Sec. 12), a
+    function of ``s = <xi, a^{-1} xi>^(1/2)``, exact up to rounding.
     """
 
     def __init__(self, gamma: float, level: float):
@@ -94,69 +94,69 @@ class _RampEnvelope:
         self.level = float(level)
         r_n = (g * level) ** (1.0 / g)
         self.s_c, self.r_t, self.r_o = r_n ** (g - 1.0), r_n, r_n
-        if self.level * (g - 2.0) <= g - 1.0:
+        w_min = (g - 2.0) * (self.level - 1.0)
+        if w_min <= 1.0:
             return
-        r_min = (g * (g - 1.0) * (self.level - 1.0)) ** (1.0 / g)
 
         def gap(s):
-            """Height of the outer branch above the power law's tangent of slope s."""
-            r_t = s ** (1.0 / (g - 1.0))
-            r_o = self._outer_radius(s, r_min)
-            return self._phi_out(r_o) - (r_t**g / g) - s * (r_o - r_t)
+            """Power-law conjugate minus the outer branch's, at slope s."""
+            return s ** (g / (g - 1.0)) * (1.0 - 1.0 / g) - self._outer(s)[1]
 
-        s_lo, s_hi = self._dphi_out(r_min), self.s_c
+        s_lo = (g * (w_min + self.level - 1.0)) ** (1.0 - 1.0 / g) * w_min ** (2.0 / g - 1.0)
+        s_hi = self.s_c
         if not gap(s_lo) > 0.0:     # a dip below rounding: phi is convex to working precision
             return
-        for _ in range(200):
-            mid = 0.5 * (s_lo + s_hi)
-            if gap(mid) > 0.0:
-                s_lo = mid
+        while True:
+            self.s_c = 0.5 * (s_lo + s_hi)
+            if self.s_c in (s_lo, s_hi):    # the bracket ends are adjacent floats
+                break
+            if gap(self.s_c) > 0.0:
+                s_lo = self.s_c
             else:
-                s_hi = mid
-        self.s_c = 0.5 * (s_lo + s_hi)
+                s_hi = self.s_c
         self.r_t = self.s_c ** (1.0 / (g - 1.0))
-        self.r_o = float(self._outer_radius(self.s_c, r_min))
+        self.r_o = float(self._outer(self.s_c)[0])
 
-    def _phi_out(self, r):
-        return ramp(r**self.gamma / self.gamma, self.level, self.gamma)
-
-    def _dphi_out(self, r):
+    def _outer(self, s):
+        """Radius ``r`` and ``s r - phi(r)`` at the outer branch's point of slope ``s`` on
+        its convex part.  There ``w`` is the larger root of the convex ``F(w) = gamma w
+        + gamma (level - 1) - sigma w^b``, with ``sigma = s^(gamma/(gamma-1))`` and
+        ``b = (gamma-2)/(gamma-1)``.  Newton from where ``F >= 0 < F'`` decreases to it
+        monotonically (Ortega & Rheinboldt, 1970), kept right of the minimum of ``F``
+        (``floor``); it stops at the first step where no entry decreases."""
         g = self.gamma
-        return r ** (g - 1.0) * (r**g / g - self.level + 1.0) ** (2.0 / g - 1.0)
-
-    def _outer_radius(self, s, lo: float) -> np.ndarray:
-        """Invert the outer-branch slope on ``[lo, inf)``, where it increases, by bisection."""
-        lo = np.full(np.shape(s), lo)
-        hi = np.maximum(2.0 * lo, 2.0 * s * self.gamma ** (2.0 / self.gamma))
-        for _ in range(60):
-            grow = self._dphi_out(hi) < s
-            if not np.any(grow):
-                break
-            hi = np.where(grow, 2.0 * hi, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):   # no bracket can move again
-                break
-            high = self._dphi_out(mid) > s
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        return 0.5 * (lo + hi)
+        b = (g - 2.0) / (g - 1.0)
+        sigma = np.asarray(s, dtype=float) ** (g / (g - 1.0))
+        floor = (b * sigma / g) ** (g - 1.0)
+        w = np.maximum((2.0 * sigma / g) ** (g - 1.0), 2.0 * (1.0 - self.level))
+        while True:
+            wb = w**b
+            with np.errstate(divide="ignore", invalid="ignore"):    # F' = 0 at the floor
+                nxt = np.fmax(w - (g * w + g * (self.level - 1.0) - sigma * wb)
+                              / (g - b * sigma * wb / w), floor)
+            if not np.any(nxt < w):
+                r = (g * (w + self.level - 1.0)) ** (1.0 / g)
+                return r, s * r - (self.level - g / 2.0 + (g / 2.0) * w ** (2.0 / g))
+            w = np.fmin(nxt, w)
 
     def value(self, m: np.ndarray) -> np.ndarray:
         """Envelope at radial gradient magnitude ``m``."""
         g = self.gamma
         return np.where(m <= self.r_t, m**g / g,
                         np.where(m < self.r_o, self.r_t**g / g + self.s_c * (m - self.r_t),
-                                 self._phi_out(m)))
+                                 ramp(m**g / g, self.level, g)))
 
     def slope(self, m: np.ndarray) -> np.ndarray:
         """Envelope slope at radial gradient magnitude ``m``: the optimal
         control magnitude for that gradient."""
+        g = self.gamma
         m = np.asarray(m, dtype=float)
-        out = np.where(m <= self.r_t, np.where(m > 0, m, 0.0) ** (self.gamma - 1.0), self.s_c)
+        out = np.where(m <= self.r_t, np.where(m > 0, m, 0.0) ** (g - 1.0), self.s_c)
         far = m >= self.r_o
         if np.any(far):
-            out = np.where(far, self._dphi_out(np.maximum(m, self.r_o)), out)
+            r = np.maximum(m, self.r_o)
+            out = np.where(far, r ** (g - 1.0) * (r**g / g - self.level + 1.0) ** (2.0 / g - 1.0),
+                           out)
         return out
 
     def conjugate(self, s: np.ndarray) -> np.ndarray:
@@ -166,8 +166,7 @@ class _RampEnvelope:
         out = np.asarray(s ** (g / (g - 1.0)) * (1.0 - 1.0 / g))
         steep = s > self.s_c
         if np.any(steep):
-            r_star = self._outer_radius(s[steep], self.r_o)
-            out[steep] = s[steep] * r_star - self._phi_out(r_star)
+            out[steep] = self._outer(s[steep])[1]
         return out
 
 

@@ -69,12 +69,15 @@ class PenaltyParams:
     alpha_exp: float
     cap: float | None = None
 
-    def validated(self, problem: ProblemSpec) -> "PenaltyParams":
-        if self.cap is not None and (isinstance(self.cap, bool)
-                                     or not isinstance(self.cap, (int, float))
-                                     or not 0.0 <= self.cap < np.inf):
+    def __post_init__(self):
+        for name in ("beta", "alpha_exp"):
+            if not math.isfinite(number(getattr(self, name), f"penalty {name}")):
+                raise ParameterError(f"penalty {name} must be finite, got {getattr(self, name)!r}")
+        if self.cap is not None and not 0.0 <= number(self.cap, "penalty cap") < math.inf:
             raise ParameterError(f"penalty cap must be null or a finite number >= 0, "
                                  f"got {self.cap!r}")
+
+    def validated(self, problem: ProblemSpec) -> "PenaltyParams":
         gammas = [problem.hamiltonian.gamma(k) for k in STATES]
         gmin2 = min(min(gammas), 2.0)
         if self.beta <= max(2.0, *gammas):

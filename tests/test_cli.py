@@ -302,47 +302,58 @@ class TestMainEntry:
         assert err == ["config error: Hamiltonian truncation is supported only for driftless states"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("mc", "pathz", 10),
-        ("lp", "control_stepp", 0.5),
-        ("grid", "hh", 0.1),
-        ("audits", "coersive", True),
-        ("mc", "control", "bogus"),
-        ("mc", "mode", "psychic"),
-        ("mc", "dt", 0.5),
-        ("lp", "h", 0.07),
-        ("mc", "horizon", "abc"),
-        ("mc", "perturbed", "linear:x"),
-        ("mc", "dt", float("nan")),
-        ("mc", "horizon", float("inf")),
-        ("solver", "tol_lambda", "abc"),
-        ("solver", "max_policy_iters", 0),
-        ("mc", "horizon", 4e-4),
-        ("solver", "cap_factor", 2.0),
-        ("mc", "paths", 1),
-        ("mc", "paths", 2.5),
-        ("mc", "paths", "10"),
-        ("mc", "sample_path", "yes"),
-        ("mc", "mode", "thinning"),
-        ("lp", "control_step", 0),
-        ("lp", "control_step", -0.5),
-        ("lp", "control_step", float("inf")),
-        ("lp", "directions", 8.0),
-        ("audits", "comparison", "no"),
-        ("audits", "assumptions", 1),
-        ("grid", "h", True),
-        ("grid", "radius", True),
-        ("grid", "radius", float("inf")),
-        ("lp", "h", True),
-        ("lp", "h", float("inf")),
-        ("lp", "control_step", True),
-        ("mc", "horizon", "2"),
-        ("mc", "burn_in", "0.1"),
-        ("mc", "perturbed", 0),
-        ("grid", "radius", 10**400),
-        ("lp", "h", 10**400),
-        ("mc", "horizon", 10**400),
-        ("solver", "tol_lambda", 10**400),
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("mc", "pathz", 10, None),
+        ("lp", "control_stepp", 0.5, None),
+        ("grid", "hh", 0.1, None),
+        ("audits", "coersive", True, None),
+        ("mc", "control", "bogus", None),
+        ("mc", "mode", "psychic", None),
+        ("mc", "dt", 0.5, None),
+        ("lp", "h", 0.07, None),
+        ("mc", "horizon", "abc", None),
+        ("mc", "perturbed", "linear:x", None),
+        ("mc", "dt", float("nan"), None),
+        ("mc", "horizon", float("inf"), None),
+        ("solver", "tol_lambda", "abc", None),
+        ("solver", "max_policy_iters", 0, None),
+        ("mc", "horizon", 4e-4, None),
+        ("solver", "cap_factor", 2.0, None),
+        ("mc", "paths", 1, None),
+        ("mc", "paths", 2.5, None),
+        ("mc", "paths", "10", None),
+        ("mc", "sample_path", "yes", None),
+        ("mc", "mode", "thinning", None),
+        ("lp", "control_step", 0, None),
+        ("lp", "control_step", -0.5, None),
+        ("lp", "control_step", float("inf"), None),
+        ("lp", "directions", 8.0, None),
+        ("audits", "comparison", "no", None),
+        ("audits", "assumptions", 1, None),
+        ("grid", "h", True, None),
+        ("grid", "radius", True, None),
+        ("grid", "radius", float("inf"), None),
+        ("lp", "h", True, None),
+        ("lp", "h", float("inf"), None),
+        ("lp", "control_step", True, None),
+        ("mc", "horizon", "2", None),
+        ("mc", "burn_in", "0.1", None),
+        ("mc", "perturbed", 0, None),
+        ("grid", "radius", 10**400, None),
+        ("lp", "h", 10**400, None),
+        ("mc", "horizon", 10**400, None),
+        ("solver", "tol_lambda", 10**400, None),
+        ("penalty", "beta", 10**400, "penalty beta must be a number in the float range"),
+        ("penalty", "cap", 10**400, "penalty cap must be a number in the float range"),
+        ("penalty", "beta", "4", "penalty beta must be a number, got '4'"),
+        ("penalty", "alpha_exp", float("nan"), "penalty alpha_exp must be finite, got nan"),
+        (None, "radii", [10**400], "radii entry must be a number in the float range"),
+        ("mc", "control", "linear:nan", "linear control coefficient must be finite, got nan"),
+        ("mc", "perturbed", "linear:inf", "linear control coefficient must be finite, got inf"),
+        ("mc", "control", "linear:1e400", "linear control coefficient must be finite, got inf"),
+        ("lp", "directions", 0, "need at least 3 directions, got 0"),
+        ("lp", "directions", -1, "need at least 3 directions, got -1"),
+        ("lp", "directions", 2, "need at least 3 directions, got 2"),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
             "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
@@ -352,27 +363,40 @@ class TestMainEntry:
             "audits-flag-int", "grid-h-bool", "grid-radius-bool", "grid-radius-inf",
             "lp-h-bool", "lp-h-inf", "lp-control-step-bool", "mc-horizon-string",
             "mc-burn-in-string", "mc-perturbed-zero", "grid-radius-huge-int", "lp-h-huge-int",
-            "mc-horizon-huge-int", "solver-tol-huge-int"])
-    def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value):
-        # every section is checked before the first stage writes anything
+            "mc-horizon-huge-int", "solver-tol-huge-int", "penalty-beta-huge-int",
+            "penalty-cap-huge-int", "penalty-beta-string", "penalty-alpha-exp-nan",
+            "radii-huge-int", "mc-control-linear-nan", "mc-perturbed-linear-inf",
+            "mc-control-linear-huge", "lp-directions-zero", "lp-directions-negative",
+            "lp-directions-two"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value, message):
+        # every section is checked before the first stage writes anything; a case with a
+        # message names the whole line; section None is a top-level key, and the sections
+        # come from FUZZ_BASE, which adds a valid penalty section to small_config()
         config = small_config()
-        config[section] = {**config[section], key: value}
+        if section is None:
+            config[key] = value
+        else:
+            config[section] = {**FUZZ_BASE[section], key: value}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert message is None or err[0] == f"config error: {message}"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("cap", ["x", float("nan"), -1.0, True],
-                             ids=["string", "nan", "negative", "bool"])
-    def test_bad_penalty_cap_exit_2(self, tmp_path, capsys, cap):
+    @pytest.mark.parametrize("cap, message", [
+        ("x", "penalty cap must be a number, got 'x'"),
+        (float("nan"), "penalty cap must be null or a finite number >= 0, got nan"),
+        (-1.0, "penalty cap must be null or a finite number >= 0, got -1.0"),
+        (True, "penalty cap must be a number, got True"),
+    ], ids=["string", "nan", "negative", "bool"])
+    def test_bad_penalty_cap_exit_2(self, tmp_path, capsys, cap, message):
         config = small_config(penalty={"beta": 4.0, "alpha_exp": 5.0, "cap": cap})
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.strip().splitlines() == [
-            f"config error: penalty cap must be null or a finite number >= 0, got {cap!r}"]
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("problem, message", [
@@ -431,10 +455,10 @@ class TestMainEntry:
          "non-finite parameter"),
         ({}, [4.0, 2.0], "radii must be strictly increasing"),
         ({}, [2.0, 2.0], "radii must be strictly increasing"),
-        ({}, ["a", 4.0], "radii must be a list of finite numbers"),
+        ({}, ["a", 4.0], "radii entry must be a number, got 'a'"),
         ({}, [2.0, float("nan")], "radii must be a list of finite numbers"),
         ({}, [2.0, float("inf")], "radii must be a list of finite numbers"),
-        ({}, [True, 4.0], "radii must be a list of finite numbers"),
+        ({}, [True, 4.0], "radii entry must be a number, got True"),
         ({}, 4.0, "radii must be a list of finite numbers"),
         ({}, [2.0, 3.05], "does not divide half-width 3.05"),
     ], ids=["rate-negative", "rate-nan", "rate-quadratic-c0", "rate-quadratic-weight",

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodic_hjb import fields
 from ergodic_hjb.discretize import build_grid
@@ -10,6 +12,7 @@ from ergodic_hjb.errors import ParameterError
 from ergodic_hjb.model import (
     HamiltonianSpec,
     _quad,
+    _RampEnvelope,
     ProblemSpec,
     load_problem,
     other_state,
@@ -196,6 +199,46 @@ def test_truncated_pair_with_metric(rng):
     for k in (1, 2):
         gap = h.duality_gap(k, x, p)
         assert np.all(np.abs(gap) <= 1e-12 * (1.0 + np.abs(h.value(k, x, p))))
+
+
+@pytest.mark.parametrize("gamma, level", [(2.5, 0.3), (3.0, 5.0), (4.0, 2.0), (4.0, 28.7),
+                                          (6.0, 1e3)])
+def test_truncated_conjugate_matches_brute_force(gamma, level):
+    # the running cost is sup_r (s r - ramp(r^gamma / gamma)): on a uniform r grid the
+    # maximum is never above it, and falls short by at most dr^2 phi'' / 8 where phi is
+    # convex, as it is at every maximizer (dr^2 phi'' is a second difference)
+    env = _RampEnvelope(gamma, level)
+    s_values = np.concatenate([env.s_c * np.array([1.0 - 1e-6, 1.0 + 1e-6]),
+                               np.linspace(0.0, 4.0 * env.s_c, 9)[1:]])
+    r = np.linspace(0.0, 4.0 * env.s_c + env.r_o + 1.0, 400_001)
+    phi = ramp(r**gamma / gamma, level, gamma)
+    shortfall = np.max(np.diff(phi, 2)) / 8.0
+    for s in s_values:
+        gains = s * r - phi
+        best = int(np.argmax(gains))
+        assert 0 < best < r.size - 1            # the maximizer lies inside the grid
+        cost = float(env.conjugate(s))
+        rounding = 1e-12 * (1.0 + abs(cost))
+        assert gains[best] - rounding <= cost <= gains[best] + shortfall + rounding
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(gamma=st.floats(2.0, 8.0, exclude_min=True), level=st.floats(0.1, 1e3))
+def test_truncated_pair_properties(gamma, level):
+    # for any gamma > 2 and level, level < 1 included: no duality gap, a monotone
+    # slope map, and a running cost continuous across the bridge slope s_c
+    h = truncate_hamiltonian(ham(dim=1, gammas=(gamma, gamma)), level=level)
+    env = _RampEnvelope(gamma, level)
+    x = np.zeros((2001, 1))
+    p = np.linspace(0.0, 2.0 * env.r_o + 4.0, 2001)[:, None]
+    values = h.value(1, x, p)
+    assert np.all(np.abs(h.duality_gap(1, x, p)) <= 1e-12 * (1.0 + np.abs(values)))
+    slope = h.grad_p(1, x, p)[:, 0]
+    assert np.all(np.diff(slope) >= -1e-12 * slope[1:])
+    step = 1e-9 * env.s_c
+    below, at, above = (env.conjugate(env.s_c + k * step) for k in (-1, 0, 1))
+    # the conjugate's slope is the maximizer, at most r_o near s_c
+    assert max(abs(at - below), abs(above - at)) <= 2.0 * env.r_o * step + 1e-12 * (1.0 + at)
 
 
 def test_truncation_identity_for_subquadratic():

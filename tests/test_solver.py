@@ -87,10 +87,15 @@ class TestPenaltySource:
         with pytest.raises(ParameterError, match="must exceed"):
             PenaltyParams(beta=1.5, alpha_exp=2.0).validated(quadratic_1d)
 
-    @pytest.mark.parametrize("cap", [-1.0, float("nan"), float("inf"), "x", True],
-                             ids=["negative", "nan", "inf", "string", "bool"])
-    def test_bad_cap_rejected(self, quadratic_1d, cap):
-        with pytest.raises(ParameterError, match="penalty cap must be null or a finite number"):
+    @pytest.mark.parametrize("cap, message", [
+        (-1.0, "penalty cap must be null or a finite number"),
+        (float("nan"), "penalty cap must be null or a finite number"),
+        (float("inf"), "penalty cap must be null or a finite number"),
+        ("x", "penalty cap must be a number"),
+        (True, "penalty cap must be a number"),
+    ], ids=["negative", "nan", "inf", "string", "bool"])
+    def test_bad_cap_rejected(self, quadratic_1d, cap, message):
+        with pytest.raises(ParameterError, match=message):
             PenaltyParams(beta=3.0, alpha_exp=5.0, cap=cap).validated(quadratic_1d)
         # 0.0 is the no-wall box, None the default wall
         for ok in (0.0, 0, 10.0, None):
