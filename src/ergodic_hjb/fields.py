@@ -253,13 +253,15 @@ class MetricField:
 
     ``matrix`` is stored row-major as a tuple of tuples so instances stay
     hashable and immutable.  ``a`` and ``a_inv`` are the read-only
-    ``(dim, dim)`` matrix and its inverse.
+    ``(dim, dim)`` matrix and its inverse; ``scalar`` records whether both are
+    exact multiples of the identity, as every 1x1 metric is.
     """
 
     dim: int
     matrix: tuple[tuple[float, ...], ...] | None = None  # None means identity
     a: np.ndarray = field(init=False, repr=False, compare=False)
     a_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    scalar: bool = field(init=False, repr=False, compare=False)
     _eigbounds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -271,8 +273,11 @@ class MetricField:
         eig = np.linalg.eigvalsh(a)
         if eig.min() <= 0.0:
             raise CoefficientError(f"metric is not positive definite (eigenvalues {eig})")
+        a_inv = np.linalg.inv(a)
         object.__setattr__(self, "a", _read_only(a))
-        object.__setattr__(self, "a_inv", _read_only(np.linalg.inv(a)))
+        object.__setattr__(self, "a_inv", _read_only(a_inv))
+        object.__setattr__(self, "scalar", all(np.array_equal(m, m[0, 0] * np.eye(self.dim))
+                                               for m in (a, a_inv)))
         object.__setattr__(self, "_eigbounds", (float(eig.min()), float(eig.max())))
 
     def eig_bounds(self) -> tuple[float, float]:

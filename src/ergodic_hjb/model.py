@@ -48,12 +48,20 @@ def _check_state(k: int) -> None:
         raise ParameterError(f"state index must be 1 or 2, got {k}")
 
 
-def _quad(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _quad(v: np.ndarray, m: np.ndarray, scalar: bool = False) -> np.ndarray:
     """<v, m v> over the leading axes of ``v`` for one ``(d, d)`` matrix ``m``.
 
     The columns of ``(v @ m) * v`` are added in order, one whole column at a time.
+    When ``m`` is a ``scalar`` multiple ``c I`` of the identity, ``v * c + 0.0``
+    stands in for ``v @ m``: for finite ``v`` the matmul's off-diagonal products
+    are exact zeros and its zero sums are +0, so the bits are the same.  The one
+    exception is the sign of a zero where a nonzero ``v_i c`` underflows, which
+    the matmul takes from its kernel (a fused multiply-add keeps the product's
+    sign); in 1D it is +0 either way.  Other diagonal ``m`` keep the matmul:
+    broadcasting their ``(d,)`` diagonal over the rows of ``v`` gives the same
+    bits but is slower than the matmul for d = 2.
     """
-    terms = (v @ m) * v
+    terms = ((v * m[0, 0] + 0.0) if scalar else v @ m) * v
     acc = terms[..., 0]
     for i in range(1, terms.shape[-1]):
         acc = acc + terms[..., i]
@@ -186,6 +194,8 @@ class HamiltonianSpec:
     drifts: tuple[DriftField, DriftField]
     truncation_level: float | None = None
     _envelopes: tuple = field(init=False, repr=False, compare=False)
+    # per state: (conjugate exponent, drift vector or None when zero, metric, envelope)
+    _conjugates: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.gammas:
@@ -203,6 +213,9 @@ class HamiltonianSpec:
             else:
                 envelopes.append(_RampEnvelope(self.gamma(k), level))
         object.__setattr__(self, "_envelopes", tuple(envelopes))
+        object.__setattr__(self, "_conjugates", tuple(
+            (self.conjugate_gamma(k), None if self.drift(k).is_zero else self.drift(k).b,
+             self.metric(k), envelopes[k - 1]) for k in STATES))
 
     def gamma(self, k: int) -> float:
         _check_state(k)
@@ -225,7 +238,8 @@ class HamiltonianSpec:
     def value_raw(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Untruncated H_k(x, p)."""
         g = self.gamma(k)
-        q = _quad(np.asarray(p, dtype=float), self.metric(k).a)
+        metric = self.metric(k)
+        q = _quad(np.asarray(p, dtype=float), metric.a, metric.scalar)
         return q ** (g / 2.0) / g + np.sum(self.drift(k).b * p, axis=-1)
 
     def value(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -233,14 +247,16 @@ class HamiltonianSpec:
         env = self._envelopes[k - 1]
         if env is None:
             return self.value_raw(k, x, p)
-        return env.value(np.sqrt(_quad(np.asarray(p, dtype=float), self.metric(k).a)))
+        metric = self.metric(k)
+        return env.value(np.sqrt(_quad(np.asarray(p, dtype=float), metric.a, metric.scalar)))
 
     def grad_p(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Analytic grad_p H_k; at p = 0 with gamma_k < 2 the power term is 0 by continuity."""
         g = self.gamma(k)
         p = np.asarray(p, dtype=float)
-        a = self.metric(k).a
-        q = _quad(p, a)
+        metric = self.metric(k)
+        a = metric.a
+        q = _quad(p, a, metric.scalar)
         env = self._envelopes[k - 1]
         if env is not None:
             m = np.sqrt(np.maximum(q, 0.0))
@@ -252,13 +268,16 @@ class HamiltonianSpec:
         return fac[..., None] * (p @ a.T) + self.drift(k).b
 
     def lagrangian(self, k: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """l_k(x, xi), the conjugate of ``value``; nonnegative, zero exactly at xi = b_k."""
-        gc = self.conjugate_gamma(k)
+        """l_k(x, xi), the conjugate of ``value``; nonnegative, zero exactly at xi = b_k.
+
+        Reads the state's constants resolved when the spec was built.
+        """
+        _check_state(k)
+        gc, b, metric, env = self._conjugates[k - 1]
         d = np.asarray(xi, dtype=float)
-        if not self.drift(k).is_zero:   # xi - 0.0 is xi exactly; skip the broadcast
-            d = d - self.drift(k).b
-        q = _quad(d, self.metric(k).a_inv)
-        env = self._envelopes[k - 1]
+        if b is not None:   # xi - 0.0 is xi exactly; skip the broadcast
+            d = d - b
+        q = _quad(d, metric.a_inv, metric.scalar)
         if env is not None:
             return env.conjugate(np.sqrt(q))
         return q ** (gc / 2.0) / gc

@@ -11,6 +11,10 @@ by ``alpha_S(X) dt``, and the path switches when its clock reaches 0, drawing
 a fresh clock; no step draws anything for switching otherwise.  The long-run
 average of ``f_S(X) + l_S(X, xi(X, S))`` estimates the eigenvalue when xi is
 the extracted optimal feedback, and strictly exceeds it for other fields.
+When the two states have equal source and Hamiltonian data (gamma, metric,
+drift; the truncation is shared), that running cost is one evaluation for
+every path; otherwise both states' costs are evaluated and each path keeps
+its own state's.
 The feedback is a ``discretize.FeedbackControl``: the solver's extracted
 field (interpolated multilinearly between nodes) or an analytic one.
 
@@ -94,6 +98,9 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
     alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
     sources = (problem.source(1), problem.source(2))
     ham = problem.hamiltonian
+    # states with equal data price a path alike: np.where(in1, c, c) is c
+    same_cost = sources[0] == sources[1] and all(
+        pair[0] == pair[1] for pair in (ham.gammas, ham.metrics, ham.drifts))
 
     noise = np.sqrt(2.0 * dt)
     kept = []
@@ -103,8 +110,9 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
         xi = control(x, state)
         rate = np.where(in1, alphas[0](x), alphas[1](x))
         if tallied:
-            run = np.where(in1, sources[0](x) + ham.lagrangian(1, x, xi),
-                           sources[1](x) + ham.lagrangian(2, x, xi))
+            run = sources[0](x) + ham.lagrangian(1, x, xi)
+            if not same_cost:
+                run = np.where(in1, run, sources[1](x) + ham.lagrangian(2, x, xi))
             cost_acc += run * dt
             n1 = int(np.count_nonzero(in1))
             time_in[0] += n1 * dt
@@ -126,9 +134,8 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
                 switches_from[1] += n_flip - from1
             in1 = in1 ^ flip
         x = x - xi * dt + noise * draws
-        out = np.abs(x) > radius
-        if np.any(out):
-            clamps += int(np.sum(out))
+        if not (x.max() <= radius and x.min() >= -radius):   # a NaN also lands here
+            clamps += int(np.count_nonzero(np.abs(x) > radius))
             x = np.clip(x, -radius, radius)
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
@@ -180,6 +187,9 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     accumulation.  Each step evaluates the feedback and every rate that
     depends on x once per path, in its current state (an x-free rate is
     evaluated once per path chunk), and draws one normal per path and axis.
+    The running cost of a tallied step is evaluated once when both states'
+    sources, exponents, metrics and drifts compare equal, and once per state,
+    for every path, otherwise; the two give the same bits on equal states.
     A path switches when its Exp(1) clock, run down by ``rate dt`` each step,
     reaches 0; only the paths that switched draw fresh clocks, in one call on
     the chunk's stream.  The rule is the same for every rate form; a path

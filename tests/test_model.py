@@ -332,3 +332,33 @@ def test_quad_bit_identical_to_broadcast_sum():
         a = m[:dim, :dim]
         assert np.all(np.linalg.eigvalsh(a) > 0.0)
         assert np.array_equal(_quad(v, a), np.sum((v @ a) * v, axis=-1))
+
+
+_EDGE = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-150, -1e-150, 1e150, -1e150, 1.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(dim=st.sampled_from([1, 2, 3]), equal=st.booleans(),
+       entries=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+       rows=st.lists(st.lists(st.one_of(st.sampled_from(_EDGE), st.floats(-1e150, 1e150)),
+                              min_size=3, max_size=3), min_size=1, max_size=12))
+def test_quad_diagonal_metric_bit_identical(dim, equal, entries, rows):
+    # a diagonal metric takes the scalar multiply when it is c I, and the matmul
+    # otherwise; either way the bits, signed zeros included, are those of the column
+    # sum of (v @ m) * v.  Where a nonzero entry times c underflows to 0 the matmul
+    # itself gives +0 or the product's sign, by the kernel it picks for the shape
+    # (a fused multiply-add for d = 2 with two or more rows), so there only the
+    # value is fixed
+    diag = [entries[0]] * dim if equal else entries[:dim]
+    metric = fields.constant_metric(dim, np.diag(diag))
+    assert metric.scalar == (len(set(diag)) == 1)
+    v = np.array([r[:dim] for r in rows])
+    for m in (metric.a, metric.a_inv):
+        terms = (v @ m) * v
+        expected = terms[:, 0]
+        for i in range(1, dim):
+            expected = expected + terms[:, i]
+        got = _quad(v, m, metric.scalar)
+        assert np.array_equal(got, expected)
+        exact = ~(np.any((v != 0) & (v * m[0, 0] == 0), axis=-1) & metric.scalar)
+        assert got[exact].tobytes() == expected[exact].tobytes()

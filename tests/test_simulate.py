@@ -190,6 +190,43 @@ def test_estimates_pinned(case):
     assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[case]
 
 
+def _box_run(dim, problem=None):
+    """64 paths under a two-state grid control on a box of radius 1 that they leave."""
+    grid = build_grid(dim, 1.0, 0.25)
+    x = grid.points
+    ctrl = FeedbackControl.from_fields(grid, np.stack([0.5 * x, -0.5 * x]))
+    if problem is None:
+        problem = make_problem(dim=dim, alphas=(1.5, 0.7),
+                               sources=(fields.quadratic(dim), fields.quadratic(dim).shifted(1.0)))
+    return simulate_paths(problem, ctrl, horizon=1.0, dt=1e-2, paths=64, seed=5,
+                          record_samples=True)
+
+
+# exact (clamp_count, avg_cost) of _box_run: the count is of entries with |x| > radius
+# over every step, whichever test decides that a step has one
+CLAMPED = {1: (579, 0.9306593043252607), 2: (906, 1.3143111511561725)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_clamp_count_pinned(dim):
+    est = _box_run(dim)
+    assert (est.clamp_count, est.avg_cost) == CLAMPED[dim]
+
+
+def test_equal_states_price_once():
+    # equal state data take the one-evaluation path; writing state 2's metric as an
+    # explicit identity makes the states unequal as dataclasses, so that problem takes
+    # the two-evaluation path, and both must give the same bits
+    equal = make_problem(dim=2, alphas=(1.5, 0.7))
+    explicit = make_problem(dim=2, alphas=(1.5, 0.7), metrics=(
+        fields.identity_metric(2), fields.constant_metric(2, np.eye(2))))
+    assert explicit.hamiltonian.metric(1) != explicit.hamiltonian.metric(2)
+    a, b = _box_run(2, equal), _box_run(2, explicit)
+    assert (a.avg_cost, a.std_error, a.switch_count) == (b.avg_cost, b.std_error, b.switch_count)
+    assert np.array_equal(a.tail_averages, b.tail_averages)
+    assert np.array_equal(a.samples.cost, b.samples.cost)
+
+
 class TestEmpiricalMeasure:
     def test_unit_mass_and_rare_state(self):
         # state 2 nearly absorbing into 1: mass concentrates in state 1

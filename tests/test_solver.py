@@ -587,3 +587,58 @@ class TestExtractControl:
         control = extract_control(quadratic_1d, flat)
         assert np.allclose(control.values, 0.0, atol=1e-12)
         assert control.duality_residual <= 1e-12
+
+
+# -- exact identities of the eigenvalue map ----------------------------------
+
+def _random_problem(draw_seed):
+    """1D problem with different data per state: gamma, scalar metric, drift,
+    constant rate and a quadratic or trig-modulated source."""
+    rng = np.random.default_rng(draw_seed)
+    sources = tuple(fields.quadratic(1, (rng.uniform(0.5, 2.0),), c0=rng.uniform(-1.0, 1.0))
+                    if rng.random() < 0.5 else
+                    fields.trig_power(1, rng.uniform(1.5, 2.5), rng.uniform(0.2, 1.0))
+                    for _ in range(2))
+    return make_problem(
+        gammas=tuple(rng.uniform(1.5, 3.0, 2)), alphas=tuple(rng.uniform(0.5, 2.0, 2)),
+        sources=sources, drifts=tuple(fields.DriftField(1, (rng.uniform(-0.5, 0.5),))
+                                      for _ in range(2)),
+        metrics=tuple(fields.constant_metric(1, [[rng.uniform(0.5, 2.0)]]) for _ in range(2)))
+
+
+def _shared_solve(problem, grid, base):
+    """Direct solve with the wall, control cap and tolerance of ``base``, so a
+    change of the data does not leak into them."""
+    pen = replace(default_penalty(base), cap=solver.wall_cap(base, grid))
+    opts = SolverOptions(control_cap=control_cap(base, grid),
+                         tol_pde=1e-9 * solver._source_scale(base, grid))
+    return solve_ergodic_normalized(problem, grid, penalty=pen, opts=opts)
+
+
+# each draw is three 1D solves (and their 2h starts) of at most 81 nodes per state; about 2 s
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(draw_seed=st.integers(0, 2**16), h=st.sampled_from([0.1, 0.2]),
+       c=st.floats(-3.0, 3.0))
+def test_shift_and_swap_identities(draw_seed, h, c):
+    # lambda(f + c) = lambda(f) + c with u unchanged, and exchanging the two
+    # states' data leaves lambda unchanged and pins the other state's value
+    problem = _random_problem(draw_seed)
+    grid = build_grid(1, 4.0, h)
+    base = _shared_solve(problem, grid, problem)
+    scale = 1.0 + abs(base.lam)
+
+    shifted = _shared_solve(problem.with_sources(f.shifted(c) for f in problem.sources),
+                            grid, problem)
+    assert abs(shifted.lam - base.lam - c) <= 1e-12 * (scale + abs(c))
+    assert np.max(np.abs(shifted.u - base.u)) <= 1e-12 * (1.0 + np.max(np.abs(base.u)))
+
+    ham = problem.hamiltonian
+    swapped = replace(
+        problem, switch_rates=problem.switch_rates[::-1], sources=problem.sources[::-1],
+        hamiltonian=replace(ham, gammas=ham.gammas[::-1], metrics=ham.metrics[::-1],
+                            drifts=ham.drifts[::-1]))
+    other = _shared_solve(swapped, grid, swapped)
+    assert abs(other.lam - base.lam) <= 1e-12 * scale
+    ref = grid.index_of(problem.ref_point)
+    assert np.max(np.abs(other.u[::-1] - (base.u - base.u[1, ref]))) <= (
+        1e-12 * (1.0 + np.max(np.abs(base.u))))
