@@ -7,14 +7,13 @@ bundle.  Outputs carry no timestamps and all randomness is seeded, so a rerun
 of the same config reproduces every file byte for byte.
 
 ``run_pipeline`` reads and checks every config section, then runs the stages
-in this order: the solve (``_solve_stage``); the LP, submitted to one worker
-thread; the Monte Carlo estimates (``simulate.simulate_paths``, on the calling
-thread; ``threads`` sizes their chunk pool only); the LP's result, collected
-once the estimates are done; the sample path (``_write_sample_path``); the
-audits (``_audit_stage``); and last ``config.json`` and ``summary.json``.  The
-LP reads nothing but the config and starts after the solve (at once when no
-solve runs), so a failed solve never waits for it, and an LP failure leaves
-only the solve's files behind.
+one after another on the calling thread, in this order: the solve
+(``_solve_stage``); the LP (``dual_lp.solve_lp``); the Monte Carlo estimates
+(``simulate.simulate_paths``; ``threads`` sizes their chunk pool only); the
+sample path (``_write_sample_path``); the audits (``_audit_stage``); and last
+``config.json`` and ``summary.json``.  A failed stage ends the run, so a
+failed solve runs no LP, and an LP failure runs no Monte Carlo estimate and
+leaves only the solve's files behind.
 
 Exit codes: 0 all stages and requested audits passed; 1 a stage failed or an
 audit reported failure; 2 the config did not parse or validate.
@@ -27,7 +26,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -193,7 +191,6 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     Returns (exit code, summary dict).  Every section of the config is read
     and checked first, whichever stages are selected, so a bad key or value
     raises ``ParameterError`` before any stage runs or any file is written.
-    The LP's worker thread is joined before this returns or raises.
     """
     controls = ()   # the Monte Carlo controls; none without an mc section
     try:  # reads nothing but the config, so any error raised here is a config error
@@ -255,28 +252,22 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     summary = {"schema_version": config.schema_version, "config": config.to_dict(),
                "lambda": None, "lp": None, "mc": None, "audits": None}
 
-    # the LP needs nothing but the config; it starts after the solve, so that a failed
-    # solve does not wait for it, runs on one worker thread beside the Monte Carlo
-    # estimates, which run here, and is collected after them
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        out.mkdir(parents=True, exist_ok=True)
-        if "solve" in stages or ("simulate" in stages and "extracted" in controls):
-            solution, extracted, summary["lambda"] = _solve_stage(
-                config, problem, grid, penalty, opts, out)
-            files.update(fields="fields.csv", lambda_history="lambda_history.csv")
-        else:
-            solution = extracted = None
-        lp_run = None if "lp" not in stages or config.lp is None else pool.submit(
-            lambda: dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, lp_mesh)))
-        if "simulate" in stages and config.mc is not None:
-            control, worse = (extracted if c == "extracted" else c for c in controls)
-            summary["mc"] = simulate.simulate_paths(problem, control, **mc_kwargs).to_dict()
-            if worse is not None:
-                summary["mc"]["perturbed"] = simulate.simulate_paths(
-                    problem, worse, **mc_kwargs).to_dict()
-        if lp_run is not None:
-            lam_lp, measure = lp_run.result()
-            summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
+    out.mkdir(parents=True, exist_ok=True)
+    if "solve" in stages or ("simulate" in stages and "extracted" in controls):
+        solution, extracted, summary["lambda"] = _solve_stage(
+            config, problem, grid, penalty, opts, out)
+        files.update(fields="fields.csv", lambda_history="lambda_history.csv")
+    else:
+        solution = extracted = None
+    if "lp" in stages and config.lp is not None:
+        lam_lp, measure = dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, lp_mesh))
+        summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
+    if "simulate" in stages and config.mc is not None:
+        control, worse = (extracted if c == "extracted" else c for c in controls)
+        summary["mc"] = simulate.simulate_paths(problem, control, **mc_kwargs).to_dict()
+        if worse is not None:
+            summary["mc"]["perturbed"] = simulate.simulate_paths(
+                problem, worse, **mc_kwargs).to_dict()
 
     if summary["mc"] is not None and mc["sample_path"]:
         _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)

@@ -10,6 +10,13 @@ The generator here uses the same no-flux box closure as the solver but no
 wall penalty: the balance rows must kill constants exactly so that total
 mass is conserved, and the coercive running cost keeps the minimizing
 measure away from the walls on its own.
+
+``solve_lp`` solves the program by policy iteration on its own columns, which
+is column generation run to its end: each restricted master holds one column
+per balance row, is solved by one sparse LU through the PDE solver's
+``policy_evaluation``, and every column is priced by one sparse matvec.  The
+optimal measure is the stationary law of the last policy, one transposed
+solve of the same factor, and the pricing of every column certifies it.
 """
 
 from __future__ import annotations
@@ -18,11 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 from .discretize import Grid, assemble_generator, control_cap
-from .errors import LPError, ParameterError
+from .errors import LPError, ParameterError, SolverError
 from .model import ProblemSpec, STATES
+from .solver import LUFactor, policy_evaluation
+
+# a row switches when its best reduced cost is below -PRICING_TOL * (1 + |cost|);
+# policy iteration gives up after MAX_POLICY_ITERS policies
+PRICING_TOL = 1e-12
+MAX_POLICY_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -103,12 +116,15 @@ class OccupationMeasure:
     weights: np.ndarray           # (2, n_nodes, n_controls)
     mass: float
     stationarity_residual: float | None = None
+    iterations: int | None = None         # policies evaluated by solve_lp
+    optimality_gap: float | None = None   # max(0, -min reduced cost) at solve_lp's optimum
 
     def state_mass(self, k: int) -> float:
         return float(np.sum(self.weights[k - 1]))
 
     def to_dict(self) -> dict:
         return {"mass": self.mass, "stationarity_residual": self.stationarity_residual,
+                "iterations": self.iterations, "optimality_gap": self.optimality_gap,
                 "state_mass": {str(k): self.state_mass(k) for k in STATES}}
 
 
@@ -142,32 +158,79 @@ def assemble_lp(problem: ProblemSpec, grid: Grid, mesh: ControlMesh) -> LPData:
                   stationarity=sp.hstack(blocks, format="csr"), n_nodes=n)
 
 
+def _check_irreducible(matrix: sp.csr_matrix, iteration: int) -> None:
+    """Raise ``LPError`` when the chain of a policy's operator is reducible."""
+    n_classes, _ = connected_components(matrix != 0, directed=True, connection="strong")
+    if n_classes > 1:
+        raise LPError(f"the chain of policy {iteration} is reducible ({n_classes} communicating "
+                      "classes); a switching rate that vanishes on the whole grid leaves a "
+                      "state no way out")
+
+
 def solve_lp(lp: LPData, feasibility_tol: float = 1e-8):
     """Minimize the running cost over stationary unit-mass measures.
 
-    Returns ``(value, OccupationMeasure)``.  Raises ``LPError`` when the
-    program is infeasible (enlarge the mesh or the box) or unbounded (the
-    running cost is not coercive: modeling error).
+    Policy iteration on the LP's own columns (Manne's duality; Puterman,
+    ch. 8-9).  A policy holds one mesh control per (node, state) row, starting
+    from the zero control.  Its operator ``A_pi`` is the negated transpose of
+    its columns of ``lp.stationarity``, and ``solver.policy_evaluation`` solves
+    ``A_pi u + lam = cost_pi`` with ``u`` pinned at the origin in state 1.  One
+    matvec prices every column, ``rc = cost - lam - A u``, and a row switches
+    to its best column when that reduced cost is below
+    ``-PRICING_TOL * (1 + |cost|)``.  With no switch left, the measure is the
+    policy's stationary law, the transposed solve ``P^T y = e_ref`` of the
+    held pinned factor ``P = A_pi + e_ref e_ref^T`` normalized to mass 1.  It
+    is feasible, and with ``(u, lam)`` and ``min rc >= -gap`` it certifies its
+    cost as the LP optimum to within ``gap`` (``optimality_gap``).
+
+    Returns ``(value, OccupationMeasure)``.  Raises ``LPError`` when a
+    policy's chain is reducible, a policy evaluation fails, the iteration
+    cap ``MAX_POLICY_ITERS`` is reached, or the measure misses the
+    feasibility checks (mass 1, balance residual <= ``feasibility_tol``).
     """
     n_rows = lp.stationarity.shape[0]
-    a_eq = sp.vstack([lp.stationarity, np.ones((1, lp.n_vars))], format="csr")
-    b_eq = np.concatenate([np.zeros(n_rows), [1.0]])
-    res = linprog(lp.cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 2:
-        raise LPError("stationarity program infeasible; enlarge the control mesh or the box")
-    if res.status == 3:
-        raise LPError("stationarity program unbounded; running cost fails coercivity")
-    if not res.success:
-        raise LPError(f"LP solver failed: {res.message}")
-    x = np.asarray(res.x)
+    columns = (-lp.stationarity.T).tocsr()   # row j: the solver operator's row of column j
+    rows = np.arange(n_rows)
+    cost = lp.cost.reshape(lp.mesh.n_controls, n_rows)
+    ref = lp.grid.origin_index
+    policy = np.full(n_rows, int(np.argmin(np.linalg.norm(lp.mesh.controls, axis=-1))))
+    for iteration in range(1, MAX_POLICY_ITERS + 1):
+        cols = policy * n_rows + rows
+        a_pi = columns[cols]
+        _check_irreducible(a_pi, iteration)
+        # a fresh holder, so that the factor held at the end is the final policy's own
+        factor = LUFactor()
+        try:
+            u, lam = policy_evaluation(a_pi, lp.cost[cols], ref, factor)
+        except SolverError as exc:
+            raise LPError(f"evaluation of policy {iteration} failed: {exc}") from exc
+        rc = (lp.cost - lam - columns @ u).reshape(cost.shape)
+        best = np.argmin(rc, axis=0)
+        switch = ((rc[best, rows] < -PRICING_TOL * (1.0 + np.abs(cost[best, rows])))
+                  & (best != policy))
+        if not switch.any():
+            break
+        policy = np.where(switch, best, policy)
+    else:
+        raise LPError(f"policy iteration did not settle in {MAX_POLICY_ITERS} policies")
+    e_ref = np.zeros(n_rows)
+    e_ref[ref] = 1.0
+    law = factor.lu.solve(e_ref, trans="T")
+    law /= law.sum()
+    if not law.min() >= -feasibility_tol:
+        raise LPError(f"stationary law of the final policy has an entry {law.min():.3e} < 0")
+    x = np.zeros(lp.n_vars)
+    x[cols] = np.maximum(law, 0.0)
     residual = float(np.max(np.abs(lp.stationarity @ x)))
     mass = float(np.sum(x))
     if abs(mass - 1.0) > 1e-9 or residual > feasibility_tol:
         raise LPError(f"optimizer violates feasibility: mass {mass!r}, residual {residual:.3e}")
     measure = OccupationMeasure(grid=lp.grid, mesh=lp.mesh,
                                 weights=_flat_to_weights(x, lp.n_nodes, lp.mesh.n_controls),
-                                mass=mass, stationarity_residual=residual)
-    return float(res.fun), measure
+                                mass=mass, stationarity_residual=residual,
+                                iterations=iteration,
+                                optimality_gap=max(0.0, -float(rc.min())))
+    return float(lp.cost @ x), measure
 
 
 def measure_cost(lp: LPData, measure: OccupationMeasure) -> float:

@@ -42,4 +42,4 @@ class MonotonicityError(ErgodicHJBError):
 
 
 class LPError(ErgodicHJBError):
-    """The occupation-measure linear program is infeasible or unbounded."""
+    """The occupation-measure linear program could not be solved or certified."""

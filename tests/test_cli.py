@@ -160,29 +160,7 @@ class TestPipeline:
             assert np.array_equal(block[:, dim + 1], solution.u[k - 1])
             assert np.array_equal(block[:, dim + 2:], xi[k - 1])
 
-    def test_lp_runs_beside_the_monte_carlo(self, tmp_path, monkeypatch):
-        # the LP waits for the first MC estimate to start: a pipeline that ran
-        # the LP before the MC would time out here instead of hanging
-        mc_started = threading.Event()
-        seen = []
-        real_lp, real_mc = dual_lp.solve_lp, simulate.simulate_paths
-
-        def waiting_lp(lp, *args, **kwargs):
-            seen.append(mc_started.wait(timeout=30.0))
-            return real_lp(lp, *args, **kwargs)
-
-        def signalling_mc(*args, **kwargs):
-            mc_started.set()
-            return real_mc(*args, **kwargs)
-
-        monkeypatch.setattr(dual_lp, "solve_lp", waiting_lp)
-        monkeypatch.setattr(simulate, "simulate_paths", signalling_mc)
-        code, summary = run_pipeline(RunConfig.from_dict(small_config()), out_dir=tmp_path)
-        assert seen == [True]
-        assert code == 0
-        assert summary["lp"]["lambda_bar"] == pytest.approx(2**0.5, rel=0.05)
-
-    def test_lp_failure_reported_after_the_mc_estimates(self, tmp_path, monkeypatch, capsys):
+    def test_lp_failure_ends_the_run_before_the_mc(self, tmp_path, monkeypatch, capsys):
         message = "stationarity program infeasible; enlarge the control mesh or the box"
         mc_calls = []
         real_mc = simulate.simulate_paths
@@ -202,14 +180,13 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert threading.active_count() == threads_before
         assert capsys.readouterr().err.strip() == f"stage failure [pipeline]: {message}"
-        # the estimate ran; the sample path, which comes after the LP, did not
-        assert mc_calls == [False]
+        # the LP runs before the Monte Carlo, so neither the estimates nor the sample path ran
+        assert mc_calls == []
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "fields.csv", "lambda_history.csv"]
 
     def test_mc_failure_ends_the_run_cleanly(self, tmp_path, monkeypatch, capsys):
-        # the LP worker is joined before the failure is reported, and nothing
-        # after the solve's files is written
+        # no thread outlives the failure, and nothing after the solve's files is written
         message = "metric is not positive definite at x = (3.1)"
 
         def failing_mc(*args, **kwargs):
@@ -226,7 +203,7 @@ class TestPipeline:
             "fields.csv", "lambda_history.csv"]
 
     def test_failed_solve_skips_the_lp(self, tmp_path, monkeypatch, capsys):
-        # the LP starts after the solve, so a failed solve never waits for it
+        # the LP runs after the solve, so a failed solve runs no LP
         lp_calls = []
         monkeypatch.setattr(dual_lp, "solve_lp", lambda *args, **kwargs: lp_calls.append(args))
         path = tmp_path / "c.json"
@@ -577,6 +554,14 @@ class TestMainEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["lp"]["lambda_bar"] == pytest.approx(1.41627, abs=1e-5)
         assert summary["config"]["lp"] == {}
+
+    def test_lp_block_reports_its_certificate(self, tmp_path):
+        _, summary = run_pipeline(RunConfig.from_dict(small_config(mc=None)), stages=("lp",),
+                                  out_dir=tmp_path)
+        lp = json.loads((tmp_path / "summary.json").read_text())["lp"]
+        assert lp == summary["lp"]
+        assert isinstance(lp["iterations"], int) and lp["iterations"] >= 1
+        assert 0.0 <= lp["optimality_gap"] <= 1e-9
 
     def test_solve_subcommand(self, tmp_path, capsys):
         path = tmp_path / "c.json"

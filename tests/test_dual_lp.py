@@ -1,7 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-from ergodic_hjb import fields
+import ergodic_hjb
+from ergodic_hjb import dual_lp, fields
 from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.dual_lp import (
     OccupationMeasure,
@@ -11,7 +18,7 @@ from ergodic_hjb.dual_lp import (
     solve_lp,
     stationarity_residual,
 )
-from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.errors import LPError, ParameterError
 from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from tests.conftest import make_problem
@@ -121,17 +128,25 @@ class TestSolve:
         lam_pde = solve_ergodic_normalized(quadratic_1d, build_grid(1, 6.0, 0.02)).lam
         assert abs(lam_bar - lam_pde) <= 0.03 * lam_pde
 
-    def test_truncated_quartic_against_pde(self):
+    @pytest.mark.parametrize("level, magnitudes", [
+        (0.3, np.arange(0.0, 10.01, 0.25)),
+        (None, None),
+    ], ids=["truncated", "untruncated"])
+    def test_truncated_quartic_against_pde(self, level, magnitudes):
         # the LP prices a truncated state with the conjugate the PDE solve uses;
-        # an explicit mesh keeps 81 controls, where the automatic one has 309
+        # the truncated case keeps 81 controls on an explicit mesh, and the
+        # untruncated one runs the automatic mesh of 309 to the control cap
         problem = make_problem(gammas=(4.0, 4.0))
-        problem = problem.with_hamiltonian(truncate_hamiltonian(problem.hamiltonian, level=0.3))
+        if level is not None:
+            problem = problem.with_hamiltonian(
+                truncate_hamiltonian(problem.hamiltonian, level=level))
         sol = solve_ergodic_normalized(problem, build_grid(1, 6.0, 0.05))
         assert extract_control(problem, sol).duality_residual <= 1e-12
         grid = build_grid(1, 6.0, 0.1)
-        mesh = build_control_mesh(problem, grid, magnitudes=np.arange(0.0, 10.01, 0.25))
-        lam_bar, _ = solve_lp(assemble_lp(problem, grid, mesh))
+        mesh = build_control_mesh(problem, grid, magnitudes=magnitudes)
+        lam_bar, mu = solve_lp(assemble_lp(problem, grid, mesh))
         assert abs(lam_bar - sol.lam) <= 5e-3
+        assert mu.stationarity_residual <= 1e-8
 
     def test_measure_mixing_is_exactly_linear(self, quadratic_1d):
         grid, mesh, lp = small_lp(quadratic_1d)
@@ -147,3 +162,80 @@ class TestSolve:
         assert stationarity_residual(lp, blend) <= 1e-8
         c1, c2, cb = measure_cost(lp, mu), measure_cost(lp, mu2), measure_cost(lp, blend)
         assert cb == pytest.approx(0.5 * (c1 + c2), abs=1e-12)
+
+
+def _highs_value(lp) -> float:
+    """The LP's optimal value by HiGHS, the reference for policy iteration."""
+    a_eq = sp.vstack([lp.stationarity, np.ones((1, lp.n_vars))], format="csr")
+    b_eq = np.concatenate([np.zeros(lp.stationarity.shape[0]), [1.0]])
+    res = linprog(lp.cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def _reduced_costs(lp, policy: np.ndarray) -> np.ndarray:
+    """Every column's reduced cost against the dual ``(u, lam)`` of ``policy``,
+    from a dense solve of the bordered system ``A_pi u + lam = cost_pi``,
+    ``u[0] = 0``, with ``A_pi`` the negated transpose of the policy's columns."""
+    n_rows = lp.stationarity.shape[0]
+    cols = policy * n_rows + np.arange(n_rows)
+    columns = -lp.stationarity.T.toarray()
+    bordered = np.zeros((n_rows + 1, n_rows + 1))
+    bordered[:n_rows, :n_rows] = columns[cols]
+    bordered[:n_rows, n_rows] = 1.0
+    bordered[n_rows, 0] = 1.0
+    sol = np.linalg.solve(bordered, np.concatenate([lp.cost[cols], [0.0]]))
+    return lp.cost - sol[n_rows] - columns @ sol[:n_rows]
+
+
+def _coarse_2d_lp():
+    problem = make_problem(dim=2)
+    grid = build_grid(2, 2.0, 0.5)
+    mesh = build_control_mesh(problem, grid, magnitudes=np.arange(0.0, 3.01, 0.5))
+    return grid, mesh, assemble_lp(problem, grid, mesh)
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("make_lp", [
+        lambda: small_lp(make_problem()),
+        lambda: small_lp(make_problem(), h=0.5),
+        lambda: small_lp(make_problem(sources=(fields.quadratic(1, c0=0.3),
+                                               fields.quadratic(1)))),
+        lambda: small_lp(make_problem(gammas=(2.0, 3.0), alphas=(0.5, 2.0),
+                                      sources=(fields.quadratic(1),
+                                               fields.quadratic(1, c0=3.0)))),
+        _coarse_2d_lp,
+    ], ids=["quadratic", "quadratic-h0.5", "tilted", "gamma23-rates", "coarse-2d"])
+    def test_certified_against_highs(self, make_lp):
+        _, _, lp = make_lp()
+        lam_bar, mu = solve_lp(lp)
+        assert lam_bar == pytest.approx(_highs_value(lp), abs=1e-6)
+        # one control per (state, node) row carries the whole mass of that row
+        assert np.all(np.count_nonzero(mu.weights, axis=-1) == 1)
+        assert mu.mass == pytest.approx(1.0, abs=1e-12)
+        assert mu.stationarity_residual <= 1e-12
+        policy = np.argmax(mu.weights, axis=-1).ravel()
+        assert np.min(_reduced_costs(lp, policy)) >= -1e-9
+        assert mu.iterations >= 1
+        assert 0.0 <= mu.optimality_gap <= 1e-9
+
+    def test_reducible_chain_named(self):
+        # with no switching, neither state can reach the other
+        _, _, lp = small_lp(make_problem(alphas=(0.0, 0.0)))
+        with pytest.raises(LPError, match=r"the chain of policy 1 is reducible "
+                                          r"\(2 communicating classes\)"):
+            solve_lp(lp)
+
+    def test_iteration_cap(self, monkeypatch):
+        _, _, lp = small_lp(make_problem())
+        monkeypatch.setattr(dual_lp, "MAX_POLICY_ITERS", 1)
+        with pytest.raises(LPError, match="did not settle in 1 policies"):
+            solve_lp(lp)
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    src = str(Path(ergodic_hjb.__file__).resolve().parents[1])
+    code = "import sys, ergodic_hjb; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
