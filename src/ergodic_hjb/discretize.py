@@ -26,7 +26,7 @@ interpolates it multilinearly at arbitrary points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -142,34 +142,65 @@ def gradient_central(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out.reshape(grid.n_nodes, grid.dim)
 
 
+def _corner_table(grid: Grid, component: np.ndarray) -> np.ndarray:
+    """Read-only corner table of one two-state node field component.
+
+    Row ``(s*n + i)*n + j`` (``s*n + i`` in 1D) holds the values at the corners
+    of the cell whose lower corner is node ``(i, j)`` in state ``s + 1``, in
+    the order ``(i, j), (i+1, j), (i, j+1), (i+1, j+1)``: shape ``(2n, 2)`` in
+    1D and ``(2n^2, 4)`` in 2D.  Rows of the last node along an axis, which no
+    cell starts from, repeat its edge value.
+    """
+    v = np.pad(component.reshape((2, *grid.shape)), [(0, 0)] + [(0, 1)] * grid.dim,
+               mode="edge")
+    if grid.dim == 1:
+        corners = (v[:, :-1], v[:, 1:])
+    else:
+        corners = (v[:, :-1, :-1], v[:, 1:, :-1], v[:, :-1, 1:], v[:, 1:, 1:])
+    table = np.stack([c.reshape(-1) for c in corners], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
 def _bilinear(grid: Grid, tables: tuple[np.ndarray, ...], pts: np.ndarray,
               k: int | np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a two-state node field at arbitrary points.
 
-    ``tables`` holds one flat state-major node table per field component (the
-    entry of state ``s`` at node ``(i, j)`` sits at ``(s*n + i)*n + j``); ``k``
-    is one state for every point or an array of one state per point.  Each
-    component is gathered and weighted as a whole ``(points,)`` column, and
-    the columns are stacked last.
+    ``tables`` holds one ``_corner_table`` per field component; ``k`` is one
+    state for every point or an array of one state per point.  Each point's
+    cell corners are fetched with one row gather per component and weighted
+    as whole ``(points,)`` columns, term by term in the order of the
+    multilinear formula, into the columns of the result.
     """
     h, r, n = grid.h, grid.radius, grid.n_axis
-    rel = np.clip((pts + r) / h, 0.0, n - 1.0)
-    lo = np.minimum(rel.astype(int), n - 2)
-    frac = rel - lo
+    rel = pts + r
+    rel /= h
+    np.maximum(rel, 0.0, out=rel)
+    np.minimum(rel, n - 1.0, out=rel)
+    lo = np.floor(rel)
+    np.minimum(lo, n - 2.0, out=lo)
+    frac = np.subtract(rel, lo, out=rel)
     fx = frac[:, 0]
     gx = 1 - fx
-    base = (np.asarray(k) - 1) * n + lo[:, 0]
     if grid.dim == 1:
-        i1 = base + 1
-        cols = [t.take(base) * gx + t.take(i1) * fx for t in tables]
+        row = lo[:, 0].astype(np.intp)
     else:
         fy = frac[:, 1]
         gy = 1 - fy
-        base = base * n + lo[:, 1]
-        i1, j1, ij1 = base + n, base + 1, base + n + 1
-        cols = [t.take(base) * gx * gy + t.take(i1) * fx * gy + t.take(j1) * gx * fy
-                + t.take(ij1) * fx * fy for t in tables]
-    return np.stack(cols, axis=-1)
+        row = (lo[:, 0] * n + lo[:, 1]).astype(np.intp)   # exact in float
+    row += (np.asarray(k) - 1) * n**grid.dim
+    out = np.empty((pts.shape[0], len(tables)))
+    for col, table in zip(out.T, tables):
+        c = table.take(row, axis=0)
+        if grid.dim == 1:
+            np.multiply(c[:, 0], gx, out=col)
+            col += c[:, 1] * fx
+        else:
+            np.multiply(c[:, 0] * gx, gy, out=col)
+            col += c[:, 1] * fx * gy
+            col += c[:, 2] * gx * fy
+            col += c[:, 3] * fx * fy
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,13 +221,16 @@ class FeedbackControl:
     values: np.ndarray | None = None     # (2, n_nodes, dim) for kind == "grid"
     coefficient: float = 0.0
     duality_residual: float = 0.0
-    # one flat state-major node table per component of ``values``, for _bilinear
-    tables: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        tables = () if self.values is None else tuple(
-            self.values[:, :, c].ravel() for c in range(self.values.shape[-1]))
-        object.__setattr__(self, "tables", tables)
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """One read-only ``_corner_table`` per component of ``values``, built on first use.
+
+        ``_bilinear`` fetches a point's cell corners from each with one row
+        gather: ``(2n, 2)`` in 1D, ``(2n^2, 4)`` in 2D.
+        """
+        return tuple(_corner_table(self.grid, self.values[:, :, c])
+                     for c in range(self.values.shape[-1]))
 
     @staticmethod
     def from_fields(grid: Grid, values: np.ndarray,

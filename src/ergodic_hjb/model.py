@@ -280,6 +280,8 @@ class HamiltonianSpec:
         q = _quad(d, metric.a_inv, metric.scalar)
         if env is not None:
             return env.conjugate(np.sqrt(q))
+        if gc == 2.0:   # gamma = 2: q ** 1.0 is q, bit for bit
+            return q / 2.0
         return q ** (gc / 2.0) / gc
 
     def duality_gap(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -17,6 +17,9 @@ every path; otherwise both states' costs are evaluated and each path keeps
 its own state's.
 The feedback is a ``discretize.FeedbackControl``: the solver's extracted
 field (interpolated multilinearly between nodes) or an analytic one.
+When both rates are x-free (their ``evaluator()`` returns a constant), the
+per-path rate, ``rate * dt`` and the rate sum are built once per path chunk
+and rebuilt only after a switch, never when the two rates are equal.
 
 Randomness comes from one counter-based Philox stream per fixed path chunk,
 keyed by ``(seed, chunk index)``; accumulation is an ordered reduction over
@@ -101,14 +104,23 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
     # states with equal data price a path alike: np.where(in1, c, c) is c
     same_cost = sources[0] == sources[1] and all(
         pair[0] == pair[1] for pair in (ham.gammas, ham.metrics, ham.drifts))
+    # with x-free rates (scalar evaluators) the per-path rate changes only at a switch
+    x_free = all(np.ndim(a(x)) == 0 for a in alphas)
+    equal_rates = x_free and alphas[0](x) == alphas[1](x)
+    rate = None
 
     noise = np.sqrt(2.0 * dt)
+    draws = np.empty((n_paths, dim))
+    move = np.empty((n_paths, dim))
     kept = []
     for step in range(n_steps):
         tallied = step >= burn_steps
         state = 2 - in1
         xi = control(x, state)
-        rate = np.where(in1, alphas[0](x), alphas[1](x))
+        if rate is None or not x_free:
+            rate = np.where(in1, alphas[0](x), alphas[1](x))
+            rate_dt = rate * dt
+            rate_sum = None
         if tallied:
             run = sources[0](x) + ham.lagrangian(1, x, xi)
             if not same_cost:
@@ -117,13 +129,15 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
             n1 = int(np.count_nonzero(in1))
             time_in[0] += n1 * dt
             time_in[1] += (n_paths - n1) * dt
+            if rate_sum is None:
+                rate_sum = float(rate.sum())
             r1 = float(rate @ in1)
             rate_acc[0] += r1 * dt
-            rate_acc[1] += (float(rate.sum()) - r1) * dt
+            rate_acc[1] += (rate_sum - r1) * dt
             if sample_stride and step % sample_stride == 0:
-                kept.append((x, state, xi, run))   # fresh arrays every step
-        draws = gen.standard_normal((n_paths, dim))
-        clock -= rate * dt
+                kept.append((x.copy(), state, xi, run))   # x itself moves in place
+        gen.standard_normal(out=draws)
+        clock -= rate_dt
         flip = clock <= 0.0
         n_flip = int(np.count_nonzero(flip))
         if n_flip:
@@ -132,11 +146,16 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
                 from1 = int(np.count_nonzero(flip & in1))
                 switches_from[0] += from1
                 switches_from[1] += n_flip - from1
-            in1 = in1 ^ flip
-        x = x - xi * dt + noise * draws
+            in1 ^= flip
+            if not equal_rates:
+                rate = None
+        # x - xi dt + noise draws, in that order
+        x -= np.multiply(xi, dt, out=move)
+        draws *= noise
+        x += draws
         if not (x.max() <= radius and x.min() >= -radius):   # a NaN also lands here
             clamps += int(np.count_nonzero(np.abs(x) > radius))
-            x = np.clip(x, -radius, radius)
+            np.clip(x, -radius, radius, out=x)
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
         "rate_acc": rate_acc, "clamps": clamps, "kept": kept,
@@ -184,9 +203,12 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     """Estimate the long-run average running cost under a feedback field.
 
     ``burn_in`` is the fraction of the horizon discarded before cost
-    accumulation.  Each step evaluates the feedback and every rate that
-    depends on x once per path, in its current state (an x-free rate is
-    evaluated once per path chunk), and draws one normal per path and axis.
+    accumulation; each path's cost is divided by the time it was tallied,
+    ``(steps - burn-in steps) * dt``.  Each step evaluates the feedback and
+    every rate that depends on x once per path, in its current state, and
+    draws one normal per path and axis.  Two x-free rates are resolved once
+    per path chunk: the per-path rate is rebuilt only after a step in which a
+    path switched, and only when the two rates differ.
     The running cost of a tallied step is evaluated once when both states'
     sources, exponents, metrics and drifts compare equal, and once per state,
     for every path, otherwise; the two give the same bits on equal states.
@@ -215,8 +237,8 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     else:
         results = [_simulate_chunk(*a) for a in args]
 
-    tail_time = horizon - burn_in * horizon
-    tails = np.concatenate([r["cost"] for r in results]) / tail_time
+    # the tallied time, which the nominal horizon * (1 - burn_in) need not equal
+    tails = np.concatenate([r["cost"] for r in results]) / ((n_steps - burn_steps) * dt)
     time_in = np.sum([r["time_in"] for r in results], axis=0)
     switches_from = np.sum([r["switches_from"] for r in results], axis=0)
     rate_acc = np.sum([r["rate_acc"] for r in results], axis=0)

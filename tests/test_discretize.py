@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +258,43 @@ def test_bilinear_bit_identical_to_broadcast(dim):
         got = _bilinear(grid, ctrl.tables, pts, k)
         assert np.array_equal(got, _broadcast_bilinear(grid, values, pts, k))
         assert np.array_equal(ctrl(pts, k), got)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bilinear_bit_identical_on_nodes_and_edges(dim):
+    # interior nodes, the last cell's lower and upper edge (rel = n - 2 and n - 1,
+    # where the cell index is capped) and -0.0, against the broadcast form by bytes
+    rng = np.random.default_rng(50 + dim)
+    grid = build_grid(dim, 2.0, 0.25)
+    values = rng.normal(size=(2, grid.n_nodes, dim))
+    ctrl = FeedbackControl.from_fields(grid, values)
+    axis = grid.axis_coords
+    coords = np.concatenate([axis[1:-1], axis[-2:], [-0.0, grid.radius, -grid.radius]])
+    pts = np.stack(np.meshgrid(*([coords] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    if dim == 2:   # one coordinate on an edge, the other inside a cell
+        inner = rng.uniform(-2.0, 2.0, size=(coords.size, 1))
+        pts = np.concatenate([pts, np.hstack([coords[:, None], inner]),
+                              np.hstack([inner, coords[:, None]])])
+    states = rng.integers(1, 3, size=pts.shape[0])
+    for k in (1, 2, states):
+        got = _bilinear(grid, ctrl.tables, pts, k)
+        assert got.tobytes() == _broadcast_bilinear(grid, values, pts, k).tobytes()
+    on_nodes = np.isin(pts, axis).all(axis=-1)
+    idx = [grid.index_of(p) for p in pts[on_nodes]]
+    assert np.array_equal(ctrl(pts[on_nodes], 2), values[1, idx])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bilinear_rejects_nan_points(dim):
+    # a NaN point has no cell: casting its index warns, and with the warning
+    # silenced the gather rejects the index
+    grid = build_grid(dim, 2.0, 0.25)
+    ctrl = FeedbackControl.from_fields(grid, np.ones((2, grid.n_nodes, dim)))
+    pts = np.zeros((3, dim))
+    pts[1, -1] = np.nan
+    with pytest.raises(RuntimeWarning, match="invalid value encountered in cast"):
+        ctrl(pts, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(IndexError, match="out of bounds"):
+            ctrl(pts, 1)

@@ -362,3 +362,22 @@ def test_quad_diagonal_metric_bit_identical(dim, equal, entries, rows):
         assert np.array_equal(got, expected)
         exact = ~(np.any((v != 0) & (v * m[0, 0] == 0), axis=-1) & metric.scalar)
         assert got[exact].tobytes() == expected[exact].tobytes()
+
+
+@pytest.mark.parametrize("dim, metric, drift", [
+    (1, None, None), (1, [[0.5]], None), (1, None, (0.25,)),
+    (2, None, None), (2, [[0.5, 0.0], [0.0, 0.5]], None), (2, [[2.0, 0.0], [0.0, 0.5]], (0.5, -1.0))])
+def test_quadratic_lagrangian_bit_identical_to_power(dim, metric, drift):
+    # at gamma = 2 the Lagrangian is q / 2, which is q ** 1.0 / 2.0 bit for bit on
+    # signed zeros, subnormals, huge and tiny entries and infinities
+    metrics = (fields.identity_metric(dim) if metric is None
+               else fields.constant_metric(dim, np.array(metric)),) * 2
+    drifts = (fields.DriftField(dim) if drift is None else fields.DriftField(dim, drift),) * 2
+    ham = HamiltonianSpec(dim=dim, gammas=(2.0, 2.0), metrics=metrics, drifts=drifts)
+    values = np.array([*_EDGE, np.inf, -np.inf])
+    xi = np.stack(np.meshgrid(*([values] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    with np.errstate(all="ignore"):   # inf times a zero off-diagonal entry is NaN
+        got = ham.lagrangian(2, np.zeros_like(xi), xi)
+        d = xi if drift is None else xi - np.array(drift)
+        q = _quad(d, metrics[0].a_inv, metrics[0].scalar)
+        assert got.tobytes() == (q ** 1.0 / 2.0).tobytes()

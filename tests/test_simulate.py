@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -159,17 +160,22 @@ class TestSimulatePaths:
                            burn_in=0.9)
 
 
-def _pinned_run(dim, rates):
-    """A short run with a grid control and sources that differ between the states."""
+def _pinned_run(dim, rates, record_samples=False):
+    """A short run with a grid control and sources that differ between the states.
+
+    ``rates`` is ``constant`` (unequal x-free rates), ``equal`` (equal x-free
+    rates, as in the bundled problem) or ``x-dependent``.
+    """
     grid = build_grid(dim, 3.0, 0.25 if dim == 1 else 0.5)
     x = grid.points
     ctrl = FeedbackControl.from_fields(grid, np.stack([SQRT2 * x, 1.2 * x + 0.1 * np.sin(3.0 * x)]))
-    problem = make_problem(dim=dim, alphas=(1.5, 0.7),
+    problem = make_problem(dim=dim, alphas=(1.0, 1.0) if rates == "equal" else (1.5, 0.7),
                            sources=(fields.quadratic(dim), fields.quadratic(dim).shifted(1.0)))
     if rates == "x-dependent":
         problem = replace(problem, switch_rates=(fields.quadratic(dim, (0.2,) * dim, c0=0.5),
                                                  fields.quadratic(dim, (0.1,) * dim, c0=1.0)))
-    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13)
+    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13,
+                          record_samples=record_samples)
 
 
 # exact (avg_cost, std_error, switch_count): a change here means the draw layout or
@@ -177,8 +183,10 @@ def _pinned_run(dim, rates):
 # the last key part names the switching rule, the integrated-intensity Exp(1) clock
 PINNED = {
     ("1d", "constant", "exponential"): (1.7281231862907251, 0.09176689050249606, 128),
+    ("1d", "equal", "exponential"): (1.722424314253423, 0.12350701815558739, 92),
     ("1d", "x-dependent", "exponential"): (1.4320469932756585, 0.08526312223764507, 92),
     ("2d", "constant", "exponential"): (2.860089730675118, 0.13741851643805428, 118),
+    ("2d", "equal", "exponential"): (3.243491189965901, 0.24734223644036632, 104),
     ("2d", "x-dependent", "exponential"): (3.247077476325772, 0.17927737612600683, 108),
 }
 
@@ -188,6 +196,54 @@ def test_estimates_pinned(case):
     dim, rates, _ = case
     est = _pinned_run(int(dim[0]), rates)
     assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[case]
+
+
+# exact (mean_rate, state_fraction, clamp_count) of the same runs, and the sha256 of
+# the bytes of the kept x, state, control and cost of a record_samples run
+PINNED_TALLIES = {
+    ("1d", "constant"): ((1.5000000000000053, 0.7000000000000013),
+                         (0.44674479166666714, 0.553255208333333), 0,
+                         "999f13f1fdf8735df3f31f420869f6b327958dd6559ed2a1be4572db59fdecb9"),
+    ("1d", "equal"): ((1.0, 1.0), (0.6004340277777783, 0.39956597222222157), 0,
+                      "9c11d29507db76cb60d6c7860f2658a41bb0e9d65a1d36801e8368d67fe8b1f3"),
+    ("1d", "x-dependent"): ((0.609892571980317, 1.0643395476631337),
+                            (0.6733940972222224, 0.3266059027777776), 0,
+                            "0865828bb3310f650f2ee85f925e98535db0998170ae6dbd2153782dcc15a7f8"),
+    ("2d", "constant"): ((1.4999999999999996, 0.6999999999999993),
+                         (0.4124131944444441, 0.587586805555556), 7,
+                         "dfb8050d04760743562be77d3e8e962dc243532a91bcf214da5890cd83010c7b"),
+    ("2d", "equal"): ((1.0, 1.0), (0.6155815972222219, 0.384418402777778), 14,
+                      "84f145c395bda82394701059fa47683c7f6f63c5e2e636d406f09b0c2b000dfd"),
+    ("2d", "x-dependent"): ((0.7842462985472444, 1.1746401777450635),
+                            (0.6539496527777776, 0.34605034722222233), 5,
+                            "031335e60f50d9fbf14e2fd18ef36070915359bb6e29faa570a5adfe40904655"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TALLIES), ids="-".join)
+def test_tallies_and_samples_pinned(case):
+    dim, rates = case
+    est = _pinned_run(int(dim[0]), rates, record_samples=True)
+    # keeping samples draws nothing, so the estimate is the pinned one
+    assert (est.avg_cost, est.std_error, est.switch_count) == PINNED[(dim, rates, "exponential")]
+    s = est.samples
+    assert s.stride == 1 and s.x.shape == (360 * 64, int(dim[0])) and s.state.dtype == np.int64
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in (s.x, s.state, s.control, s.cost)))
+    assert (est.mean_rate, est.state_fraction, est.clamp_count,
+            digest.hexdigest()) == PINNED_TALLIES[case]
+
+
+@pytest.mark.parametrize("horizon, dt, burn_in", [
+    (1.05, 0.1, 0.1), (0.37, 0.01, 0.25), (2.0, 0.3, 0.2), (1.0, 1e-2, 0.1)])
+def test_constant_cost_over_the_tallied_time(horizon, dt, burn_in):
+    # the tallied time is (steps - burn-in steps) * dt, which the nominal
+    # horizon * (1 - burn_in) misses when either is not a whole number of steps
+    problem = make_problem(sources=(fields.constant(1, 2.5), fields.constant(1, 2.5)),
+                           alphas=(0.3, 0.3))
+    est = simulate_paths(problem, FeedbackControl.zero(50.0), horizon=horizon, dt=dt,
+                         paths=16, burn_in=burn_in, seed=1)
+    assert est.avg_cost == pytest.approx(2.5, abs=1e-12)
+    assert np.all(np.abs(est.tail_averages - 2.5) <= 1e-12)
 
 
 def _box_run(dim, problem=None):

@@ -642,3 +642,51 @@ def test_shift_and_swap_identities(draw_seed, h, c):
     ref = grid.index_of(problem.ref_point)
     assert np.max(np.abs(other.u[::-1] - (base.u - base.u[1, ref]))) <= (
         1e-12 * (1.0 + np.max(np.abs(base.u))))
+
+
+def _random_state(rng):
+    """One state's data for a 1D problem: gamma, scalar metric, drift and a source >= 0."""
+    source = (fields.quadratic(1, (rng.uniform(0.5, 2.0),), c0=rng.uniform(0.0, 1.0))
+              if rng.random() < 0.5 else
+              fields.trig_power(1, rng.uniform(1.5, 2.5), rng.uniform(0.2, 1.0)))
+    return (rng.uniform(1.5, 3.0), fields.constant_metric(1, [[rng.uniform(0.5, 2.0)]]),
+            fields.DriftField(1, (rng.uniform(-0.5, 0.5),)), source)
+
+
+# each draw is two 1D solves (and their 2h starts) of at most 81 nodes per state
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(draw_seed=st.integers(0, 2**16), h=st.sampled_from([0.1, 0.2]),
+       c=st.floats(-3.0, 3.0))
+def test_equal_rate_split(draw_seed, h, c):
+    # two states with the same data and the same constant rate, the second
+    # source raised by c: lambda rises by c / 2 (the identity behind criterion 7)
+    rng = np.random.default_rng(draw_seed)
+    gamma, metric, drift, f = _random_state(rng)
+    alpha = rng.uniform(0.5, 2.0)
+    equal = make_problem(gammas=(gamma, gamma), alphas=(alpha, alpha), sources=(f, f),
+                         drifts=(drift, drift), metrics=(metric, metric))
+    grid = build_grid(1, 4.0, h)
+    base = _shared_solve(equal, grid, equal)
+    split = _shared_solve(equal.with_sources((f, f.shifted(c))), grid, equal)
+    assert abs(split.lam - base.lam - c / 2.0) <= 1e-12 * (1.0 + abs(base.lam) + abs(c))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(draw_seed=st.integers(0, 2**16), h=st.sampled_from([0.1, 0.2]),
+       scales=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=2),
+       shifts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_lambda_monotone_in_the_source(draw_seed, h, scales, shifts):
+    # g_k = s_k f_k + c_k with s_k >= 1, c_k >= 0 and f_k >= 0 lies above f_k at
+    # every point, so its eigenvalue is not below that of f
+    rng = np.random.default_rng(draw_seed)
+    states = [_random_state(rng) for _ in range(2)]
+    problem = make_problem(
+        gammas=tuple(s[0] for s in states), alphas=tuple(rng.uniform(0.5, 2.0, 2)),
+        metrics=tuple(s[1] for s in states), drifts=tuple(s[2] for s in states),
+        sources=tuple(s[3] for s in states))
+    grid = build_grid(1, 4.0, h)
+    base = _shared_solve(problem, grid, problem)
+    above = _shared_solve(problem.with_sources(
+        f.scaled(s).shifted(c) for f, s, c in zip(problem.sources, scales, shifts)),
+        grid, problem)
+    assert above.lam >= base.lam - 1e-12 * (1.0 + abs(base.lam))
