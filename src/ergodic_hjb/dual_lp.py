@@ -11,12 +11,12 @@ wall penalty: the balance rows must kill constants exactly so that total
 mass is conserved, and the coercive running cost keeps the minimizing
 measure away from the walls on its own.
 
-``solve_lp`` solves the program by policy iteration on its own columns, which
-is column generation run to its end: each restricted master holds one column
-per balance row, is solved by one sparse LU through the PDE solver's
-``policy_evaluation``, and every column is priced by one sparse matvec.  The
-optimal measure is the stationary law of the last policy, one transposed
-solve of the same factor, and the pricing of every column certifies it.
+``solve_lp`` solves the program by policy iteration on the operator rows of
+``solver.frozen_system``, which is column generation run to its end: each
+restricted master holds one column per balance row, is solved by one sparse LU
+through ``solver.policy_evaluation``, and every column is priced by one sparse
+matvec.  The optimal measure is ``solver.stationary_law`` of the last policy's
+factor, and the pricing of every column certifies it.
 """
 
 from __future__ import annotations
@@ -27,15 +27,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .discretize import Grid, assemble_generator, control_cap
+from .discretize import Grid, control_cap
 from .errors import LPError, ParameterError, SolverError
 from .model import ProblemSpec, STATES
-from .solver import LUFactor, policy_evaluation
+from .solver import LUFactor, frozen_system, policy_evaluation, stationary_law
 
 # a row switches when its best reduced cost is below -PRICING_TOL * (1 + |cost|);
 # policy iteration gives up after MAX_POLICY_ITERS policies
 PRICING_TOL = 1e-12
 MAX_POLICY_ITERS = 100
+FEASIBILITY_TOL = 1e-8   # least entry and largest balance residual of an optimal measure
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,22 @@ def build_control_mesh(problem: ProblemSpec, grid: Grid, magnitudes=None,
 
 @dataclass(frozen=True)
 class LPData:
-    """Assembled LP: cost vector, stationarity rows, unit-mass row.
-
-    Variables are ordered control-major: ``var = c * 2n + (k-1) * n + node``.
-    """
+    """Assembled LP: the cost and the operator row of every variable, ordered
+    control-major (``var = c * 2n + (k-1) * n + node``); ``stationarity`` is
+    ``-operators.T``, the balance rows."""
 
     grid: Grid
     mesh: ControlMesh
     cost: np.ndarray
-    stationarity: sp.csr_matrix   # (2n, 2n * n_controls)
-    n_nodes: int
+    operators: sp.csr_matrix      # (2n * n_controls, 2n)
 
     @property
     def n_vars(self) -> int:
         return self.cost.size
+
+    @property
+    def stationarity(self) -> sp.csc_matrix:   # (2n, 2n * n_controls)
+        return -self.operators.T
 
 
 @dataclass(frozen=True)
@@ -128,34 +131,24 @@ class OccupationMeasure:
                 "state_mass": {str(k): self.state_mass(k) for k in STATES}}
 
 
-def _flat_to_weights(x: np.ndarray, n: int, n_controls: int) -> np.ndarray:
-    return x.reshape(n_controls, 2, n).transpose(1, 2, 0)
-
-
 def _weights_to_flat(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 0, 1).reshape(-1)
 
 
 def assemble_lp(problem: ProblemSpec, grid: Grid, mesh: ControlMesh) -> LPData:
-    """Cost vector and stationarity block for every mesh control.
+    """Cost vector and operator rows for every mesh control.
 
-    Column block ``c`` of the stationarity matrix is the transpose of the
-    Markov generator run at the frozen control ``c`` (the negated solver
-    operator at zero discount); rows therefore express inflow-outflow balance
-    at each (node, state) and annihilate constants by construction.
+    Block ``c`` is ``solver.frozen_system`` at the constant control ``c``, zero
+    discount and the raw sources: the negated Markov generator of the frozen chain
+    and the cost ``f + l``.  The columns of ``stationarity`` therefore express
+    inflow-outflow balance at each (node, state) and annihilate constants.
     """
-    n = grid.n_nodes
-    pts = grid.points
-    blocks = []
-    costs = []
-    f = np.stack([problem.source(k)(pts) for k in STATES])
-    for c in range(mesh.n_controls):
-        xi = np.broadcast_to(mesh.controls[c], (n, grid.dim))
-        blocks.append((-assemble_generator(grid, problem, np.stack([xi, xi]), 0.0)).T)
-        lag = np.stack([problem.hamiltonian.lagrangian(k, pts, xi) for k in STATES])
-        costs.append((f + lag).ravel())
-    return LPData(grid=grid, mesh=mesh, cost=np.concatenate(costs),
-                  stationarity=sp.hstack(blocks, format="csr"), n_nodes=n)
+    shape = (2, grid.n_nodes, grid.dim)
+    src = np.concatenate([problem.source(k)(grid.points) for k in STATES])
+    systems = [frozen_system(problem, grid, src, np.broadcast_to(c, shape), 0.0)
+               for c in mesh.controls]
+    return LPData(grid=grid, mesh=mesh, cost=np.concatenate([rhs for _, rhs in systems]),
+                  operators=sp.vstack([op for op, _ in systems], format="csr"))
 
 
 def _check_irreducible(matrix: sp.csr_matrix, iteration: int) -> None:
@@ -167,36 +160,34 @@ def _check_irreducible(matrix: sp.csr_matrix, iteration: int) -> None:
                       "state no way out")
 
 
-def solve_lp(lp: LPData, feasibility_tol: float = 1e-8):
+def solve_lp(lp: LPData):
     """Minimize the running cost over stationary unit-mass measures.
 
-    Policy iteration on the LP's own columns (Manne's duality; Puterman,
+    Policy iteration on the LP's columns (Manne's duality; Puterman,
     ch. 8-9).  A policy holds one mesh control per (node, state) row, starting
-    from the zero control.  Its operator ``A_pi`` is the negated transpose of
-    its columns of ``lp.stationarity``, and ``solver.policy_evaluation`` solves
+    from the zero control.  Its operator ``A_pi`` is its rows of
+    ``lp.operators``, and ``solver.policy_evaluation`` solves
     ``A_pi u + lam = cost_pi`` with ``u`` pinned at the origin in state 1.  One
     matvec prices every column, ``rc = cost - lam - A u``, and a row switches
     to its best column when that reduced cost is below
     ``-PRICING_TOL * (1 + |cost|)``.  With no switch left, the measure is the
-    policy's stationary law, the transposed solve ``P^T y = e_ref`` of the
-    held pinned factor ``P = A_pi + e_ref e_ref^T`` normalized to mass 1.  It
+    policy's stationary law, ``solver.stationary_law`` on the held factor.  It
     is feasible, and with ``(u, lam)`` and ``min rc >= -gap`` it certifies its
     cost as the LP optimum to within ``gap`` (``optimality_gap``).
 
     Returns ``(value, OccupationMeasure)``.  Raises ``LPError`` when a
     policy's chain is reducible, a policy evaluation fails, the iteration
     cap ``MAX_POLICY_ITERS`` is reached, or the measure misses the
-    feasibility checks (mass 1, balance residual <= ``feasibility_tol``).
+    feasibility checks (mass 1, balance residual <= ``FEASIBILITY_TOL``).
     """
-    n_rows = lp.stationarity.shape[0]
-    columns = (-lp.stationarity.T).tocsr()   # row j: the solver operator's row of column j
+    n_rows = lp.operators.shape[1]
     rows = np.arange(n_rows)
     cost = lp.cost.reshape(lp.mesh.n_controls, n_rows)
     ref = lp.grid.origin_index
     policy = np.full(n_rows, int(np.argmin(np.linalg.norm(lp.mesh.controls, axis=-1))))
     for iteration in range(1, MAX_POLICY_ITERS + 1):
         cols = policy * n_rows + rows
-        a_pi = columns[cols]
+        a_pi = lp.operators[cols]
         _check_irreducible(a_pi, iteration)
         # a fresh holder, so that the factor held at the end is the final policy's own
         factor = LUFactor()
@@ -204,7 +195,7 @@ def solve_lp(lp: LPData, feasibility_tol: float = 1e-8):
             u, lam = policy_evaluation(a_pi, lp.cost[cols], ref, factor)
         except SolverError as exc:
             raise LPError(f"evaluation of policy {iteration} failed: {exc}") from exc
-        rc = (lp.cost - lam - columns @ u).reshape(cost.shape)
+        rc = (lp.cost - lam - lp.operators @ u).reshape(cost.shape)
         best = np.argmin(rc, axis=0)
         switch = ((rc[best, rows] < -PRICING_TOL * (1.0 + np.abs(cost[best, rows])))
                   & (best != policy))
@@ -213,20 +204,17 @@ def solve_lp(lp: LPData, feasibility_tol: float = 1e-8):
         policy = np.where(switch, best, policy)
     else:
         raise LPError(f"policy iteration did not settle in {MAX_POLICY_ITERS} policies")
-    e_ref = np.zeros(n_rows)
-    e_ref[ref] = 1.0
-    law = factor.lu.solve(e_ref, trans="T")
-    law /= law.sum()
-    if not law.min() >= -feasibility_tol:
+    law = stationary_law(factor, ref)
+    if not law.min() >= -FEASIBILITY_TOL:
         raise LPError(f"stationary law of the final policy has an entry {law.min():.3e} < 0")
     x = np.zeros(lp.n_vars)
     x[cols] = np.maximum(law, 0.0)
-    residual = float(np.max(np.abs(lp.stationarity @ x)))
+    residual = float(np.max(np.abs(lp.operators.T @ x)))   # the balance rows, up to sign
     mass = float(np.sum(x))
-    if abs(mass - 1.0) > 1e-9 or residual > feasibility_tol:
+    if abs(mass - 1.0) > 1e-9 or residual > FEASIBILITY_TOL:
         raise LPError(f"optimizer violates feasibility: mass {mass!r}, residual {residual:.3e}")
-    measure = OccupationMeasure(grid=lp.grid, mesh=lp.mesh,
-                                weights=_flat_to_weights(x, lp.n_nodes, lp.mesh.n_controls),
+    weights = x.reshape(lp.mesh.n_controls, 2, lp.grid.n_nodes).transpose(1, 2, 0)
+    measure = OccupationMeasure(grid=lp.grid, mesh=lp.mesh, weights=weights,
                                 mass=mass, stationarity_residual=residual,
                                 iterations=iteration,
                                 optimality_gap=max(0.0, -float(rc.min())))

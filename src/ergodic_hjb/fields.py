@@ -227,7 +227,10 @@ class DriftField:
             object.__setattr__(self, "value", (0.0,) * self.dim)
         if len(self.value) != self.dim:
             raise ParameterError("drift vector length must match the dimension")
-        object.__setattr__(self, "b", _read_only(np.asarray(self.value, dtype=float)))
+        b = np.asarray(self.value, dtype=float)
+        if not np.isfinite(b).all():
+            raise ParameterError(f"drift vector must be finite, got {list(self.value)}")
+        object.__setattr__(self, "b", _read_only(b))
 
     @property
     def is_zero(self) -> bool:
@@ -268,6 +271,8 @@ class MetricField:
         a = np.eye(self.dim) if self.matrix is None else np.asarray(self.matrix, dtype=float)
         if a.shape != (self.dim, self.dim):
             raise CoefficientError(f"metric has shape {a.shape}, expected ({self.dim},{self.dim})")
+        if not np.isfinite(a).all():
+            raise CoefficientError(f"metric must be finite, got {a.tolist()}")
         if not np.allclose(a, a.T, atol=1e-12):
             raise CoefficientError("metric must be symmetric")
         eig = np.linalg.eigvalsh(a)

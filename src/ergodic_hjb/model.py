@@ -36,6 +36,7 @@ from .errors import ParameterError
 from .fields import CoefficientField, DriftField, MetricField, number
 
 STATES = (1, 2)
+VIOLATIONS_PER_STATE = 5   # violation records kept per state and check
 
 
 def other_state(k: int) -> int:
@@ -201,6 +202,8 @@ class HamiltonianSpec:
         for g in self.gammas:
             if not g > 1.0:
                 raise ParameterError(f"power exponent must exceed 1, got {g}")
+            if g == np.inf:
+                raise ParameterError(f"power exponent must be finite, got {g}")
         level = self.truncation_level
         if level is not None and not 0.0 < level < np.inf:
             raise ParameterError(f"truncation level must be a finite number > 0, got {level}")
@@ -341,6 +344,8 @@ class ProblemSpec:
             raise ParameterError(
                 f"x_ref has {len(self.x_ref)} coordinates, the problem has dimension "
                 f"{self.dimension}")
+        if not np.isfinite(self.x_ref).all():
+            raise ParameterError(f"x_ref must be finite, got {list(self.x_ref)}")
 
     def switch_rate(self, k: int) -> CoefficientField:
         _check_state(k)
@@ -433,8 +438,9 @@ class AuditReport:
                 "narrative": self.narrative, "worst_node": self.worst_node}
 
 
-def switch_rate_violations(problem: ProblemSpec, points: np.ndarray, limit: int = 5) -> list:
-    """Points where a switching rate is not > 0 (NaN included), at most ``limit`` per state.
+def switch_rate_violations(problem: ProblemSpec, points: np.ndarray) -> list:
+    """Points where a switching rate is not > 0 (NaN included), at most
+    ``VIOLATIONS_PER_STATE`` per state.
 
     Each entry is a ``switch_rate_positive`` violation record of
     :func:`validate_assumptions`; the run config is rejected on the first.
@@ -442,7 +448,7 @@ def switch_rate_violations(problem: ProblemSpec, points: np.ndarray, limit: int 
     violations = []
     for k in STATES:
         a = problem.switch_rate(k)(points)
-        for i in np.flatnonzero(~(a > 0.0))[:limit]:
+        for i in np.flatnonzero(~(a > 0.0))[:VIOLATIONS_PER_STATE]:
             violations.append({"check": "switch_rate_positive", "state": k,
                                "node": int(i), "point": points[i].tolist(),
                                "lhs": float(a[i]), "rhs": 0.0})
@@ -488,7 +494,7 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
         coercive[str(k)] = bool(np.min(f[outer]) > np.min(f[inner]))
         if declared and "c2" in declared:
             bad = ratio > declared["c2"]
-            for i in np.flatnonzero(bad)[:5]:
+            for i in np.flatnonzero(bad)[:VIOLATIONS_PER_STATE]:
                 violations.append({"check": "source_gradient_growth", "state": k,
                                    "node": int(i), "point": pts[i].tolist(),
                                    "lhs": float(gf[i]), "rhs": float(declared["c2"] * envelope[i])})

@@ -9,19 +9,19 @@ Two constructive routes are provided and should agree on every problem:
   closing the system.
 
 Both use the same inner loop: evaluate the current feedback control through a
-sparse monotone linear solve, then improve it from the Hamiltonian gradient
-at the central difference of the value.  The running cost and the
-improvement are the problem's own Legendre pair, ``HamiltonianSpec.lagrangian``
-and ``HamiltonianSpec.grad_p``, for truncated states too.  One evaluation serves both routes:
-the discounted matrix is factored as it is, the average-cost matrix is
-pinned at the reference node (``A + e_ref e_ref^T``), and the eigenvalue is
-the ratio of two triangular solves at that node.  The pattern (5-point
-stencil, diagonal switching coupling, ``e_ref e_ref^T``) is structurally
-symmetric, so SuperLU orders it by minimum degree on ``A + A^T``, which
-halves the LU fill of the column ordering of ``A^T A``.  Boxes carry a steep
-penalty source near the wall (a finite stand-in for boundary blow-up) which
-confines the minimizer strictly inside the domain when the source is
-coercive.
+sparse monotone linear solve (:func:`frozen_system`), then improve it from the
+Hamiltonian gradient at the central difference of the value.  The running cost
+and the improvement are the problem's own Legendre pair,
+``HamiltonianSpec.lagrangian`` and ``HamiltonianSpec.grad_p``, for truncated
+states too.  One evaluation serves both routes: the discounted matrix is
+factored as it is, the average-cost matrix is pinned at the reference node
+(``A + e_ref e_ref^T``), and the eigenvalue is the ratio of two triangular
+solves at that node.  The pattern (5-point stencil, diagonal switching
+coupling, ``e_ref e_ref^T``) is structurally symmetric, so SuperLU orders it
+by minimum degree on ``A + A^T``, which halves the LU fill of the column
+ordering of ``A^T A``.  Boxes carry a steep penalty source near the wall (a
+finite stand-in for boundary blow-up) which confines the minimizer strictly
+inside the domain when the source is coercive.
 
 Every evaluation runs one iterative refinement to a componentwise backward
 error of 1e-15, with the LU factor the Howard loop carries from the last
@@ -354,9 +354,21 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = 
     return u, float(lam)
 
 
-def _running_cost(problem: ProblemSpec, grid: Grid, xi: np.ndarray) -> np.ndarray:
-    """Per-node running cost l_k(x, xi_k(x)) of a feedback field, shape (2, n)."""
-    return np.stack([problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in STATES])
+def stationary_law(factor: LUFactor, ref: int) -> np.ndarray:
+    """Stationary law (mass 1) of the chain whose average-cost system ``factor`` holds:
+    for ``P = A + e_ref e_ref^T`` and ``A^T m = 0``, ``P^T m = m_ref e_ref``."""
+    if factor.lu is None or factor.ref != ref:
+        raise ParameterError(f"the held factor is not an average-cost factor pinned at {ref}")
+    law = factor.lu.solve(np.eye(1, factor.matrix.shape[0], ref)[0], trans="T")
+    return law / law.sum()
+
+
+def frozen_system(problem: ProblemSpec, grid: Grid, src: np.ndarray, xi: np.ndarray,
+                  discount: float) -> tuple[sp.csr_matrix, np.ndarray]:
+    """:func:`assemble_generator` at the feedback ``xi`` (2, n, dim), and its right-hand
+    side: the source ``src`` (2n,) plus the running cost l_k(x, xi_k(x)) of each row."""
+    lag = np.stack([problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in STATES])
+    return assemble_generator(grid, problem, xi, discount), src + lag.ravel()
 
 
 def _clamp(xi: np.ndarray, cap: float) -> np.ndarray:
@@ -367,14 +379,10 @@ def _clamp(xi: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _improve(problem: ProblemSpec, grid: Grid, u: np.ndarray, cap: float):
-    """Feedback improvement from the central gradient of the current value.
-
-    Returns the clamped control field (2, n, dim) and its running cost.
-    """
-    xi = np.stack([_clamp(problem.hamiltonian.grad_p(k, grid.points,
-                                                     gradient_central(grid, u[k - 1])), cap)
-                   for k in STATES])
-    return xi, _running_cost(problem, grid, xi)
+    """Clamped feedback (2, n, dim) from the central gradient of the current value."""
+    return np.stack([_clamp(problem.hamiltonian.grad_p(k, grid.points,
+                                                       gradient_central(grid, u[k - 1])), cap)
+                     for k in STATES])
 
 
 def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
@@ -396,15 +404,13 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
     tol = opts.tol_pde if opts.tol_pde is not None else 1e-9 * source_scale
     xi = (np.zeros((2, n, grid.dim)) if warm is None
           else _clamp(np.array(warm, dtype=float), cap))
-    rhs = src + _running_cost(problem, grid, xi).ravel()
-    gen = assemble_generator(grid, problem, xi, discount)
+    gen, rhs = frozen_system(problem, grid, src, xi, discount)
     history = []
     factor = LUFactor()
     for it in range(1, opts.max_policy_iters + 1):
         u, lam = policy_evaluation(gen, rhs, ref, factor)
-        xi, lag = _improve(problem, grid, u.reshape(2, n), cap)
-        gen = assemble_generator(grid, problem, xi, discount)
-        rhs = src + lag.ravel()
+        xi = _improve(problem, grid, u.reshape(2, n), cap)
+        gen, rhs = frozen_system(problem, grid, src, xi, discount)
         residual = _defect_norm(gen @ u + lam - rhs, rhs, source_scale, gen, u, lam, tol)
         history.append((it, residual, lam))
         if residual <= tol:

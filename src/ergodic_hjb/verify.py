@@ -12,20 +12,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from .discretize import Grid, assemble_generator, control_cap, gradient_central, source_envelope
+from .discretize import Grid, control_cap, gradient_central, source_envelope
 from .model import AuditReport, ProblemSpec, STATES
 from .solver import (
     ErgodicSolution,
     LUFactor,
     SolverOptions,
-    _running_cost,
     default_penalty,
+    frozen_system,
     penalty_source,
     policy_evaluation,
     solve_discounted,
     solve_ergodic_normalized,
     wall_cap,
 )
+
+M2_CAP = 1.0           # M2 of the coercive floor fit
+TOL_LP = 0.05          # LP vs PDE, relative to max(1, |lambda|)
+TOL_MC_EXTRA = 0.02    # MC vs PDE beyond three standard errors, likewise relative
 
 
 def _inner_masks(grid: Grid):
@@ -84,12 +88,11 @@ def audit_gradient_bound(problem: ProblemSpec, grid: Grid, scalings=(1.0, 4.0, 1
     )
 
 
-def audit_coercive_lower_bound(problem: ProblemSpec, solution: ErgodicSolution,
-                               m2_cap: float = 1.0) -> AuditReport:
+def audit_coercive_lower_bound(problem: ProblemSpec, solution: ErgodicSolution) -> AuditReport:
     """Fit of the coercive floor u >= M1 f^(1/gamma) - M2 away from the wall.
 
     The solution is shifted nonnegative first.  Passes when the fitted M1 is
-    at least 0.01 with M2 capped at ``m2_cap``.  Also reports the
+    at least 0.01 with M2 capped at ``M2_CAP``.  Also reports the
     gradient-quotient constant sup |grad u|^2 / (u f^(1/gamma)) outside the
     half box.
     """
@@ -106,13 +109,13 @@ def audit_coercive_lower_bound(problem: ProblemSpec, solution: ErgodicSolution,
         f = problem.source(k)(pts)
         root = np.maximum(f, 0.0) ** (1.0 / problem.hamiltonian.gamma(k))
         mask = inside & (root > 1e-9)
-        fits = (u[k - 1][mask] + m2_cap) / root[mask]
+        fits = (u[k - 1][mask] + M2_CAP) / root[mask]
         idx = int(np.argmin(fits))
         if fits[idx] < m1:
             m1 = float(fits[idx])
             node = np.flatnonzero(mask)[idx]
             worst = {"state": k, "node": int(node), "point": pts[node].tolist(),
-                     "lhs": float(u[k - 1][node] + m2_cap), "rhs": float(root[node])}
+                     "lhs": float(u[k - 1][node] + M2_CAP), "rhs": float(root[node])}
         grad2 = np.sum(gradient_central(grid, u[k - 1]) ** 2, axis=-1)
         qmask = outside_compact & (u[k - 1] > 1e-6) & (root > 1e-9)
         if np.any(qmask):
@@ -121,7 +124,7 @@ def audit_coercive_lower_bound(problem: ProblemSpec, solution: ErgodicSolution,
     return AuditReport(
         name="coercive_lower_bound",
         passed=passed,
-        constants={"m1": m1, "m2_cap": m2_cap, "m3_gradient_quotient": m3},
+        constants={"m1": m1, "m2_cap": M2_CAP, "m3_gradient_quotient": m3},
         narrative=f"floor fit M1 = {m1:.4g} (requires >= 0.01), gradient quotient M3 = {m3:.4g}",
         worst_node=None if passed else worst,
     )
@@ -143,13 +146,12 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     pen = replace(default_penalty(problem), cap=wall_cap(problem, grid))
     opts = replace(opts, control_cap=control_cap(problem, grid))
     base = solve_discounted(problem, grid, discount, penalty=pen, opts=opts)
-    gen = assemble_generator(grid, problem, base.controls, discount)
-    src = penalty_source(problem, grid, pen).ravel()
-    lag = _running_cost(problem, grid, base.controls).ravel()
+    gen, rhs = frozen_system(problem, grid, penalty_source(problem, grid, pen).ravel(),
+                             base.controls, discount)
     # one factor of the frozen-policy matrix serves both right-hand sides
     factor = LUFactor()
-    u, _ = policy_evaluation(gen, src + lag, factor=factor)
-    v, _ = policy_evaluation(gen, src + lag + delta, factor=factor)
+    u, _ = policy_evaluation(gen, rhs, factor=factor)
+    v, _ = policy_evaluation(gen, rhs + delta, factor=factor)
     linear_gap = float(np.min(v - u))
     worst = None
     if linear_gap < -1e-10:
@@ -182,17 +184,16 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
 
 
 def consistency_report(lam_pde: float, lam_lp: float | None, lam_mc: float | None,
-                       mc_std_error: float = 0.0, tol_lp: float = 0.05,
-                       tol_mc_extra: float = 0.02) -> AuditReport:
+                       mc_std_error: float = 0.0) -> AuditReport:
     """Cross-method agreement: PDE eigenvalue vs LP value vs simulation."""
     gaps = {}
     passed = True
     if lam_lp is not None:
         gaps["lp_gap"] = abs(lam_pde - lam_lp)
-        passed = passed and gaps["lp_gap"] <= tol_lp * max(1.0, abs(lam_pde))
+        passed = passed and gaps["lp_gap"] <= TOL_LP * max(1.0, abs(lam_pde))
     if lam_mc is not None:
         gaps["mc_gap"] = abs(lam_pde - lam_mc)
-        allowance = 3.0 * mc_std_error + tol_mc_extra * max(1.0, abs(lam_pde))
+        allowance = 3.0 * mc_std_error + TOL_MC_EXTRA * max(1.0, abs(lam_pde))
         gaps["mc_allowance"] = allowance
         passed = passed and gaps["mc_gap"] <= allowance
     pieces = [f"pde {lam_pde:.6g}"]

@@ -409,10 +409,25 @@ class TestMainEntry:
                      {**SMALL_PROBLEM["states"][1],
                       "a": {"form": "constant_spd", "matrix": [[1.0, 0.0]]}}]},
          "metric has shape (1, 2), expected (1,1)"),
+        ({"states": [{**SMALL_PROBLEM["states"][0],
+                      "b": {"form": "constant", "value": [float("inf")]}},
+                     SMALL_PROBLEM["states"][1]]}, "drift vector must be finite, got [inf]"),
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1],
+                      "b": {"form": "constant", "value": [float("nan")]}}]},
+         "drift vector must be finite, got [nan]"),
+        ({"states": [{**SMALL_PROBLEM["states"][0],
+                      "a": {"form": "constant_spd", "matrix": [[float("inf")]]}},
+                     SMALL_PROBLEM["states"][1]]}, "metric must be finite, got [[inf]]"),
+        ({"x_ref": [float("nan")]}, "x_ref must be finite, got [nan]"),
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1], "gamma": float("inf")}]},
+         "power exponent must be finite, got inf"),
     ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan",
             "rate-c-bool", "source-c0-bool", "drift-empty", "x-ref-empty-list",
             "x-ref-empty-object", "gamma-string", "truncation-level-bool",
-            "truncation-level-string", "metric-not-positive", "metric-wrong-shape"])
+            "truncation-level-string", "metric-not-positive", "metric-wrong-shape",
+            "drift-inf", "drift-nan", "metric-inf", "x-ref-nan", "gamma-inf"])
     def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))

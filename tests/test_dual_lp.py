@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from scipy.optimize import linprog
 
 import ergodic_hjb
 from ergodic_hjb import dual_lp, fields
-from ergodic_hjb.discretize import build_grid
+from ergodic_hjb.discretize import assemble_generator, build_grid, control_cap
 from ergodic_hjb.dual_lp import (
     OccupationMeasure,
     assemble_lp,
@@ -19,7 +20,7 @@ from ergodic_hjb.dual_lp import (
     stationarity_residual,
 )
 from ergodic_hjb.errors import LPError, ParameterError
-from ergodic_hjb.model import truncate_hamiltonian
+from ergodic_hjb.model import STATES, truncate_hamiltonian
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from tests.conftest import make_problem
 
@@ -231,6 +232,66 @@ class TestPolicyIteration:
         monkeypatch.setattr(dual_lp, "MAX_POLICY_ITERS", 1)
         with pytest.raises(LPError, match="did not settle in 1 policies"):
             solve_lp(lp)
+
+
+def _bundled_lp():
+    """The LP of the bundled quadratic-1d config: R=6, h=0.1, magnitude step 0.25."""
+    problem = make_problem()
+    grid = build_grid(1, 6.0, 0.1)
+    mesh = build_control_mesh(problem, grid, magnitudes=np.arange(
+        0.0, control_cap(problem, grid) + 0.25, 0.25))
+    return grid, mesh, assemble_lp(problem, grid, mesh)
+
+
+class TestPinned:
+    # recorded before the LP held its operator rows once, in place of the
+    # stacked balance blocks and their transposed copy
+    @pytest.mark.parametrize("make_lp, lam_hex, iterations, gap, residual, digest", [
+        (_bundled_lp, "0x1.6ab3e9c11eaf6p+0", 6, 1.0373923942097463e-12, 1.061650767297806e-15,
+         "b9d82dde1c2aed24ff6ae83d9359cc4dcc87c2eadaca7b65a06c0c6e1eb745de"),
+        (_coarse_2d_lp, "0x1.201376eaa9106p+1", 2, 1.5987211554602254e-14,
+         3.608224830031759e-16,
+         "3c56e28bbbce580e6155aafba8c1057885b6781300fd535e3e949813d1f4593f"),
+    ], ids=["bundled", "coarse-2d"])
+    def test_solution_pinned(self, make_lp, lam_hex, iterations, gap, residual, digest):
+        _, _, lp = make_lp()
+        lam_bar, mu = solve_lp(lp)
+        assert lam_bar.hex() == lam_hex
+        assert mu.iterations == iterations
+        assert mu.optimality_gap == gap
+        assert mu.stationarity_residual == residual
+        assert hashlib.sha256(mu.weights.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim, radius, h, step", [(1, 6.0, 0.1, 0.25), (2, 2.0, 0.5, 0.5)],
+                             ids=["bundled", "2d-spd-drift"])
+    def test_matches_the_generator_blocks(self, dim, radius, h, step):
+        # the balance rows and the cost as they were built before: block c of
+        # the rows is the negated generator at control c, transposed, and its
+        # cost is f + l stacked by state
+        drifts = metrics = None
+        if dim == 2:
+            drifts = (fields.DriftField(2, (0.3, -0.2)), fields.DriftField(2))
+            metrics = (fields.constant_metric(2, [[2.0, 0.5], [0.5, 1.0]]),
+                       fields.identity_metric(2))
+        problem = make_problem(dim=dim, gammas=(2.0, 3.0), alphas=(0.5, 2.0), drifts=drifts,
+                               metrics=metrics,
+                               sources=(fields.quadratic(dim), fields.quadratic(dim, c0=3.0)))
+        grid = build_grid(dim, radius, h)
+        mesh = build_control_mesh(problem, grid, magnitudes=np.arange(
+            0.0, control_cap(problem, grid) + step, step))
+        lp = assemble_lp(problem, grid, mesh)
+        pts = grid.points
+        f = np.stack([problem.source(k)(pts) for k in STATES])
+        blocks, costs = [], []
+        for c in range(mesh.n_controls):
+            xi = np.broadcast_to(mesh.controls[c], (grid.n_nodes, grid.dim))
+            blocks.append((-assemble_generator(grid, problem, np.stack([xi, xi]), 0.0)).T)
+            lag = np.stack([problem.hamiltonian.lagrangian(k, pts, xi) for k in STATES])
+            costs.append((f + lag).ravel())
+        reference = sp.hstack(blocks, format="csr")
+        assert lp.stationarity.shape == reference.shape
+        assert (lp.stationarity != reference).nnz == 0
+        assert lp.cost.tobytes() == np.concatenate(costs).tobytes()
 
 
 def test_package_import_leaves_scipy_optimize_out():

@@ -156,6 +156,32 @@ class TestPolicyEvaluation:
         else:
             assert lam == 0.0
 
+    @pytest.mark.parametrize("discount", [0.0, 0.7])
+    def test_frozen_system_is_generator_and_running_cost(self, rng, discount):
+        problem = make_problem(gammas=(2.0, 3.0), sources=(fields.quadratic(1),
+                                                           fields.quadratic(1, c0=1.0)))
+        grid = build_grid(1, 2.0, 0.1)
+        xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
+        src = rng.normal(size=2 * grid.n_nodes)
+        gen, rhs = solver.frozen_system(problem, grid, src, xi, discount)
+        assert (gen != assemble_generator(grid, problem, xi, discount)).nnz == 0
+        lag = [problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in (1, 2)]
+        assert rhs.tobytes() == (src + np.concatenate(lag)).tobytes()
+
+    def test_stationary_law_of_the_pinned_factor(self, rng):
+        problem = make_problem(alphas=(0.5, 2.0))
+        grid = build_grid(1, 2.0, 0.1)
+        xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
+        gen = assemble_generator(grid, problem, xi, 0.0)
+        factor = LUFactor()
+        policy_evaluation(gen, rng.normal(size=2 * grid.n_nodes), grid.origin_index, factor)
+        law = solver.stationary_law(factor, grid.origin_index)
+        # the law of the chain with generator -gen: nonnegative, mass 1, and balanced
+        assert law.min() >= 0.0 and law.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(gen.T @ law)) <= 1e-12 * abs(gen).max()
+        with pytest.raises(ParameterError, match="not an average-cost factor pinned at 3"):
+            solver.stationary_law(factor, 3)
+
     def test_factor_fill_bounded(self, quadratic_2d, monkeypatch):
         # the pinned 2D pattern is structurally symmetric: minimum degree on
         # A + A^T gives nnz(L+U) up to 12.9 nnz(A), column ordering up to 26.1;
@@ -513,6 +539,22 @@ class TestErgodicDirect:
                 grid).lam
             assert coupled == pytest.approx(scalar + 1.5, abs=5e-6)
 
+    def test_quartic_oscillator_second_order(self):
+        # gamma = 2 and f = 2 x^4 in both states: Hopf-Cole (u = -2 log psi) turns
+        # the problem into -psi'' + x^4 psi = mu psi with lambda = 2 mu_1, and
+        # mu_1 = 1.0603620904841829 (Hioe & Montroll, J. Math. Phys. 16, 1975);
+        # the scheme's error is -0.281 h^2, so its order is seen, and Richardson
+        # on the 2h start removes it
+        lam_star = 2.1207241809683658
+        quartic = fields.power_radial(1, 2.0, 4.0)
+        problem = make_problem(sources=(quartic, quartic))
+        sols = [solve_ergodic_normalized(problem, build_grid(1, 5.0, h))
+                for h in (0.05, 0.025, 0.0125)]
+        errors = [sol.lam - lam_star for sol in sols]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.95 <= np.log2(coarse / fine) <= 2.05
+        assert abs((4.0 * sols[-1].lam - sols[-1].coarse_lam) / 3.0 - lam_star) <= 1e-8
+
 
 class TestTruncation:
     def test_inert_level_matches_untruncated(self):
@@ -690,3 +732,40 @@ def test_lambda_monotone_in_the_source(draw_seed, h, scales, shifts):
         f.scaled(s).shifted(c) for f, s, c in zip(problem.sources, scales, shifts)),
         grid, problem)
     assert above.lam >= base.lam - 1e-12 * (1.0 + abs(base.lam))
+
+
+# each draw is one 1D solve (and its 2h start) of at most 81 nodes per state
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(draw_seed=st.integers(0, 2**16), h=st.sampled_from([0.1, 0.2]))
+def test_even_data_give_an_even_value(draw_seed, h):
+    # radial sources, constant rates and metrics and no drift are unchanged by
+    # x -> -x, and so is the grid, the wall and x_ref = 0: u is even in x
+    rng = np.random.default_rng(draw_seed)
+    states = [_random_state(rng) for _ in range(2)]
+    problem = make_problem(
+        gammas=tuple(s[0] for s in states), alphas=tuple(rng.uniform(0.5, 2.0, 2)),
+        metrics=tuple(s[1] for s in states), sources=tuple(s[3] for s in states))
+    u = solve_ergodic_normalized(problem, build_grid(1, 4.0, h)).u
+    assert np.all(np.abs(u - u[:, ::-1]) <= 1e-12 * (1.0 + np.abs(u)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(draw_seed=st.integers(0, 2**16), h=st.sampled_from([0.1, 0.2]),
+       discount=st.floats(0.05, 2.0))
+def test_frozen_policy_comparison(draw_seed, h, discount):
+    # at a positive discount the frozen-control operator is an M-matrix, so a
+    # source f <= g at every node gives u_f <= u_g at every node and state;
+    # the controls lie on both sides of the central-difference limit |xi| h <= 2
+    rng = np.random.default_rng(draw_seed)
+    problem = _random_problem(draw_seed)
+    grid = build_grid(1, 4.0, h)
+    size = 2 * grid.n_nodes
+    xi = rng.uniform(-3.0 / h, 3.0 / h, (2, grid.n_nodes, 1))
+    f = rng.normal(0.0, 1.0, size)
+    g = f + np.where(rng.random(size) < 0.3, rng.uniform(0.0, 1.0, size), 0.0)
+    gen, rhs_f = solver.frozen_system(problem, grid, f, xi, discount)
+    _, rhs_g = solver.frozen_system(problem, grid, g, xi, discount)
+    factor = LUFactor()
+    u_f, _ = policy_evaluation(gen, rhs_f, factor=factor)
+    u_g, _ = policy_evaluation(gen, rhs_g, factor=factor)
+    assert np.all(u_g - u_f >= -1e-12 * (1.0 + np.abs(u_f)))
