@@ -28,7 +28,7 @@ from .model import (
     truncate_hamiltonian,
     validate_assumptions,
 )
-from .simulate import FeedbackControl, empirical_measure, simulate_paths
+from .simulate import FeedbackControl, empirical_measure, simulate_controls, simulate_paths
 from .solver import (
     DiscountedSolution,
     ErgodicSolution,
@@ -75,6 +75,7 @@ __all__ = [
     "OccupationMeasure",
     "FeedbackControl",
     "simulate_paths",
+    "simulate_controls",
     "empirical_measure",
     "RunConfig",
     "load_config",

@@ -9,11 +9,12 @@ of the same config reproduces every file byte for byte.
 ``run_pipeline`` reads and checks every config section, then runs the stages
 one after another on the calling thread, in this order: the solve
 (``_solve_stage``); the LP (``dual_lp.solve_lp``); the Monte Carlo estimates
-(``simulate.simulate_paths``; ``threads`` sizes their chunk pool only); the
-sample path (``_write_sample_path``); the audits (``_audit_stage``); and last
-``config.json`` and ``summary.json``.  A failed stage ends the run, so a
-failed solve runs no LP, and an LP failure runs no Monte Carlo estimate and
-leaves only the solve's files behind.
+(one ``simulate.simulate_controls`` call for the control and the perturbed
+one; ``threads`` sizes its chunk pool only), whose first estimate's kept path
+is the sample path; the audits (``_audit_stage``); and last ``config.json``
+and ``summary.json``.  A failed stage ends the run, so a failed solve runs no
+LP, and an LP failure runs no Monte Carlo estimate and leaves only the
+solve's files behind.
 
 Exit codes: 0 all stages and requested audits passed; 1 a stage failed or an
 audit reported failure; 2 the config did not parse or validate.
@@ -52,6 +53,8 @@ ALL_STAGES = ("solve", "lp", "simulate", "audit")
 # the keys of each config section and their defaults (solver, penalty: dataclass fields)
 _GRID_KEYS = ("radius", "h")
 _LP_DEFAULTS = {"h": None, "control_step": 0.25, "directions": 8}   # h None: 5 * grid h
+# the most LP control magnitudes a config may ask for: control cap / lp.control_step
+_MAX_MAGNITUDES = 10_000
 _MC_DEFAULTS = {"horizon": 20.0, "dt": 1e-3, "paths": 2000, "burn_in": 0.1,
                 "control": "extracted", "perturbed": None, "sample_path": False}
 
@@ -104,17 +107,13 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_sample_path(path, problem, control, mc_kwargs: dict):
-    est = simulate.simulate_paths(
-        problem, control, **{**mc_kwargs, "horizon": min(mc_kwargs["horizon"], 5.0),
-                             "paths": 1, "burn_in": 0.0, "seed": (mc_kwargs["seed"] + 1) % 2**64,
-                             "record_samples": True, "sample_target": 10**9})
-    s = est.samples
-    axes, dt = range(1, s.x.shape[1] + 1), mc_kwargs["dt"] * s.stride
+def _write_sample_path(path, s: simulate.SimulationSamples, dt: float):
+    """One row per kept step of a sample path, at its absolute time ``step * dt``."""
+    axes = range(1, s.x.shape[1] + 1)
     _write_csv(path, ["t", *(f"x{j}" for j in axes), "state", *(f"u{j}" for j in axes),
                       "running_cost"],
-               ([repr(i * dt), *map(repr, s.x[i].tolist()), int(s.state[i]),
-                 *map(repr, s.control[i].tolist()), repr(float(s.cost[i]))]
+               ([repr((s.start + i * s.stride) * dt), *map(repr, s.x[i].tolist()),
+                 int(s.state[i]), *map(repr, s.control[i].tolist()), repr(float(s.cost[i]))]
                 for i in range(s.x.shape[0])))
 
 
@@ -225,9 +224,15 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
             lp_directions = number(lp["directions"], "lp.directions", integer=True)
             if not 0.0 < lp_step < np.inf:
                 raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
+            with np.errstate(over="ignore"):   # huge data overflow the cap; it is rejected
+                cap = control_cap(problem, lp_grid)
+                count = cap / lp_step
+            if not count <= _MAX_MAGNITUDES:   # a NaN also lands here
+                raise ParameterError(
+                    f"lp.control_step {lp_step!r} cuts the control cap {cap:.6g} into "
+                    f"{count:.3g} magnitudes, more than {_MAX_MAGNITUDES}")
             lp_mesh = dual_lp.build_control_mesh(
-                problem, lp_grid,
-                magnitudes=np.arange(0.0, control_cap(problem, lp_grid) + lp_step, lp_step),
+                problem, lp_grid, magnitudes=np.arange(0.0, cap + lp_step, lp_step),
                 directions=lp_directions)
         if config.mc is not None:
             mc = {**_MC_DEFAULTS, **_section(config, "mc", _MC_DEFAULTS)}
@@ -263,15 +268,16 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         lam_lp, measure = dual_lp.solve_lp(dual_lp.assemble_lp(problem, lp_grid, lp_mesh))
         summary["lp"] = {"lambda_bar": lam_lp, **measure.to_dict()}
     if "simulate" in stages and config.mc is not None:
-        control, worse = (extracted if c == "extracted" else c for c in controls)
-        summary["mc"] = simulate.simulate_paths(problem, control, **mc_kwargs).to_dict()
-        if worse is not None:
-            summary["mc"]["perturbed"] = simulate.simulate_paths(
-                problem, worse, **mc_kwargs).to_dict()
-
-    if summary["mc"] is not None and mc["sample_path"]:
-        _write_sample_path(out / "sample_path.csv", problem, control, mc_kwargs)
-        files.update(sample_path="sample_path.csv")
+        estimates = simulate.simulate_controls(
+            problem, [extracted if c == "extracted" else c for c in controls if c is not None],
+            **mc_kwargs)
+        summary["mc"] = estimates[0].to_dict()
+        if len(estimates) > 1:
+            summary["mc"]["perturbed"] = estimates[1].to_dict()
+        if mc["sample_path"]:
+            _write_sample_path(out / "sample_path.csv", estimates[0].sample_path,
+                               mc_kwargs["dt"])
+            files.update(sample_path="sample_path.csv")
     if "audit" in stages:
         summary["audits"] = _audit_stage(problem, audits, opts,
                                          solution.grid if solution is not None else grid,

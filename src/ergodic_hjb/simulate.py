@@ -24,6 +24,11 @@ and rebuilt only after a switch, never when the two rates are equal.
 Randomness comes from one counter-based Philox stream per fixed path chunk,
 keyed by ``(seed, chunk index)``; accumulation is an ordered reduction over
 the path axis, so estimates are bit-identical across serial and threaded runs.
+The stream does not depend on the control, and with x-free rates neither do a
+path's switches, so several controls estimated at once (``simulate_controls``)
+share one step loop: one set of normals, clocks and flips serves them all,
+and each control's estimate is the one it gets alone, bit for bit.  Every
+estimate keeps path 0 over its first tallied steps as its sample path.
 """
 
 from __future__ import annotations
@@ -42,13 +47,18 @@ from .model import ProblemSpec, STATES
 
 @dataclass(frozen=True)
 class SimulationSamples:
-    """Thinned (position, state, control, running cost) stream of kept steps."""
+    """Thinned (position, state, control, running cost) stream of kept steps.
+
+    ``start`` is the first kept step and ``stride`` the number of steps from
+    one kept step to the next.
+    """
 
     x: np.ndarray
     state: np.ndarray
     control: np.ndarray
     cost: np.ndarray
     stride: int
+    start: int = 0
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,8 @@ class SimulationEstimate:
     burn_in: float
     seed: int
     samples: SimulationSamples | None = None
+    # path 0 over its first tallied steps (at most _SAMPLE_PATH_STEPS), every step kept
+    sample_path: SimulationSamples | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -83,48 +95,79 @@ class SimulationEstimate:
 # of the thread count; a path's draws depend on the size of its chunk, so only
 # whole chunks keep their draws when the path total changes
 _PATH_CHUNK = 8192
+# rows the record_samples stream keeps, about: the stride is set to reach it
+_SAMPLE_TARGET = 200_000
+# tallied steps of path 0 that every estimate keeps as its sample path
+_SAMPLE_PATH_STEPS = 5000
 
 
-def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, seed,
+def _rates(problem: ProblemSpec):
+    """Both states' rate evaluators, and whether both are x-free (return a scalar)."""
+    alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
+    probe = np.zeros((1, problem.dimension))
+    return alphas, all(np.ndim(a(probe)) == 0 for a in alphas)
+
+
+def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, seed,
                     sample_stride):
-    dim = problem.dimension
+    """One path chunk under every control of ``controls``, in one step loop.
+
+    The controls share the chunk's stream and switching process: each step
+    draws one normal per path and axis, runs down one set of clocks and flips
+    one state array, and control k moves its own positions ``x[k]`` with them.
+    Sharing the flips needs x-free rates when there is more than one control.
+    Costs, clamp counts and kept samples are per control; the tallied time,
+    rate sums and switch counts are shared.
+    """
+    n_ctrl, dim = len(controls), problem.dimension
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    x = np.zeros((n_paths, dim))
+    x = np.zeros((n_ctrl, n_paths, dim))
+    flat = x.reshape(-1, dim)   # a view: row k * n_paths + i is path i under control k
     in1 = np.ones(n_paths, dtype=bool)
-    cost_acc = np.zeros(n_paths)
+    cost_acc = np.zeros((n_ctrl, n_paths))
     time_in = np.zeros(2)
     switches_from = np.zeros(2)
     rate_acc = np.zeros(2)
-    clamps = 0
+    clamps = np.zeros(n_ctrl, dtype=np.int64)
     clock = gen.standard_exponential(n_paths)   # remaining integrated intensity
-    radius = control.radius
-    alphas = tuple(problem.switch_rate(k).evaluator() for k in STATES)
+    radius = np.array([c.radius for c in controls])[:, None, None]
+    inner = float(radius.min())
+    alphas, x_free = _rates(problem)
     sources = (problem.source(1), problem.source(2))
     ham = problem.hamiltonian
     # states with equal data price a path alike: np.where(in1, c, c) is c
     same_cost = sources[0] == sources[1] and all(
         pair[0] == pair[1] for pair in (ham.gammas, ham.metrics, ham.drifts))
     # with x-free rates (scalar evaluators) the per-path rate changes only at a switch
-    x_free = all(np.ndim(a(x)) == 0 for a in alphas)
     equal_rates = x_free and alphas[0](x) == alphas[1](x)
     rate = None
 
     noise = np.sqrt(2.0 * dt)
     draws = np.empty((n_paths, dim))
-    move = np.empty((n_paths, dim))
-    kept = []
+    move = np.empty((n_ctrl * n_paths, dim))
+    kept = [[] for _ in controls]
+    # path 0 of chunk 0 at its first tallied steps: x, in1, xi and cost per control
+    n_path = min(_SAMPLE_PATH_STEPS, n_steps - burn_steps) if chunk == 0 else 0
+    path_x, path_in1 = np.empty((n_path, n_ctrl, dim)), np.empty(n_path, dtype=bool)
+    path_xi, path_cost = np.empty((n_path, n_ctrl, dim)), np.empty((n_path, n_ctrl))
     for step in range(n_steps):
         tallied = step >= burn_steps
         state = 2 - in1
-        xi = control(x, state)
+        if n_ctrl == 1:
+            xi = controls[0](flat, state)
+        else:
+            xi = np.concatenate([c(x[k], state) for k, c in enumerate(controls)])
         if rate is None or not x_free:
-            rate = np.where(in1, alphas[0](x), alphas[1](x))
+            rate = np.where(in1, alphas[0](flat), alphas[1](flat))
             rate_dt = rate * dt
             rate_sum = None
         if tallied:
-            run = sources[0](x) + ham.lagrangian(1, x, xi)
+            # the source and the Lagrangian act row by row, so one call serves every control
+            run = sources[0](flat) + ham.lagrangian(1, flat, xi)
             if not same_cost:
-                run = np.where(in1, run, sources[1](x) + ham.lagrangian(2, x, xi))
+                run = np.where(in1 if n_ctrl == 1 else np.tile(in1, n_ctrl), run,
+                               sources[1](flat) + ham.lagrangian(2, flat, xi))
+            run = run.reshape(n_ctrl, n_paths)
             cost_acc += run * dt
             n1 = int(np.count_nonzero(in1))
             time_in[0] += n1 * dt
@@ -135,7 +178,14 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
             rate_acc[0] += r1 * dt
             rate_acc[1] += (rate_sum - r1) * dt
             if sample_stride and step % sample_stride == 0:
-                kept.append((x.copy(), state, xi, run))   # x itself moves in place
+                for k, rows in enumerate(kept):   # x itself moves in place
+                    rows.append((x[k].copy(), state, xi[k * n_paths:(k + 1) * n_paths], run[k]))
+            i = step - burn_steps
+            if i < n_path:
+                path_x[i] = x[:, 0]
+                path_in1[i] = in1[0]
+                path_xi[i] = xi[::n_paths]
+                path_cost[i] = run[:, 0]
         gen.standard_normal(out=draws)
         clock -= rate_dt
         flip = clock <= 0.0
@@ -149,16 +199,17 @@ def _simulate_chunk(problem, control, n_steps, dt, chunk, n_paths, burn_steps, s
             in1 ^= flip
             if not equal_rates:
                 rate = None
-        # x - xi dt + noise draws, in that order
-        x -= np.multiply(xi, dt, out=move)
+        # x - xi dt + noise draws, in that order; every control takes the same draws
+        flat -= np.multiply(xi, dt, out=move)
         draws *= noise
         x += draws
-        if not (x.max() <= radius and x.min() >= -radius):   # a NaN also lands here
-            clamps += int(np.count_nonzero(np.abs(x) > radius))
+        if not (flat.max() <= inner and flat.min() >= -inner):   # a NaN also lands here
+            clamps += np.count_nonzero(np.abs(x) > radius, axis=(1, 2))
             np.clip(x, -radius, radius, out=x)
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
         "rate_acc": rate_acc, "clamps": clamps, "kept": kept,
+        "path": (path_x, path_in1, path_xi, path_cost),
     }
 
 
@@ -198,8 +249,7 @@ def _check_arguments(problem: ProblemSpec, radius: float, horizon: float, dt: fl
 
 def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: float,
                    dt: float, paths: int, burn_in: float = 0.1, seed: int = 0,
-                   record_samples: bool = False,
-                   sample_target: int = 200_000, threads: int = 1) -> SimulationEstimate:
+                   record_samples: bool = False, threads: int = 1) -> SimulationEstimate:
     """Estimate the long-run average running cost under a feedback field.
 
     ``burn_in`` is the fraction of the horizon discarded before cost
@@ -219,18 +269,37 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
     keeps the chance of a second crossing within one step below about 0.5%.
     Paths leaving the box are clamped and counted; a nonzero ``clamp_count``
     marks the estimate as unreliable (enlarge the box).  With
-    ``record_samples`` a thinned (X, S, xi, running cost) stream is kept for
-    occupation-measure estimation and the sample path.
+    ``record_samples`` a thinned (X, S, xi, running cost) stream of about
+    200,000 rows is kept for occupation-measure estimation.  Every estimate
+    keeps path 0 over its first 5000 tallied steps (fewer if fewer are
+    tallied) as ``sample_path``.  This is ``simulate_controls`` with one
+    control.
     """
-    n_steps, burn_steps = _check_arguments(problem, control.radius, horizon, dt, paths,
-                                           burn_in, seed, threads)
+    return simulate_controls(problem, (control,), horizon, dt, paths, burn_in=burn_in,
+                             seed=seed, record_samples=record_samples, threads=threads)[0]
 
-    stride = 0
-    if record_samples:
-        stride = max(1, (n_steps - burn_steps) * paths // max(sample_target, 1))
 
-    args = [(problem, control, n_steps, dt, lo // _PATH_CHUNK, min(_PATH_CHUNK, paths - lo),
-             burn_steps, seed, stride) for lo in range(0, paths, _PATH_CHUNK)]
+def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float, paths: int,
+                      burn_in: float = 0.1, seed: int = 0, record_samples: bool = False,
+                      threads: int = 1) -> tuple[SimulationEstimate, ...]:
+    """``simulate_paths`` under each of ``controls``: one estimate per control, in order.
+
+    Every estimate is bit for bit the one ``simulate_paths`` gives for its
+    control alone.  With x-free rates a path's switching does not depend on
+    its control, and all controls' estimates draw the same stream, so they
+    run in one step loop that makes each draw once for all of them (common
+    random numbers).  With a rate that depends on x each control runs its own
+    loop.  The ``threads`` pool runs the path chunks of every loop.
+    """
+    controls = tuple(controls)
+    n_steps, burn_steps = _check_arguments(problem, max(c.radius for c in controls), horizon,
+                                           dt, paths, burn_in, seed, threads)
+    stride = max(1, (n_steps - burn_steps) * paths // _SAMPLE_TARGET) if record_samples else 0
+    groups = [controls] if _rates(problem)[1] else [(c,) for c in controls]
+    chunks = [(lo // _PATH_CHUNK, min(_PATH_CHUNK, paths - lo))
+              for lo in range(0, paths, _PATH_CHUNK)]
+    args = [(problem, group, n_steps, dt, chunk, n, burn_steps, seed, stride)
+            for group in groups for chunk, n in chunks]
     if threads > 1 and len(args) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda a: _simulate_chunk(*a), args))
@@ -238,30 +307,41 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
         results = [_simulate_chunk(*a) for a in args]
 
     # the tallied time, which the nominal horizon * (1 - burn_in) need not equal
-    tails = np.concatenate([r["cost"] for r in results]) / ((n_steps - burn_steps) * dt)
-    time_in = np.sum([r["time_in"] for r in results], axis=0)
-    switches_from = np.sum([r["switches_from"] for r in results], axis=0)
-    rate_acc = np.sum([r["rate_acc"] for r in results], axis=0)
-    total_time = float(np.sum(time_in))
-    avg = float(np.mean(tails))
-    se = float(np.std(tails, ddof=1) / np.sqrt(paths)) if paths > 1 else float("inf")
-    samples = None
-    if record_samples:
-        columns = zip(*(row for r in results for row in r["kept"]))   # x, state, xi, cost
-        samples = SimulationSamples(*map(np.concatenate, columns), stride=stride)
-    return SimulationEstimate(
-        avg_cost=avg,
-        std_error=se,
-        tail_averages=tails,
-        switch_count=int(switches_from.sum()),
-        clamp_count=int(sum(r["clamps"] for r in results)),
-        state_fraction=tuple(float(t / total_time) for t in time_in),
-        switch_intensity=tuple(
-            float(switches_from[i] / time_in[i]) if time_in[i] > 0 else 0.0
-            for i in range(2)),
-        mean_rate=tuple(
-            float(rate_acc[i] / time_in[i]) if time_in[i] > 0 else 0.0 for i in range(2)),
-        horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed, samples=samples)
+    tallied_time = (n_steps - burn_steps) * dt
+    estimates = []
+    for g, group in enumerate(groups):
+        group_results = results[g * len(chunks):(g + 1) * len(chunks)]
+        time_in = np.sum([r["time_in"] for r in group_results], axis=0)
+        switches_from = np.sum([r["switches_from"] for r in group_results], axis=0)
+        rate_acc = np.sum([r["rate_acc"] for r in group_results], axis=0)
+        total_time = float(np.sum(time_in))
+        path_x, path_in1, path_xi, path_cost = group_results[0]["path"]
+        for k in range(len(group)):
+            tails = np.concatenate([r["cost"][k] for r in group_results]) / tallied_time
+            samples = None
+            if record_samples:
+                columns = zip(*(row for r in group_results for row in r["kept"][k]))
+                samples = SimulationSamples(*map(np.concatenate, columns), stride=stride,
+                                            start=-(-burn_steps // stride) * stride)
+            estimates.append(SimulationEstimate(
+                avg_cost=float(np.mean(tails)),
+                std_error=(float(np.std(tails, ddof=1) / np.sqrt(paths)) if paths > 1
+                           else float("inf")),
+                tail_averages=tails,
+                switch_count=int(switches_from.sum()),
+                clamp_count=int(sum(r["clamps"][k] for r in group_results)),
+                state_fraction=tuple(float(t / total_time) for t in time_in),
+                switch_intensity=tuple(
+                    float(switches_from[i] / time_in[i]) if time_in[i] > 0 else 0.0
+                    for i in range(2)),
+                mean_rate=tuple(
+                    float(rate_acc[i] / time_in[i]) if time_in[i] > 0 else 0.0
+                    for i in range(2)),
+                horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed,
+                samples=samples,
+                sample_path=SimulationSamples(path_x[:, k], 2 - path_in1, path_xi[:, k],
+                                              path_cost[:, k], stride=1, start=burn_steps)))
+    return tuple(estimates)
 
 
 def empirical_measure(samples: SimulationSamples, grid: Grid, mesh: ControlMesh) -> OccupationMeasure:

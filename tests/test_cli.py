@@ -163,7 +163,7 @@ class TestPipeline:
     def test_lp_failure_ends_the_run_before_the_mc(self, tmp_path, monkeypatch, capsys):
         message = "stationarity program infeasible; enlarge the control mesh or the box"
         mc_calls = []
-        real_mc = simulate.simulate_paths
+        real_mc = simulate.simulate_controls
 
         def failing_lp(lp, *args, **kwargs):
             raise LPError(message)
@@ -173,14 +173,14 @@ class TestPipeline:
             return real_mc(*args, **kwargs)
 
         monkeypatch.setattr(dual_lp, "solve_lp", failing_lp)
-        monkeypatch.setattr(simulate, "simulate_paths", counted_mc)
+        monkeypatch.setattr(simulate, "simulate_controls", counted_mc)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config()))
         threads_before = threading.active_count()
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert threading.active_count() == threads_before
         assert capsys.readouterr().err.strip() == f"stage failure [pipeline]: {message}"
-        # the LP runs before the Monte Carlo, so neither the estimates nor the sample path ran
+        # the LP runs before the Monte Carlo, so no estimate ran and no sample path was kept
         assert mc_calls == []
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "fields.csv", "lambda_history.csv"]
@@ -192,7 +192,7 @@ class TestPipeline:
         def failing_mc(*args, **kwargs):
             raise CoefficientError(message)
 
-        monkeypatch.setattr(simulate, "simulate_paths", failing_mc)
+        monkeypatch.setattr(simulate, "simulate_controls", failing_mc)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config()))
         threads_before = threading.active_count()
@@ -211,6 +211,33 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("stage failure [pipeline]: policy iteration")
         assert lp_calls == []
+
+    @pytest.mark.parametrize("rate, loops", [
+        ({"form": "constant", "c": 1.0}, 1),
+        ({"form": "quadratic", "c0": 1.0, "weights": [0.1]}, 2),
+    ], ids=["x-free", "x-dependent"])
+    def test_one_step_loop_for_the_pair_when_rates_are_x_free(self, tmp_path, monkeypatch,
+                                                               rate, loops):
+        # x-free rates let the control and the perturbed one share their switching,
+        # so their one path chunk runs once; an x-dependent rate runs one loop each
+        calls = []
+        real_chunk = simulate._simulate_chunk
+
+        def counted_chunk(problem, controls, *args):
+            calls.append(len(controls))
+            return real_chunk(problem, controls, *args)
+
+        monkeypatch.setattr(simulate, "_simulate_chunk", counted_chunk)
+        states = [{**state, "alpha": rate} for state in SMALL_PROBLEM["states"]]
+        config = small_config(problem={**SMALL_PROBLEM, "states": states}, lp=None,
+                              mc={"horizon": 0.2, "dt": 1e-3, "paths": 16,
+                                  "perturbed": "linear:2.0", "sample_path": True})
+        code, _ = run_pipeline(RunConfig.from_dict(config), stages=("solve", "simulate"),
+                               out_dir=tmp_path)
+        assert code == 0
+        assert calls == ([2] if loops == 1 else [1, 1])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["mc"]["perturbed"]["avg_cost"] != summary["mc"]["avg_cost"]
 
     def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
         config = small_config()
@@ -423,11 +450,21 @@ class TestMainEntry:
         ({"states": [SMALL_PROBLEM["states"][0],
                      {**SMALL_PROBLEM["states"][1], "gamma": float("inf")}]},
          "power exponent must be finite, got inf"),
+        # finite data whose control cap cuts into more LP magnitudes than a mesh can hold
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1],
+                      "a": {"form": "constant_spd", "matrix": [[1e300]]}}]},
+         "lp.control_step 0.5 cuts the control cap 9.66338e+300 into 1.93e+301 magnitudes, "
+         "more than 10000"),
+        ({"states": [SMALL_PROBLEM["states"][0],
+                     {**SMALL_PROBLEM["states"][1], "b": {"form": "constant", "value": [1e300]}}]},
+         "lp.control_step 0.5 cuts the control cap inf into inf magnitudes, more than 10000"),
     ], ids=["dimension-inf", "dimension-bool", "metric-string", "drift-null", "gamma-nan",
             "rate-c-bool", "source-c0-bool", "drift-empty", "x-ref-empty-list",
             "x-ref-empty-object", "gamma-string", "truncation-level-bool",
             "truncation-level-string", "metric-not-positive", "metric-wrong-shape",
-            "drift-inf", "drift-nan", "metric-inf", "x-ref-nan", "gamma-inf"])
+            "drift-inf", "drift-nan", "metric-inf", "x-ref-nan", "gamma-inf",
+            "metric-huge", "drift-huge"])
     def test_bad_problem_exit_2(self, tmp_path, capsys, problem, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, **problem})))
@@ -533,7 +570,7 @@ class TestMainEntry:
             assert code != 2 or not out.exists()
 
     def test_largest_seed_writes_sample_path(self, tmp_path):
-        # the sample path is seeded one past the run seed, modulo 2^64
+        # the largest seed keys the Philox stream that the sample path is kept from
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(seed=2**64 - 1, lp=None)))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

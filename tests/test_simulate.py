@@ -8,7 +8,8 @@ from ergodic_hjb import fields
 from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh, stationarity_residual
 from ergodic_hjb.errors import ParameterError
-from ergodic_hjb.simulate import _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_paths
+from ergodic_hjb.simulate import (
+    _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_controls, simulate_paths)
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from ergodic_hjb.verify import consistency_report
 from tests.conftest import make_problem
@@ -160,8 +161,8 @@ class TestSimulatePaths:
                            burn_in=0.9)
 
 
-def _pinned_run(dim, rates, record_samples=False):
-    """A short run with a grid control and sources that differ between the states.
+def _pinned_problem(dim, rates):
+    """A grid control and a problem whose sources differ between the states.
 
     ``rates`` is ``constant`` (unequal x-free rates), ``equal`` (equal x-free
     rates, as in the bundled problem) or ``x-dependent``.
@@ -174,8 +175,16 @@ def _pinned_run(dim, rates, record_samples=False):
     if rates == "x-dependent":
         problem = replace(problem, switch_rates=(fields.quadratic(dim, (0.2,) * dim, c0=0.5),
                                                  fields.quadratic(dim, (0.1,) * dim, c0=1.0)))
-    return simulate_paths(problem, ctrl, horizon=2.0, dt=5e-3, paths=64, seed=13,
-                          record_samples=record_samples)
+    return problem, ctrl
+
+
+PINNED_RUN = dict(horizon=2.0, dt=5e-3, paths=64, seed=13)
+
+
+def _pinned_run(dim, rates, record_samples=False):
+    """A short run of ``_pinned_problem``."""
+    problem, ctrl = _pinned_problem(dim, rates)
+    return simulate_paths(problem, ctrl, record_samples=record_samples, **PINNED_RUN)
 
 
 # exact (avg_cost, std_error, switch_count): a change here means the draw layout or
@@ -246,16 +255,22 @@ def test_constant_cost_over_the_tallied_time(horizon, dt, burn_in):
     assert np.all(np.abs(est.tail_averages - 2.5) <= 1e-12)
 
 
-def _box_run(dim, problem=None):
-    """64 paths under a two-state grid control on a box of radius 1 that they leave."""
+BOX_RUN = dict(horizon=1.0, dt=1e-2, paths=64, seed=5)
+
+
+def _box_control(dim):
+    """A two-state grid control on a box of radius 1 that its paths leave."""
     grid = build_grid(dim, 1.0, 0.25)
     x = grid.points
-    ctrl = FeedbackControl.from_fields(grid, np.stack([0.5 * x, -0.5 * x]))
+    return FeedbackControl.from_fields(grid, np.stack([0.5 * x, -0.5 * x]))
+
+
+def _box_run(dim, problem=None):
+    """64 paths under ``_box_control``."""
     if problem is None:
         problem = make_problem(dim=dim, alphas=(1.5, 0.7),
                                sources=(fields.quadratic(dim), fields.quadratic(dim).shifted(1.0)))
-    return simulate_paths(problem, ctrl, horizon=1.0, dt=1e-2, paths=64, seed=5,
-                          record_samples=True)
+    return simulate_paths(problem, _box_control(dim), record_samples=True, **BOX_RUN)
 
 
 # exact (clamp_count, avg_cost) of _box_run: the count is of entries with |x| > radius
@@ -281,6 +296,87 @@ def test_equal_states_price_once():
     assert (a.avg_cost, a.std_error, a.switch_count) == (b.avg_cost, b.std_error, b.switch_count)
     assert np.array_equal(a.tail_averages, b.tail_averages)
     assert np.array_equal(a.samples.cost, b.samples.cost)
+
+
+def _assert_same_estimate(a, b):
+    """Every output of two estimates is equal, bit for bit."""
+    for name in ("avg_cost", "std_error", "switch_count", "clamp_count", "state_fraction",
+                 "switch_intensity", "mean_rate"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array_equal(a.tail_averages, b.tail_averages)
+    for kept in ("samples", "sample_path"):
+        sa, sb = getattr(a, kept), getattr(b, kept)
+        assert (sa is None) == (sb is None), kept
+        if sa is not None:
+            assert (sa.stride, sa.start) == (sb.stride, sb.start), kept
+            for column in ("x", "state", "control", "cost"):
+                va, vb = getattr(sa, column), getattr(sb, column)
+                assert va.dtype == vb.dtype and np.array_equal(va, vb), (kept, column)
+
+
+def _three_controls(problem, ctrl, run):
+    """``ctrl``, a linear and a zero control, each estimated alone and all at once."""
+    controls = (ctrl, FeedbackControl.linear(3.0, 2.0), FeedbackControl.zero(ctrl.radius))
+    solo = [simulate_paths(problem, c, **run) for c in controls]
+    return solo, simulate_controls(problem, controls, **run)
+
+
+@pytest.mark.parametrize("rates", ["constant", "equal", "x-dependent"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_controls_share_draws_bit_for_bit(dim, rates):
+    # unequal sources; x-free rates share one step loop, x-dependent ones take a loop each
+    problem, ctrl = _pinned_problem(dim, rates)
+    solo, joint = _three_controls(problem, ctrl, {**PINNED_RUN, "record_samples": True})
+    assert len(joint) == 3
+    for a, b in zip(solo, joint):
+        _assert_same_estimate(a, b)
+    assert solo[0].avg_cost == PINNED[(f"{dim}d", rates, "exponential")][0]
+    # the switching is shared by every control when the rates are x-free
+    shared = len({(e.switch_count, e.state_fraction) for e in joint}) == 1
+    assert shared == (rates != "x-dependent")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_controls_clamp_on_their_own_boxes(dim):
+    # the box control and the zero one leave their box of radius 1; the linear
+    # one, whose paths pass 1 too, never leaves its box of radius 3
+    problem = make_problem(dim=dim, alphas=(1.5, 0.7),
+                           sources=(fields.quadratic(dim), fields.quadratic(dim).shifted(1.0)))
+    solo, joint = _three_controls(problem, _box_control(dim), {**BOX_RUN, "record_samples": True})
+    for a, b in zip(solo, joint):
+        _assert_same_estimate(a, b)
+    assert (joint[0].clamp_count, joint[0].avg_cost) == CLAMPED[dim]
+    assert joint[1].clamp_count == 0 and np.abs(joint[1].samples.x).max() > 1.0
+    assert 0 < joint[0].clamp_count != joint[2].clamp_count > 0
+
+
+@pytest.mark.parametrize("rates", ["equal", "x-dependent"])
+def test_controls_same_bits_across_threads(rates):
+    # two path chunks per control reach the pool at threads 3
+    problem, ctrl = _pinned_problem(2, rates)
+    run = dict(horizon=2.5e-2, dt=5e-3, burn_in=0.2, paths=_PATH_CHUNK + 64, seed=13)
+    solo, serial = _three_controls(problem, ctrl, run)
+    pooled = simulate_controls(problem, (ctrl, FeedbackControl.linear(3.0, 2.0),
+                                         FeedbackControl.zero(ctrl.radius)), threads=3, **run)
+    for a, b, c in zip(solo, serial, pooled):
+        _assert_same_estimate(a, b)
+        _assert_same_estimate(b, c)
+
+
+def test_sample_path_is_path_zero_of_the_kept_stream():
+    # with stride 1 the kept stream holds every tallied step of every path; the
+    # sample path is path 0 of it, from the first tallied step on
+    problem, ctrl = _pinned_problem(1, "constant")
+    est = _pinned_run(1, "constant", record_samples=True)
+    s, p = est.samples, est.sample_path
+    assert s.stride == p.stride == 1 and s.start == p.start == 40
+    rows = np.arange(p.x.shape[0]) * PINNED_RUN["paths"]
+    assert p.x.shape[0] == 360
+    for column in ("x", "state", "control", "cost"):
+        assert np.array_equal(getattr(p, column), getattr(s, column)[rows])
+    # and it stops after 5000 tallied steps
+    long = simulate_paths(problem, ctrl, horizon=6.0, dt=1e-3, paths=2, seed=1)
+    assert long.sample_path.x.shape == (5000, 1) and long.sample_path.start == 600
 
 
 class TestEmpiricalMeasure:
