@@ -55,6 +55,8 @@ _GRID_KEYS = ("radius", "h")
 _LP_DEFAULTS = {"h": None, "control_step": 0.25, "directions": 8}   # h None: 5 * grid h
 # the most LP control magnitudes a config may ask for: control cap / lp.control_step
 _MAX_MAGNITUDES = 10_000
+# the most nodes a grid may have: about 250x the largest grid in use (40,401 nodes in 2D)
+_MAX_NODES = 10**7
 _MC_DEFAULTS = {"horizon": 20.0, "dt": 1e-3, "paths": 2000, "burn_in": 0.1,
                 "control": "extracted", "perturbed": None, "sample_path": False}
 
@@ -73,6 +75,16 @@ def _flag(name: str, value):
         raise ParameterError(f"{name} must be a JSON boolean, got {value!r}")
 
 
+def _sized_grid(dim: int, radius: float, h: float, key: str):
+    """``build_grid``, rejecting a grid of more than ``_MAX_NODES`` nodes before
+    any of its node arrays is built; ``key`` names the config entry."""
+    grid = build_grid(dim, radius, h)
+    if grid.n_nodes > _MAX_NODES:
+        raise ParameterError(f"{key}: the grid of half-width {radius:g} and spacing {h:g} "
+                             f"has {grid.n_nodes} nodes, more than {_MAX_NODES}")
+    return grid
+
+
 def _checked_radii(radii, dim: int, h: float) -> list:
     """The ``radii`` schedule (empty when absent): finite numbers, strictly
     increasing, each the half-width of a grid of spacing ``h``."""
@@ -84,7 +96,7 @@ def _checked_radii(radii, dim: int, h: float) -> list:
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ParameterError(f"radii must be strictly increasing, got {radii}")
     for r in radii:
-        build_grid(dim, r, h)
+        _sized_grid(dim, r, h, "radii")
     return radii
 
 
@@ -208,6 +220,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         if config.out is not None and not isinstance(config.out, str):
             raise ParameterError(f"out must be null or a string, got {config.out!r}")
         box_radii = [radius, *_checked_radii(config.radii, problem.dimension, h)]
+        grid = _sized_grid(problem.dimension, radius, h, "grid")
         # x_ref must be a node of the smallest box a stage solves on
         build_grid(problem.dimension, min(box_radii), h).index_of(problem.ref_point)
         # and every switching rate > 0 on the nodes of the largest
@@ -220,7 +233,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         if config.lp is not None:
             lp = {**_LP_DEFAULTS, "h": 5 * h, **_section(config, "lp", _LP_DEFAULTS)}
             lp_h, lp_step = (number(lp[key], f"lp.{key}") for key in ("h", "control_step"))
-            lp_grid = build_grid(problem.dimension, radius, lp_h)
+            lp_grid = _sized_grid(problem.dimension, radius, lp_h, "lp")
             lp_directions = number(lp["directions"], "lp.directions", integer=True)
             if not 0.0 < lp_step < np.inf:
                 raise ParameterError(f"lp.control_step must be finite and > 0, got {lp_step!r}")
@@ -252,7 +265,6 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
         raise ParameterError(f"{type(exc).__name__}: {exc}") from exc
 
     out = Path(out_dir or config.out or "ergodic_hjb_out")
-    grid = build_grid(problem.dimension, radius, h)
     files = {}
     summary = {"schema_version": config.schema_version, "config": config.to_dict(),
                "lambda": None, "lp": None, "mc": None, "audits": None}

@@ -8,7 +8,9 @@ The stacked operator acts on unknowns ordered state-major: the row of node
 
 with a no-flux closure at the box faces: the missing diffusion neighbor is
 reflected (doubled weight on the inner neighbor) and outward one-sided
-advection pieces are dropped.
+advection pieces are dropped.  The operator is banded in the stacked
+unknowns (the diagonal, +-stride of each axis, and the switching coupling at
++-n_nodes), and ``assemble_generator`` builds it from those diagonals.
 
 Advection is discretized by the central difference wherever that keeps the
 off-diagonal entries nonpositive (``|xi_j| h <= 2``, which the control cap
@@ -272,14 +274,25 @@ def m_matrix_violations(matrix: sp.spmatrix) -> dict:
             "dominance_failures": bad_dom}
 
 
-def _state_block_triplets(grid: Grid, xi: np.ndarray):
-    """COO triplets (row, col, val) of -Laplacian + monotone advection on one state block."""
-    m = grid.n_nodes
-    h = grid.h
-    mi = grid.multi_indices
-    rows, cols, vals = [], [], []
-    diag = np.zeros(m)
-    idx = np.arange(m)
+def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,
+                       discount: float) -> sp.csr_matrix:
+    """Assemble the stacked two-state operator for a frozen feedback field
+    ``xi`` of shape (2, n_nodes, dim).
+
+    Each band is computed per row on the stacked vector of ``2 * n_nodes``
+    unknowns; a band entry that points past a face is zero and is not stored.
+
+    At zero discount its negation is the Markov generator of the controlled
+    chain (drift -xi, nonnegative off-diagonal rates, zero row sums).
+    """
+    if discount < 0:
+        raise ParameterError("discount must be nonnegative")
+    m, h = grid.n_nodes, grid.h
+    mi = np.concatenate([grid.multi_indices] * 2)
+    xi = np.asarray(xi).reshape(2 * m, grid.dim)
+    alpha = np.concatenate([problem.switch_rate(k)(grid.points) for k in (1, 2)])
+    diag = np.zeros(2 * m)
+    bands, offsets = [], []
     for axis in range(grid.dim):
         stride = grid.axis_stride(axis)
         has_left = mi[:, axis] > 0
@@ -299,50 +312,14 @@ def _state_block_triplets(grid: Grid, xi: np.ndarray):
         diag += (ap + am) / h
         c_left = w_left + ap / h + np.where(central, v / (2.0 * h), 0.0)
         c_right = w_right + am / h - np.where(central, v / (2.0 * h), 0.0)
-        rows.append(idx[has_left])
-        cols.append(idx[has_left] - stride)
-        vals.append(-c_left[has_left])
-        rows.append(idx[has_right])
-        cols.append(idx[has_right] + stride)
-        vals.append(-c_right[has_right])
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(diag)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,
-                       discount: float) -> sp.csr_matrix:
-    """Assemble the stacked two-state operator for a frozen feedback field
-    ``xi`` of shape (2, n_nodes, dim).
-
-    At zero discount its negation is the Markov generator of the controlled
-    chain (drift -xi, nonnegative off-diagonal rates, zero row sums).
-    """
-    if discount < 0:
-        raise ParameterError("discount must be nonnegative")
-    m = grid.n_nodes
-    pts = grid.points
-    idx = np.arange(m)
-    rows, cols, vals = [], [], []
-    for k in (1, 2):
-        off = (k - 1) * m
-        off_other = (2 - k) * m
-        r, c, v = _state_block_triplets(grid, np.asarray(xi[k - 1]))
-        rows.append(r + off)
-        cols.append(c + off)
-        vals.append(v)
-        alpha = problem.switch_rate(k)(pts)
-        rows.append(idx + off)
-        cols.append(idx + off)
-        vals.append(alpha + discount)
-        rows.append(idx + off)
-        cols.append(idx + off_other)
-        vals.append(-alpha)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * m, 2 * m),
-    ).tocsr()
+        # band -stride holds row i's entry at position i - stride, band +stride at i
+        bands += [np.where(has_left, -c_left, 0.0)[stride:],
+                  np.where(has_right, -c_right, 0.0)[:-stride]]
+        offsets += [-stride, stride]
+    # state 1 couples forward to state 2, state 2 back to state 1
+    bands += [diag + (alpha + discount), -alpha[:m], -alpha[m:]]
+    offsets += [0, m, -m]
+    return sp.diags(bands, offsets, shape=(2 * m, 2 * m), format="csr")
 
 
 def source_envelope(problem: "ProblemSpec", points: np.ndarray) -> float:

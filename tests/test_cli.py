@@ -358,6 +358,10 @@ class TestMainEntry:
         ("lp", "directions", 0, "need at least 3 directions, got 0"),
         ("lp", "directions", -1, "need at least 3 directions, got -1"),
         ("lp", "directions", 2, "need at least 3 directions, got 2"),
+        ("grid", "h", 2.0**-30, "grid: the grid of half-width 4 and spacing 9.31323e-10 "
+         "has 8589934593 nodes, more than 10000000"),
+        ("lp", "h", 2.0**-30, "lp: the grid of half-width 4 and spacing 9.31323e-10 "
+         "has 8589934593 nodes, more than 10000000"),
     ], ids=["mc-key", "lp-key", "grid-key", "audits-key", "mc-control", "mc-mode",
             "mc-dt", "lp-h", "mc-horizon", "mc-perturbed", "mc-dt-nan", "mc-horizon-inf",
             "solver-tol", "solver-iters", "mc-horizon-tiny", "solver-cap-factor",
@@ -371,7 +375,7 @@ class TestMainEntry:
             "penalty-cap-huge-int", "penalty-beta-string", "penalty-alpha-exp-nan",
             "radii-huge-int", "mc-control-linear-nan", "mc-perturbed-linear-inf",
             "mc-control-linear-huge", "lp-directions-zero", "lp-directions-negative",
-            "lp-directions-two"])
+            "lp-directions-two", "grid-h-oversized", "lp-h-oversized"])
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value, message):
         # every section is checked before the first stage writes anything; a case with a
         # message names the whole line; section None is a top-level key, and the sections
@@ -490,9 +494,12 @@ class TestMainEntry:
         ({}, [True, 4.0], "radii entry must be a number, got True"),
         ({}, 4.0, "radii must be a list of finite numbers"),
         ({}, [2.0, 3.05], "does not divide half-width 3.05"),
+        ({}, [4.0, 1e9], "radii: the grid of half-width 1e+09 and spacing 0.1 "
+         "has 20000000001 nodes, more than 10000000"),
     ], ids=["rate-negative", "rate-nan", "rate-quadratic-c0", "rate-quadratic-weight",
             "source-inf", "radii-decreasing", "radii-repeated", "radii-string", "radii-nan",
-            "radii-inf", "radii-bool", "radii-not-list", "radii-not-dividing"])
+            "radii-inf", "radii-bool", "radii-not-list", "radii-not-dividing",
+            "radii-oversized"])
     def test_bad_rate_or_radii_exit_2(self, tmp_path, capsys, state, radii, message):
         # switching rates must be > 0 on the solve box and radii a grid schedule,
         # both checked with the rest of the config before any stage writes
@@ -505,6 +512,25 @@ class TestMainEntry:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: [c], "config root must be an object"),
+        (lambda c: {k: v for k, v in c.items() if k != "problem"},
+         "config needs a 'problem' section"),
+        (lambda c: {k: v for k, v in c.items() if k != "grid"}, "config needs a 'grid' section"),
+        (lambda c: {**c, "solver": []}, "config section 'solver' must be an object"),
+        (lambda c: {**c, "method": "nested_domains"}, "nested_domains needs a 'radii' schedule"),
+        (lambda c: {**c, "grid": {"h": 0.1}}, "grid config needs 'radius'"),
+        (lambda c: {**c, "grid": {"radius": 4.0}}, "grid config needs 'h'"),
+    ], ids=["root-not-object", "no-problem", "no-grid", "section-not-object",
+            "nested-without-radii", "grid-without-radius", "grid-without-h"])
+    def test_run_config_rejection_exit_2(self, tmp_path, capsys, edit, message):
+        # RunConfig's own checks, met when the file is read and before any stage runs
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(edit(small_config())))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, flags", [
@@ -596,6 +622,25 @@ class TestMainEntry:
         assert sorted(summary["files"]) == files
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*summary["files"].values(), "summary.json"])
+
+    def test_simulate_flags_override_the_mc_section(self, tmp_path):
+        # every simulate flag lands in the mc section, echoed in config.json, and the
+        # estimate is the one simulate_paths gives under the zero control
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(small_config(lp=None)))
+        assert main(["simulate", "--config", str(path), "--out", str(out), "--paths", "64",
+                     "--T", "0.5", "--dt", "0.01", "--burn-in", "0.2", "--control", "zero"]) == 0
+        mc = json.loads((out / "summary.json").read_text())["mc"]
+        assert {k: mc[k] for k in ("paths", "horizon", "dt", "burn_in", "seed")} == {
+            "paths": 64, "horizon": 0.5, "dt": 0.01, "burn_in": 0.2, "seed": 5}
+        echoed = json.loads((out / "config.json").read_text())["mc"]
+        assert echoed == {**small_config()["mc"], "paths": 64, "horizon": 0.5, "dt": 0.01,
+                          "burn_in": 0.2, "control": "zero"}
+        config = RunConfig.from_dict(small_config())
+        expected = simulate.simulate_paths(
+            config.problem_spec(), simulate.FeedbackControl.zero(4.0), horizon=0.5, dt=0.01,
+            paths=64, burn_in=0.2, seed=5)
+        assert mc == expected.to_dict()
 
     def test_lp_subcommand_without_lp_section(self, tmp_path, capsys):
         # like simulate without an mc section, lp runs with the section's defaults

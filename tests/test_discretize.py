@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -220,6 +221,43 @@ def test_transition_generator_kills_constants():
     off = q.tocoo()
     mask = off.row != off.col
     assert np.all(off.data[mask] >= -1e-14)
+
+
+# sha256 of a generator's CSR indptr, indices and data bytes as the earlier COO
+# triplet assembly gave them, which the banded assembly keeps bit for bit; every
+# rate is nonzero, since a zero rate's coupling entry is not stored
+GENERATOR_SHA256 = {
+    "1d-constant-eps0":
+        "e2880d63728cbe2cd96f61bf2ef86e3efc7b59693349f0dd68623b55f3d8886c",
+    "1d-quadratic-eps":
+        "61853c027799b2d2ba0bcb0736ac5063e82e72095502b8f38ad607345cf8d2da",
+    "2d-constant-eps":
+        "42646fa26a6c7668841747d7961c8b5186c3d053f22b803fa79909e3348ea3d3",
+    "2d-quadratic-eps0":
+        "bab23c4ff20f4c38a30dd68bf379a5d2fdf0be60b8ab7aa1ba4ab4ecaecf91ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_SHA256))
+def test_generator_csr_bits_pinned(case):
+    dim, rates, discount = int(case[0]), case.split("-")[1], 0.1 if case.endswith("eps") else 0.0
+    base = make_problem(dim=dim, alphas=(0.7, 1.3))
+    if rates == "quadratic":
+        base = ProblemSpec(dimension=dim, hamiltonian=base.hamiltonian, sources=base.sources,
+                           switch_rates=(fields.quadratic(dim, weights=(0.5,) * dim, c0=0.25),
+                                         fields.quadratic(dim, weights=(2.0,) * dim, c0=1.5)))
+    g = build_grid(dim, 2.0, 0.25)
+    x = g.points
+    grow = 1.0 + np.sum(x * x, axis=-1, keepdims=True)
+    xi = np.stack([3.0 * x * grow, -2.0 * x[:, ::-1] * grow])
+    # |xi_j| h = 2 exactly, just past the central branch's bound 2 (1 - 1e-12)
+    xi[:, g.index_of(np.full(dim, 0.5)), 0] = [8.0, -8.0]
+    # both branches of the advection rule: central where |xi_j| h <= 2, upwind elsewhere
+    speed = np.abs(xi) * g.h
+    assert np.any(speed < 2.0) and np.any(speed > 2.0)
+    gen = assemble_generator(g, base, xi, discount)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (gen.indptr, gen.indices, gen.data)))
+    assert digest.hexdigest() == GENERATOR_SHA256[case]
 
 
 def test_control_cap_exceeds_benchmark_optimum(quadratic_1d):

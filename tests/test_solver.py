@@ -13,7 +13,12 @@ from ergodic_hjb.discretize import (
     control_cap,
     gradient_central,
 )
-from ergodic_hjb.errors import ConvergenceError, ParameterError, SolverError
+from ergodic_hjb.errors import (
+    ConvergenceError,
+    MonotonicityError,
+    ParameterError,
+    SolverError,
+)
 from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.solver import (
     ErgodicSolution,
@@ -610,6 +615,45 @@ class TestNestedDomains:
     def test_rejects_nonincreasing_schedule(self, quadratic_1d):
         with pytest.raises(ParameterError):
             nested_domains(quadratic_1d, [4.0, 4.0], h=0.1)
+
+    @staticmethod
+    def _script_solves(monkeypatch, legs):
+        """Each box's solve returns the next ``(lam, x_min)`` of ``legs``, with
+        u = (x - x_min)^2 in both states, so both minimizers sit at node x_min."""
+        legs = iter(legs)
+
+        def scripted(problem, grid, penalty=None, opts=None, warm=None):
+            lam, x_min = next(legs)
+            u = (grid.points[:, 0] - x_min) ** 2
+            return ErgodicSolution(grid=grid, u=np.stack([u, u]), lam=lam, residual=0.0,
+                                   iterations=1, method="direct")
+
+        monkeypatch.setattr(solver, "solve_ergodic_normalized", scripted)
+
+    def test_minimizer_on_the_wall_raises(self, monkeypatch, quadratic_1d):
+        self._script_solves(monkeypatch, [(1.0, 0.0), (0.9, 3.0)])
+        with pytest.raises(SolverError) as exc:
+            nested_domains(quadratic_1d, [2.0, 3.0], h=0.5)
+        assert str(exc.value) == ("minimizer reached the wall on the box of half-width 3.0; "
+                                  "penalty cap or box too small")
+
+    def test_rising_eigenvalue_raises_with_its_sequence(self, monkeypatch, quadratic_1d):
+        opts = SolverOptions(tol_lambda=1e-4)
+        # a rise inside 10 * tol_lambda passes, one beyond it raises
+        self._script_solves(monkeypatch, [(1.0, 0.0), (1.0009, 0.0)])
+        assert nested_domains(quadratic_1d, [2.0, 3.0], h=0.5, opts=opts).lam == 1.0009
+        self._script_solves(monkeypatch, [(1.0, 0.0), (1.002, 0.0), (0.9, 0.0)])
+        with pytest.raises(MonotonicityError) as exc:
+            nested_domains(quadratic_1d, [2.0, 3.0, 4.0], h=0.5, opts=opts)
+        assert str(exc.value) == "eigenvalue increased from 1 to 1.002 beyond tolerance 0.001"
+        assert exc.value.sequence == [(2.0, 1.0), (3.0, 1.002)]
+
+    def test_moving_minimizer_raises_with_its_history(self, monkeypatch, quadratic_1d):
+        self._script_solves(monkeypatch, [(1.0, 0.0), (0.9, 0.0), (0.8, 1.0)])
+        with pytest.raises(ConvergenceError) as exc:
+            nested_domains(quadratic_1d, [2.0, 3.0, 4.0], h=0.5)
+        assert str(exc.value) == "minimizer location did not stabilize over the last two domains"
+        assert exc.value.history == [((0.0,), (0.0,)), ((0.0,), (0.0,)), ((1.0,), (1.0,))]
 
 
 class TestExtractControl:
