@@ -10,7 +10,8 @@ of the same config reproduces every file byte for byte.
 one after another on the calling thread, in this order: the solve
 (``_solve_stage``); the LP (``dual_lp.solve_lp``); the Monte Carlo estimates
 (one ``simulate.simulate_controls`` call for the control and the perturbed
-one; ``threads`` sizes its chunk pool only), whose first estimate's kept path
+one; ``threads`` counts the worker processes of its chunk pool, so serial and
+pooled runs write the same bundle), whose first estimate's kept path
 is the sample path; the audits (``_audit_stage``); and last ``config.json``
 and ``summary.json``.  A failed stage ends the run, so a failed solve runs no
 LP, and an LP failure runs no Monte Carlo estimate and leaves only the
@@ -325,7 +326,8 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="JSON config path or bundled benchmark name")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="override thread count")
+        p.add_argument("--threads", type=int, default=None,
+                       help="override the count of Monte Carlo worker processes")
         if name == "simulate":
             p.add_argument("--paths", type=int, default=None)
             p.add_argument("--T", type=float, default=None, dest="horizon")

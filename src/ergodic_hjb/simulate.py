@@ -23,7 +23,8 @@ and rebuilt only after a switch, never when the two rates are equal.
 
 Randomness comes from one counter-based Philox stream per fixed path chunk,
 keyed by ``(seed, chunk index)``; accumulation is an ordered reduction over
-the path axis, so estimates are bit-identical across serial and threaded runs.
+the path axis, so estimates are bit-identical across serial and pooled runs,
+where ``threads`` forked worker processes run the path chunks.
 The stream does not depend on the control, and with x-free rates neither do a
 path's switches, so several controls estimated at once (``simulate_controls``)
 share one step loop: one set of normals, clocks and flips serves them all,
@@ -33,7 +34,8 @@ estimate keeps path 0 over its first tallied steps as its sample path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +94,7 @@ class SimulationEstimate:
 
 
 # fixed path-chunk size: the draw layout (and hence every estimate) is independent
-# of the thread count; a path's draws depend on the size of its chunk, so only
+# of the worker count; a path's draws depend on the size of its chunk, so only
 # whole chunks keep their draws when the path total changes
 _PATH_CHUNK = 8192
 # rows the record_samples stream keeps, about: the stride is set to reach it
@@ -214,7 +216,7 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
 
 
 def _check_seed_threads(seed, threads) -> None:
-    """Reject a seed that does not fit a Philox key word and a thread count below 1."""
+    """Reject a seed that does not fit a Philox key word and a worker count below 1."""
     for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
         if not lo <= number(value, name, integer=True) < hi:
             raise ParameterError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
@@ -289,7 +291,12 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     its control, and all controls' estimates draw the same stream, so they
     run in one step loop that makes each draw once for all of them (common
     random numbers).  With a rate that depends on x each control runs its own
-    loop.  The ``threads`` pool runs the path chunks of every loop.
+    loop.  With ``threads`` above 1 and more than one path chunk over all
+    loops, a pool of at most ``threads`` worker processes, forked so that they
+    need no fresh import, runs those chunks; the caller reduces their results
+    in chunk order, and the pool is shut down before this returns, also when a
+    worker raises.  Python >= 3.12 warns when a process that runs
+    more than one thread (a BLAS thread pool's included) forks.
     """
     controls = tuple(controls)
     n_steps, burn_steps = _check_arguments(problem, max(c.radius for c in controls), horizon,
@@ -301,8 +308,9 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     args = [(problem, group, n_steps, dt, chunk, n, burn_steps, seed, stride)
             for group in groups for chunk, n in chunks]
     if threads > 1 and len(args) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _simulate_chunk(*a), args))
+        with ProcessPoolExecutor(max_workers=min(threads, len(args)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_simulate_chunk, *zip(*args)))
     else:
         results = [_simulate_chunk(*a) for a in args]
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ def make_problem(dim=1, gammas=(2.0, 2.0), alphas=(1.0, 1.0), sources=None,
         switch_rates=(fields.constant(dim, alphas[0]), fields.constant(dim, alphas[1])),
         sources=tuple(sources),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live child process, such as a Monte Carlo worker
+    that outlived its pool; the leftovers are ended so later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture

@@ -239,11 +239,13 @@ class TestPipeline:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mc"]["perturbed"]["avg_cost"] != summary["mc"]["avg_cost"]
 
-    def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
-        config = small_config()
+    @staticmethod
+    def _assert_same_bundle_across_threads(config, threads, tmp_path):
+        """The bundles of ``config`` at ``threads: 1`` and ``threads`` agree byte for byte."""
         out1, out2 = tmp_path / "a", tmp_path / "b"
         code1, _ = run_pipeline(RunConfig.from_dict({**config, "threads": 1}), out_dir=out1)
-        code2, _ = run_pipeline(RunConfig.from_dict({**config, "threads": 3}), out_dir=out2)
+        code2, _ = run_pipeline(RunConfig.from_dict({**config, "threads": threads}),
+                                out_dir=out2)
         assert code1 == code2 == 0
         for name in ("summary.json", "fields.csv", "lambda_history.csv",
                      "sample_path.csv", "audits.json"):
@@ -252,8 +254,20 @@ class TestPipeline:
             if name == "summary.json":
                 # the echoed config records the thread count; strip it
                 a = a.replace(b'"threads": 1', b'"threads": 0')
-                b = b.replace(b'"threads": 3', b'"threads": 0')
+                b = b.replace(f'"threads": {threads}'.encode(), b'"threads": 0')
             assert a == b, f"{name} differs between runs"
+
+    def test_pipeline_reruns_bit_identical_across_threads(self, tmp_path):
+        self._assert_same_bundle_across_threads(small_config(), 3, tmp_path)
+
+    def test_pipeline_reruns_bit_identical_across_processes_x_dependent_rates(self, tmp_path):
+        # an x-dependent rate runs the control and the perturbed one as two groups
+        # of one path chunk each, so two tasks reach the pool of worker processes
+        rate = {"form": "quadratic", "c0": 1.0, "weights": [0.1]}
+        states = [{**state, "alpha": rate} for state in SMALL_PROBLEM["states"]]
+        config = small_config(problem={**SMALL_PROBLEM, "states": states},
+                              mc={**small_config()["mc"], "perturbed": "linear:2.0"})
+        self._assert_same_bundle_across_threads(config, 2, tmp_path)
 
 
 class TestMainEntry:

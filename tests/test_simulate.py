@@ -1,13 +1,16 @@
 import hashlib
+import multiprocessing
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ergodic_hjb import fields
+from ergodic_hjb import fields, simulate
 from ergodic_hjb.discretize import build_grid
 from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh, stationarity_residual
-from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.errors import CoefficientError, ParameterError
+from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.simulate import (
     _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_controls, simulate_paths)
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
@@ -361,6 +364,42 @@ def test_controls_same_bits_across_threads(rates):
     for a, b, c in zip(solo, serial, pooled):
         _assert_same_estimate(a, b)
         _assert_same_estimate(b, c)
+
+
+def test_pooled_run_pickles_a_truncated_problem():
+    # the worker processes receive the problem, ramp envelopes included, and the
+    # grid control by pickling; two path chunks of one control reach the pool
+    base, ctrl = _pinned_problem(1, "x-dependent")
+    problem = base.with_hamiltonian(
+        truncate_hamiltonian(replace(base.hamiltonian, gammas=(4.0, 3.0)), level=6.0))
+    assert all(e is not None for e in problem.hamiltonian._envelopes)
+    run = dict(horizon=2.5e-2, dt=5e-3, burn_in=0.2, paths=_PATH_CHUNK + 64, seed=13,
+               record_samples=True)
+    serial = simulate_paths(problem, ctrl, threads=1, **run)
+    pooled = simulate_paths(problem, ctrl, threads=2, **run)
+    _assert_same_estimate(serial, pooled)
+
+
+WORKER_FAILURE = "metric is not positive definite at x = (3.1)"
+
+
+def _failing_chunk(*args):
+    """Stands in for ``simulate._simulate_chunk`` in a worker that fails."""
+    raise CoefficientError(WORKER_FAILURE)
+
+
+def test_worker_failure_surfaces_and_leaves_no_worker(monkeypatch, quadratic_1d):
+    # the stand-in is module-level, so the pool sends it by reference to the forked
+    # workers, which inherit this module; the first failed chunk's error is raised
+    # in the caller, and the pool's processes and thread are gone
+    monkeypatch.setattr(simulate, "_simulate_chunk", _failing_chunk)
+    threads_before = threading.active_count()
+    with pytest.raises(CoefficientError) as exc:
+        simulate_paths(quadratic_1d, FeedbackControl.linear(6.0, SQRT2), horizon=5e-3, dt=1e-3,
+                       paths=_PATH_CHUNK + 64, threads=2)
+    assert type(exc.value) is CoefficientError and str(exc.value) == WORKER_FAILURE
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
 
 
 def test_sample_path_is_path_zero_of_the_kept_stream():
