@@ -18,6 +18,7 @@ from .errors import (
     MonotonicityError,
     ParameterError,
     SolverError,
+    WorkerError,
 )
 from .model import (
     HamiltonianSpec,
@@ -87,6 +88,7 @@ __all__ = [
     "ConvergenceError",
     "MonotonicityError",
     "LPError",
+    "WorkerError",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ upwinding elsewhere: backward difference for ``xi_j > 0``, forward for
 ``xi_j < 0``.  Every off-diagonal entry is therefore nonpositive and every
 row sums to exactly ``discount``, so the matrix is an M-matrix whenever
 ``discount > 0`` and obeys a discrete comparison principle.
-``m_matrix_violations`` scans an assembled matrix for exactly these signs.
 
 Feedback fields pass between modules as plain ``(2, n_nodes, dim)`` arrays
 or as a ``FeedbackControl``, which holds such an array on its grid and
@@ -81,10 +80,6 @@ class Grid:
     def interior_mask(self) -> np.ndarray:
         mi = self.multi_indices
         return np.all((mi > 0) & (mi < self.n_axis - 1), axis=-1)
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return ~self.interior_mask
 
     def axis_stride(self, axis: int) -> int:
         return self.n_axis ** (self.dim - 1 - axis)
@@ -258,20 +253,6 @@ class FeedbackControl:
         if self.kind == "linear":
             return self.coefficient * x
         return _bilinear(self.grid, self.tables, x, k)
-
-
-def m_matrix_violations(matrix: sp.spmatrix) -> dict:
-    """Scan an assembled operator for sign-structure defects; all counts are
-    zero for a valid assembly."""
-    coo = matrix.tocoo()
-    off = coo.row != coo.col
-    bad_off = int(np.sum(coo.data[off] > 1e-14))
-    diag = matrix.diagonal()
-    bad_diag = int(np.sum(diag <= 0.0))
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    bad_dom = int(np.sum(row_sums < -1e-10 * (1.0 + np.abs(diag))))
-    return {"positive_offdiag": bad_off, "nonpositive_diag": bad_diag,
-            "dominance_failures": bad_dom}
 
 
 def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,

@@ -221,10 +221,6 @@ def solve_lp(lp: LPData):
     return float(lp.cost @ x), measure
 
 
-def measure_cost(lp: LPData, measure: OccupationMeasure) -> float:
-    return float(lp.cost @ _weights_to_flat(measure.weights))
-
-
 def stationarity_residual(lp: LPData, measure: OccupationMeasure) -> float:
     """Sup-norm of the balance rows applied to an arbitrary measure (for
     checking externally constructed measures, e.g. simulation histograms)."""

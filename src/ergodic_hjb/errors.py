@@ -43,3 +43,7 @@ class MonotonicityError(ErgodicHJBError):
 
 class LPError(ErgodicHJBError):
     """The occupation-measure linear program could not be solved or certified."""
+
+
+class WorkerError(ErgodicHJBError):
+    """A Monte Carlo worker process died before it returned its path chunk."""

@@ -29,10 +29,10 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretize import Grid
-from .errors import ParameterError
+from .errors import CoefficientError, ParameterError
 from .fields import CoefficientField, DriftField, MetricField, number
 
 STATES = (1, 2)
@@ -254,21 +254,31 @@ class HamiltonianSpec:
         return env.value(np.sqrt(_quad(np.asarray(p, dtype=float), metric.a, metric.scalar)))
 
     def grad_p(self, k: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Analytic grad_p H_k; at p = 0 with gamma_k < 2 the power term is 0 by continuity."""
+        """Analytic grad_p H_k; at p = 0 with gamma_k < 2 the power term is 0 by continuity.
+
+        Raises ``CoefficientError`` naming the state and its gamma where the
+        untruncated power law leaves the float range (a large gamma at |p| > 1).
+        """
         g = self.gamma(k)
         p = np.asarray(p, dtype=float)
         metric = self.metric(k)
         a = metric.a
-        q = _quad(p, a, metric.scalar)
         env = self._envelopes[k - 1]
         if env is not None:
-            m = np.sqrt(np.maximum(q, 0.0))
+            m = np.sqrt(np.maximum(_quad(p, a, metric.scalar), 0.0))
             fac = np.where(m > 0, env.slope(m) / np.where(m > 0, m, 1.0), 0.0)
-        elif g == 2.0:
-            fac = np.ones_like(q)
-        else:
-            fac = np.where(q > 0.0, np.where(q > 0.0, q, 1.0) ** (g / 2.0 - 1.0), 0.0)
-        return fac[..., None] * (p @ a.T) + self.drift(k).b
+            return fac[..., None] * (p @ a.T) + self.drift(k).b
+        if g == 2.0:
+            return p @ a.T + self.drift(k).b
+        try:
+            with np.errstate(over="raise"):
+                q = _quad(p, a, metric.scalar)
+                fac = np.where(q > 0.0, np.where(q > 0.0, q, 1.0) ** (g / 2.0 - 1.0), 0.0)
+                return fac[..., None] * (p @ a.T) + self.drift(k).b
+        except FloatingPointError:
+            raise CoefficientError(
+                f"state {k}: grad_p H overflows at gamma = {g!r} and |p| up to "
+                f"{np.max(np.abs(p)):.3g}; the power law leaves the float range") from None
 
     def lagrangian(self, k: int, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """l_k(x, xi), the conjugate of ``value``; nonnegative, zero exactly at xi = b_k.
@@ -455,6 +465,21 @@ def switch_rate_violations(problem: ProblemSpec, points: np.ndarray) -> list:
     return violations
 
 
+def window_max(a: np.ndarray, window: int) -> np.ndarray:
+    """Maximum of ``a`` over the centered box of odd side ``window`` at every
+    entry, the array extended past each face by its edge values.
+
+    One running maximum per axis over the edge-padded array; the maximum is
+    exact, so this is ``scipy.ndimage.maximum_filter(a, window, mode="nearest")``.
+    """
+    pad = window // 2
+    for axis in range(a.ndim):
+        widths = [(0, 0)] * a.ndim
+        widths[axis] = (pad, pad)
+        a = sliding_window_view(np.pad(a, widths, mode="edge"), window, axis=axis).max(axis=-1)
+    return a
+
+
 def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None = None) -> AuditReport:
     """Measure the standing-assumption constants on every node of ``box``.
 
@@ -488,8 +513,7 @@ def validate_assumptions(problem: ProblemSpec, box: Grid, declared: dict | None 
         envelope = 1.0 + np.abs(f) ** (2.0 - 1.0 / problem.hamiltonian.gamma(k))
         ratio = gf / envelope
         c2[str(k)] = float(np.max(ratio))
-        local_sup = maximum_filter(np.abs(box.to_grid_shape(f)), size=window,
-                                   mode="nearest").ravel()
+        local_sup = window_max(np.abs(box.to_grid_shape(f)), window).ravel()
         c3[str(k)] = float(np.max(local_sup / (np.abs(f) + 1.0)))
         coercive[str(k)] = bool(np.min(f[outer]) > np.min(f[inner]))
         if declared and "c2" in declared:

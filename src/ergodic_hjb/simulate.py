@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import FeedbackControl, Grid
 from .dual_lp import ControlMesh, OccupationMeasure
-from .errors import ParameterError
+from .errors import ParameterError, WorkerError
 from .fields import number
 from .model import ProblemSpec, STATES
 
@@ -295,8 +296,9 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     loops, a pool of at most ``threads`` worker processes, forked so that they
     need no fresh import, runs those chunks; the caller reduces their results
     in chunk order, and the pool is shut down before this returns, also when a
-    worker raises.  Python >= 3.12 warns when a process that runs
-    more than one thread (a BLAS thread pool's included) forks.
+    worker raises.  A worker process that dies raises ``WorkerError``, which
+    names the first chunk whose result was lost.  Python >= 3.12 warns when a
+    process that runs more than one thread (a BLAS thread pool's included) forks.
     """
     controls = tuple(controls)
     n_steps, burn_steps = _check_arguments(problem, max(c.radius for c in controls), horizon,
@@ -308,9 +310,17 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     args = [(problem, group, n_steps, dt, chunk, n, burn_steps, seed, stride)
             for group in groups for chunk, n in chunks]
     if threads > 1 and len(args) > 1:
+        results = []
         with ProcessPoolExecutor(max_workers=min(threads, len(args)),
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_simulate_chunk, *zip(*args)))
+            try:
+                for result in pool.map(_simulate_chunk, *zip(*args)):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                lost_group, lost_chunk = divmod(len(results), len(chunks))
+                message = (f"the worker process running path chunk {lost_chunk} of control "
+                           f"group {lost_group + 1} died before returning it")
+                raise WorkerError(message) from exc
     else:
         results = [_simulate_chunk(*a) for a in args]
 

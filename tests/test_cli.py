@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import tempfile
 import threading
 from pathlib import Path
@@ -46,6 +48,20 @@ def small_config(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _x_dependent_pair_config(**overrides):
+    """``small_config`` with an x-dependent rate and a perturbed control: the control
+    and the perturbed one run as two groups of one path chunk each."""
+    rate = {"form": "quadratic", "c0": 1.0, "weights": [0.1]}
+    states = [{**state, "alpha": rate} for state in SMALL_PROBLEM["states"]]
+    return small_config(problem={**SMALL_PROBLEM, "states": states},
+                        mc={**small_config()["mc"], "perturbed": "linear:2.0"}, **overrides)
+
+
+def _dying_chunk(*args):
+    """Stands in for ``simulate._simulate_chunk`` in a worker process that dies."""
+    os._exit(1)
 
 
 # one value of this pool at one key of FUZZ_BASE: every leaf key of the run
@@ -261,13 +277,32 @@ class TestPipeline:
         self._assert_same_bundle_across_threads(small_config(), 3, tmp_path)
 
     def test_pipeline_reruns_bit_identical_across_processes_x_dependent_rates(self, tmp_path):
-        # an x-dependent rate runs the control and the perturbed one as two groups
-        # of one path chunk each, so two tasks reach the pool of worker processes
-        rate = {"form": "quadratic", "c0": 1.0, "weights": [0.1]}
-        states = [{**state, "alpha": rate} for state in SMALL_PROBLEM["states"]]
-        config = small_config(problem={**SMALL_PROBLEM, "states": states},
-                              mc={**small_config()["mc"], "perturbed": "linear:2.0"})
-        self._assert_same_bundle_across_threads(config, 2, tmp_path)
+        # two groups of one path chunk each, so two tasks reach the pool of worker processes
+        self._assert_same_bundle_across_threads(_x_dependent_pair_config(), 2, tmp_path)
+
+    def test_dead_worker_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # a worker that dies (as one the OOM killer ends) breaks the pool; the run ends
+        # with one line naming the first chunk whose result was lost, and leaves no child
+        monkeypatch.setattr(simulate, "_simulate_chunk", _dying_chunk)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_x_dependent_pair_config(threads=2)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "stage failure [simulate]: the worker process running path chunk 0 of control "
+            "group 1 died before returning it"]
+        assert multiprocessing.active_children() == []
+
+    def test_huge_gamma_exits_1_naming_the_state(self, tmp_path, capsys):
+        # |p|^(gamma - 2) p overflows for gamma = 1000 once |p| > 2: the solve ends with
+        # one line naming the state and its gamma, and no RuntimeWarning escapes
+        states = [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "gamma": 1000}]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(problem={**SMALL_PROBLEM, "states": states})))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("stage failure [pipeline]: state 2: grad_p H overflows at "
+                                 "gamma = 1000.0 and |p| up to ")
 
 
 class TestMainEntry:

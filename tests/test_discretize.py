@@ -15,7 +15,6 @@ from ergodic_hjb.discretize import (
     build_grid,
     control_cap,
     gradient_central,
-    m_matrix_violations,
 )
 from ergodic_hjb.errors import ParameterError
 from ergodic_hjb.model import ProblemSpec
@@ -59,7 +58,7 @@ def test_index_of_rejects_points_off_the_box():
 def test_interior_classification():
     g = build_grid(2, 1.0, 0.5)
     assert g.interior_mask.sum() == 9
-    assert g.boundary_mask.sum() == 16
+    assert (~g.interior_mask).sum() == 16
 
 
 def test_gradient_exact_for_affine():
@@ -115,6 +114,20 @@ def test_generator_coupling_and_row_sums():
     assert row[node + m] == pytest.approx(-1.0)
     sums = np.asarray(gen.sum(axis=1)).ravel()
     assert np.allclose(sums, eps)
+
+
+def m_matrix_violations(matrix) -> dict:
+    """Scan an assembled operator for sign-structure defects; all counts are
+    zero for a valid assembly."""
+    coo = matrix.tocoo()
+    off = coo.row != coo.col
+    bad_off = int(np.sum(coo.data[off] > 1e-14))
+    diag = matrix.diagonal()
+    bad_diag = int(np.sum(diag <= 0.0))
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    bad_dom = int(np.sum(row_sums < -1e-10 * (1.0 + np.abs(diag))))
+    return {"positive_offdiag": bad_off, "nonpositive_diag": bad_diag,
+            "dominance_failures": bad_dom}
 
 
 def test_generator_m_matrix_scan(rng):

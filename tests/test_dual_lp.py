@@ -15,7 +15,6 @@ from ergodic_hjb.dual_lp import (
     OccupationMeasure,
     assemble_lp,
     build_control_mesh,
-    measure_cost,
     solve_lp,
     stationarity_residual,
 )
@@ -163,6 +162,11 @@ class TestSolve:
         assert stationarity_residual(lp, blend) <= 1e-8
         c1, c2, cb = measure_cost(lp, mu), measure_cost(lp, mu2), measure_cost(lp, blend)
         assert cb == pytest.approx(0.5 * (c1 + c2), abs=1e-12)
+
+
+def measure_cost(lp, measure: OccupationMeasure) -> float:
+    """The LP's objective at an arbitrary measure."""
+    return float(lp.cost @ dual_lp._weights_to_flat(measure.weights))
 
 
 def _highs_value(lp) -> float:

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 
+import ergodic_hjb
 from ergodic_hjb import fields
 from ergodic_hjb.discretize import build_grid
-from ergodic_hjb.errors import ParameterError
+from ergodic_hjb.errors import CoefficientError, ParameterError
 from ergodic_hjb.model import (
     HamiltonianSpec,
     _quad,
@@ -21,6 +27,7 @@ from ergodic_hjb.model import (
     switch_rate_violations,
     truncate_hamiltonian,
     validate_assumptions,
+    window_max,
 )
 from tests.conftest import make_problem
 
@@ -288,6 +295,47 @@ def test_validate_assumptions_reports_nonpositive_rates():
     assert len(report.constants["violations"]) == 5
     assert all(v["check"] == "switch_rate_positive" and v["state"] == 1 and v["lhs"] <= 0.0
                for v in report.constants["violations"])
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (61,), (1, 9), (5, 4), (21, 33)])
+def test_window_max_is_the_nearest_mode_maximum_filter(shape):
+    # windows of 11 and 101 outrun the short axes; the +-inf entries sit at both
+    # ends of the flat order and inside, where they must spread and be outrun
+    a = np.random.default_rng(sum(shape)).standard_normal(shape)
+    a.flat[[0, -1, a.size // 2]] = [np.inf, -np.inf, -np.inf]
+    for window in (1, 3, 11, 101):
+        assert np.array_equal(window_max(a, window),
+                              maximum_filter(a, size=window, mode="nearest")), window
+
+
+def test_huge_gamma_feedback_raises_instead_of_overflowing():
+    # |p|^(gamma - 2) p leaves the float range at |p| > 2 for gamma = 1000
+    h = ham(dim=1, gammas=(2.0, 1000.0))
+    p = np.array([[1.0], [3.0]])
+    assert np.all(np.isfinite(h.grad_p(1, np.zeros((2, 1)), p)))
+    with pytest.raises(CoefficientError, match=r"state 2: grad_p H overflows at gamma = 1000\.0"):
+        h.grad_p(2, np.zeros((2, 1)), p)
+
+
+def test_import_and_audit_load_no_ndimage_or_special():
+    # scipy.ndimage pulls in scipy.special; neither belongs on the package's start-up path
+    script = """
+import sys
+from ergodic_hjb import HamiltonianSpec, ProblemSpec, build_grid, fields, validate_assumptions
+for dim in (1, 2):
+    ham = HamiltonianSpec(dim=dim, gammas=(2.0, 2.0), metrics=(fields.identity_metric(dim),) * 2,
+                          drifts=(fields.DriftField(dim),) * 2)
+    problem = ProblemSpec(dimension=dim, hamiltonian=ham, sources=(fields.quadratic(dim),) * 2,
+                          switch_rates=(fields.constant(dim, 1.0),) * 2)
+    assert validate_assumptions(problem, build_grid(dim, 3.0, 0.25)).passed
+print(sorted(m for m in ("scipy.ndimage", "scipy.special") if m in sys.modules))
+"""
+    src = str(Path(ergodic_hjb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_validate_assumptions_flags_declared_violation(quadratic_1d):
