@@ -34,7 +34,6 @@ from .solver import (
     DiscountedSolution,
     ErgodicSolution,
     LUFactor,
-    PenaltyParams,
     SolverOptions,
     extract_control,
     nested_domains,
@@ -58,7 +57,6 @@ __all__ = [
     "validate_assumptions",
     "load_problem",
     "save_problem",
-    "PenaltyParams",
     "SolverOptions",
     "DiscountedSolution",
     "ErgodicSolution",

@@ -1,4 +1,4 @@
-"""Batch front-end: solve / lp / simulate / audit / pipeline subcommands.
+"""Batch front-end: solve / lp / simulate / pipeline subcommands.
 
 Every run is driven by a JSON config (a file path or a bundled benchmark
 name) and writes a self-contained artifact bundle: a summary manifest, CSV
@@ -40,9 +40,8 @@ from .errors import CoefficientError, ErgodicHJBError, ParameterError
 from .fields import number
 from .model import switch_rate_violations, validate_assumptions
 from .solver import (
-    PenaltyParams,
     SolverOptions,
-    default_penalty,
+    _check_cap,
     extract_control,
     nested_domains,
     solve_ergodic_normalized,
@@ -51,7 +50,7 @@ from .solver import (
 
 ALL_STAGES = ("solve", "lp", "simulate", "audit")
 
-# the keys of each config section and their defaults (solver, penalty: dataclass fields)
+# the keys of each config section and their defaults (solver: dataclass fields)
 _GRID_KEYS = ("radius", "h")
 _LP_DEFAULTS = {"h": None, "control_step": 0.25, "directions": 8}   # h None: 5 * grid h
 # the most LP control magnitudes a config may ask for: control cap / lp.control_step
@@ -130,16 +129,16 @@ def _write_sample_path(path, s: simulate.SimulationSamples, dt: float):
                 for i in range(s.x.shape[0])))
 
 
-def _solve_stage(config: RunConfig, problem, grid, penalty, opts, out: Path):
+def _solve_stage(config: RunConfig, problem, grid, wall, opts, out: Path):
     """Solve by ``config.method`` on ``grid`` (on the ``radii`` boxes for nested
     domains), extract the feedback, and write ``fields.csv`` and
     ``lambda_history.csv``; returns ``(solution, extracted, lambda block)``."""
     if config.method == "vanishing_discount":
-        solution = vanishing_discount(problem, grid, penalty=penalty, opts=opts)
+        solution = vanishing_discount(problem, grid, wall=wall, opts=opts)
     elif config.method == "nested_domains":
-        solution = nested_domains(problem, config.radii, grid.h, penalty=penalty, opts=opts)
+        solution = nested_domains(problem, config.radii, grid.h, wall=wall, opts=opts)
     else:
-        solution = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts)
+        solution = solve_ergodic_normalized(problem, grid, wall=wall, opts=opts)
     extracted = extract_control(problem, solution)
     block = {
         "value": solution.lam,
@@ -157,7 +156,7 @@ def _solve_stage(config: RunConfig, problem, grid, penalty, opts, out: Path):
         block["coarse_value"] = solution.coarse_lam
     if config.compare_methods:
         alt = (solve_ergodic_normalized if config.method == "vanishing_discount"
-               else vanishing_discount)(problem, solution.grid, penalty=penalty, opts=opts)
+               else vanishing_discount)(problem, solution.grid, wall=wall, opts=opts)
         block["alternate"] = {"method": alt.method, "value": alt.lam,
                               "gap": abs(alt.lam - solution.lam)}
     # per state and node: the coordinates, the state, u and the feedback components
@@ -208,9 +207,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     try:  # reads nothing but the config, so any error raised here is a config error
         problem = config.problem_spec()
         opts = SolverOptions(**_section(config, "solver", [f.name for f in fields(SolverOptions)]))
-        penalty = default_penalty(problem) if config.penalty is None else PenaltyParams(
-            **_section(config, "penalty", [f.name for f in fields(PenaltyParams)])
-        ).validated(problem)
+        wall = _check_cap(_section(config, "penalty", ("cap",)).get("cap"))
         grid_cfg = _section(config, "grid", _GRID_KEYS)
         radius, h = (number(grid_cfg[key], f"grid.{key}") for key in _GRID_KEYS)
         audits = _section(config, "audits", _DEFAULT_AUDITS)
@@ -273,7 +270,7 @@ def run_pipeline(config: RunConfig, stages=ALL_STAGES, out_dir=None) -> tuple[in
     out.mkdir(parents=True, exist_ok=True)
     if "solve" in stages or ("simulate" in stages and "extracted" in controls):
         solution, extracted, summary["lambda"] = _solve_stage(
-            config, problem, grid, penalty, opts, out)
+            config, problem, grid, wall, opts, out)
         files.update(fields="fields.csv", lambda_history="lambda_history.csv")
     else:
         solution = extracted = None
@@ -317,7 +314,6 @@ def _make_parser() -> argparse.ArgumentParser:
         "solve": "solve the eigenvalue problem and extract the feedback control",
         "lp": "solve the occupation-measure linear program",
         "simulate": "Monte Carlo estimate of the average cost under a control",
-        "audit": "run the full pipeline and the structural audits",
         "pipeline": "run every stage and write the artifact bundle",
     }
     for name, help_text in specs.items():
@@ -342,7 +338,6 @@ _STAGE_SETS = {
     "solve": ("solve",),
     "lp": ("lp",),
     "simulate": ("solve", "simulate"),
-    "audit": ALL_STAGES,
     "pipeline": ALL_STAGES,
 }
 

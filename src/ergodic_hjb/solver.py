@@ -21,7 +21,8 @@ coupling, ``e_ref e_ref^T``) is structurally symmetric, so SuperLU orders it
 by minimum degree on ``A + A^T``, which halves the LU fill of the column
 ordering of ``A^T A``.  Boxes carry a steep penalty source near the wall (a
 finite stand-in for boundary blow-up) which confines the minimizer strictly
-inside the domain when the source is coercive.
+inside the domain when the source is coercive.  Every entry point takes its
+cap as ``wall``: ``None`` is :func:`wall_cap`, ``0.0`` no wall.
 
 Every evaluation runs one iterative refinement to a componentwise backward
 error of 1e-15, with the LU factor the Howard loop carries from the last
@@ -54,56 +55,27 @@ from .fields import number
 from .model import ProblemSpec, STATES
 
 
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Steep wall source added inside a unit layer along the box faces.
+def _wall_exponent(problem: ProblemSpec) -> float:
+    """Exponent alpha of the wall source, inside the barrier bracket of the gammas.
 
-    ``beta`` controls the supersolution barrier steepness and must exceed
-    ``max(2, gamma_1, gamma_2)``; the wall exponent ``alpha_exp`` must lie in
-    the open bracket ``beta < alpha_exp < (beta + 1) * min(gamma, 2)``.
-    ``cap`` bounds the discrete wall height: ``None`` means :func:`wall_cap`,
-    ``0.0`` no wall.
+    The barrier steepness is beta = max(2, gamma_1, gamma_2) + 1, raised to
+    (2 - g)/(g - 1) + 1 when g = min(gamma_1, gamma_2, 2) < 2 so that the
+    bracket beta < alpha < (beta + 1) g is not empty; alpha lies 2 above beta,
+    or halfway into the bracket when that is narrower.
     """
-
-    beta: float
-    alpha_exp: float
-    cap: float | None = None
-
-    def __post_init__(self):
-        for name in ("beta", "alpha_exp"):
-            if not math.isfinite(number(getattr(self, name), f"penalty {name}")):
-                raise ParameterError(f"penalty {name} must be finite, got {getattr(self, name)!r}")
-        if self.cap is not None and not 0.0 <= number(self.cap, "penalty cap") < math.inf:
-            raise ParameterError(f"penalty cap must be null or a finite number >= 0, "
-                                 f"got {self.cap!r}")
-
-    def validated(self, problem: ProblemSpec) -> "PenaltyParams":
-        gammas = [problem.hamiltonian.gamma(k) for k in STATES]
-        gmin2 = min(min(gammas), 2.0)
-        if self.beta <= max(2.0, *gammas):
-            raise ParameterError(
-                f"penalty steepness beta={self.beta} must exceed max(2, gamma_1, gamma_2)")
-        if (self.beta + 1.0) * gmin2 <= self.beta + 2.0:
-            raise ParameterError(
-                f"beta={self.beta} leaves an empty bracket: need (beta+1)*min(gamma,2) > beta+2")
-        upper = (self.beta + 1.0) * gmin2
-        if not (self.beta < self.alpha_exp < upper):
-            raise ParameterError(
-                "wall exponent outside the admissible bracket "
-                f"beta < alpha_exp < (beta+1)*min(gamma, 2): ({self.beta}, {upper}), "
-                f"got alpha_exp={self.alpha_exp}")
-        return self
-
-
-def default_penalty(problem: ProblemSpec) -> PenaltyParams:
     gammas = [problem.hamiltonian.gamma(k) for k in STATES]
     gmin2 = min(min(gammas), 2.0)
     beta = max(2.0, *gammas) + 1.0
     if gmin2 < 2.0:
-        # keep the bracket nonempty: (beta+1)*gmin2 > beta+2
         beta = max(beta, (2.0 - gmin2) / (gmin2 - 1.0) + 1.0)
-    alpha_exp = beta + min(2.0, ((beta + 1.0) * gmin2 - beta) / 2.0)
-    return PenaltyParams(beta=beta, alpha_exp=alpha_exp).validated(problem)
+    return beta + min(2.0, ((beta + 1.0) * gmin2 - beta) / 2.0)
+
+
+def _check_cap(cap):
+    """``cap``, the height of the wall: null or a finite JSON number >= 0."""
+    if cap is not None and not 0.0 <= number(cap, "penalty cap") < math.inf:
+        raise ParameterError(f"penalty cap must be null or a finite number >= 0, got {cap!r}")
+    return cap
 
 
 def _wall_profile(t: np.ndarray) -> np.ndarray:
@@ -129,23 +101,22 @@ def wall_cap(problem: ProblemSpec, grid: Grid) -> float:
     return 1e6 * _source_scale(problem, grid)
 
 
-def penalty_source(problem: ProblemSpec, grid: Grid,
-                   params: PenaltyParams | None = None) -> np.ndarray:
-    """Per-state source f_k + min(cap, wall^alpha_exp), shape (2, n_nodes).
+def penalty_source(problem: ProblemSpec, grid: Grid, wall: float | None = None) -> np.ndarray:
+    """Per-state source f_k + min(cap, profile^alpha), shape (2, n_nodes).
 
-    The wall argument is the max-norm analogue of the squared distance to the
-    boundary, ``radius^2 - |x|_inf^2``, so the layer is uniform along the box
-    faces; the penalty vanishes at depth >= 1 inside the wall.  ``None``
-    means ``default_penalty(problem)``; ``cap=0.0`` gives the raw sources.
+    The profile's argument is the max-norm analogue of the squared distance
+    to the boundary, ``radius^2 - |x|_inf^2``, so the layer is uniform along
+    the box faces; the penalty vanishes at depth >= 1 inside the wall.  The
+    exponent alpha is :func:`_wall_exponent`; ``wall`` is the cap, where
+    ``None`` means :func:`wall_cap` and ``0.0`` gives the raw sources.
     """
-    params = (default_penalty(problem) if params is None else params).validated(problem)
+    cap = wall_cap(problem, grid) if wall is None else _check_cap(wall)
     pts = grid.points
     rho = np.max(np.abs(pts), axis=-1)
     t = grid.radius**2 - rho**2
-    wall = _wall_profile(t)
-    cap = params.cap if params.cap is not None else wall_cap(problem, grid)
+    profile = _wall_profile(t)
     with np.errstate(over="ignore"):
-        pen = np.minimum(cap, wall**params.alpha_exp)
+        pen = np.minimum(cap, profile**_wall_exponent(problem))
     return np.stack([problem.source(k)(pts) + pen for k in STATES])
 
 
@@ -421,13 +392,13 @@ def _howard(problem: ProblemSpec, grid: Grid, src: np.ndarray, discount: float,
 
 
 def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
-                     penalty: PenaltyParams | None = None,
+                     wall: float | None = None,
                      opts: SolverOptions = SolverOptions(),
                      warm: np.ndarray | None = None) -> DiscountedSolution:
     """Howard iteration on the discounted system; discount must be positive."""
     if discount <= 0:
         raise ParameterError("discount must be positive")
-    src = penalty_source(problem, grid, penalty).ravel()
+    src = penalty_source(problem, grid, wall).ravel()
     w, _, controls, iters, residual = _howard(
         problem, grid, src, discount, opts, warm, ref=None)
     return DiscountedSolution(grid=grid, w=w, discount=discount, iterations=iters,
@@ -435,7 +406,7 @@ def solve_discounted(problem: ProblemSpec, grid: Grid, discount: float,
 
 
 def vanishing_discount(problem: ProblemSpec, grid: Grid,
-                       penalty: PenaltyParams | None = None,
+                       wall: float | None = None,
                        opts: SolverOptions = SolverOptions()) -> ErgodicSolution:
     """Drive the discount to zero and read the eigenvalue at the reference node.
 
@@ -452,7 +423,7 @@ def vanishing_discount(problem: ProblemSpec, grid: Grid,
     prev_lam = None
     total_iters = 0
     for eps in (opts.eps0 * 2.0**-j for j in range(n_legs)):
-        sol = solve_discounted(problem, grid, eps, penalty=penalty, opts=opts, warm=warm)
+        sol = solve_discounted(problem, grid, eps, wall=wall, opts=opts, warm=warm)
         lam = eps * float(sol.w[0, ref])
         history.append((eps, lam))
         total_iters += sol.iterations
@@ -470,7 +441,7 @@ def vanishing_discount(problem: ProblemSpec, grid: Grid,
 
 
 def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
-                             penalty: PenaltyParams | None = None,
+                             wall: float | None = None,
                              opts: SolverOptions = SolverOptions(),
                              warm: np.ndarray | None = None) -> ErgodicSolution:
     """Direct average-cost solve with (u, eigenvalue) unknowns and u_1(x_ref) = 0.
@@ -483,14 +454,14 @@ def solve_ergodic_normalized(problem: ProblemSpec, grid: Grid,
     """
     coarse_lam = None
     if warm is None:
-        coarse_lam, warm = _coarse_start(problem, grid, penalty, opts)
-    return replace(_direct(problem, grid, penalty, opts, warm), coarse_lam=coarse_lam)
+        coarse_lam, warm = _coarse_start(problem, grid, wall, opts)
+    return replace(_direct(problem, grid, wall, opts, warm), coarse_lam=coarse_lam)
 
 
-def _direct(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | None,
+def _direct(problem: ProblemSpec, grid: Grid, wall: float | None,
             opts: SolverOptions, warm: np.ndarray | None) -> ErgodicSolution:
     """One direct solve on ``grid``, started from ``warm`` (zero control if None)."""
-    src = penalty_source(problem, grid, penalty).ravel()
+    src = penalty_source(problem, grid, wall).ravel()
     ref = grid.index_of(problem.ref_point)
     u, lam, controls, iters, residual = _howard(problem, grid, src, 0.0, opts, warm, ref)
     return ErgodicSolution(grid=grid, u=u, lam=lam, residual=residual,
@@ -498,7 +469,7 @@ def _direct(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | None,
                            history=((grid.radius, lam),))
 
 
-def _coarse_start(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | None,
+def _coarse_start(problem: ProblemSpec, grid: Grid, wall: float | None,
                   opts: SolverOptions):
     """``(lam_2h, warm)`` from a cold direct solve on the 2h grid of ``grid``'s box:
     its eigenvalue and its feedback at the h nodes (:func:`_feedback_at`, which
@@ -513,7 +484,7 @@ def _coarse_start(problem: ProblemSpec, grid: Grid, penalty: PenaltyParams | Non
     except ParameterError:
         return None, None
     try:
-        sol = _direct(problem, coarse, penalty, opts, None)
+        sol = _direct(problem, coarse, wall, opts, None)
     except (SolverError, ConvergenceError):
         return None, None
     return sol.lam, _feedback_at(problem, sol, grid)
@@ -527,7 +498,7 @@ def _feedback_at(problem: ProblemSpec, solution: ErgodicSolution, grid: Grid) ->
 
 
 def nested_domains(problem: ProblemSpec, radii, h: float,
-                   penalty: PenaltyParams | None = None,
+                   wall: float | None = None,
                    opts: SolverOptions = SolverOptions()) -> ErgodicSolution:
     """Direct ergodic solves on growing boxes.
 
@@ -547,7 +518,7 @@ def nested_domains(problem: ProblemSpec, radii, h: float,
     for radius in radii:
         grid = build_grid(problem.dimension, radius, h)
         warm = None if sol is None else _feedback_at(problem, sol, grid)
-        sol = solve_ergodic_normalized(problem, grid, penalty=penalty, opts=opts, warm=warm)
+        sol = solve_ergodic_normalized(problem, grid, wall=wall, opts=opts, warm=warm)
         lam_seq.append((radius, sol.lam))
         nodes = sol.minimizer_nodes()
         minimizers.append(tuple(tuple(grid.points[i]) for i in nodes))

@@ -18,7 +18,6 @@ from .solver import (
     ErgodicSolution,
     LUFactor,
     SolverOptions,
-    default_penalty,
     frozen_system,
     penalty_source,
     policy_evaluation,
@@ -143,10 +142,10 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     """
     # identical wall and control set for every source variant, else the shift
     # leaks into the cap and breaks the pointwise identity at the faces
-    pen = replace(default_penalty(problem), cap=wall_cap(problem, grid))
+    wall = wall_cap(problem, grid)
     opts = replace(opts, control_cap=control_cap(problem, grid))
-    base = solve_discounted(problem, grid, discount, penalty=pen, opts=opts)
-    gen, rhs = frozen_system(problem, grid, penalty_source(problem, grid, pen).ravel(),
+    base = solve_discounted(problem, grid, discount, wall=wall, opts=opts)
+    gen, rhs = frozen_system(problem, grid, penalty_source(problem, grid, wall).ravel(),
                              base.controls, discount)
     # one factor of the frozen-policy matrix serves both right-hand sides
     factor = LUFactor()
@@ -160,7 +159,7 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
                  "lhs": float(u[node]), "rhs": float(v[node])}
 
     shifted = problem.with_sources(tuple(f.shifted(delta) for f in problem.sources))
-    other = solve_discounted(shifted, grid, discount, penalty=pen, opts=opts)
+    other = solve_discounted(shifted, grid, discount, wall=wall, opts=opts)
     shift_err = float(np.max(np.abs(other.w - base.w - delta / discount)))
     ordered = bool(np.all(other.w >= base.w - 1e-8))
 
@@ -169,7 +168,7 @@ def audit_comparison(problem: ProblemSpec, grid: Grid, delta: float = 0.5,
     for _ in range(trials):
         w = tuple(float(abs(rng.normal(0.3, 0.2))) + 1e-3 for _ in STATES)
         bumped = problem.with_sources(tuple(f.shifted(wk) for f, wk in zip(problem.sources, w)))
-        high = solve_discounted(bumped, grid, discount, penalty=pen, opts=opts)
+        high = solve_discounted(bumped, grid, discount, wall=wall, opts=opts)
         trial_ok = trial_ok and bool(np.all(high.w >= base.w - 1e-8))
     passed = linear_gap >= -1e-10 and ordered and shift_err <= 1e-6 and trial_ok
     return AuditReport(

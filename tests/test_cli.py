@@ -67,7 +67,7 @@ def _dying_chunk(*args):
 # one value of this pool at one key of FUZZ_BASE: every leaf key of the run
 # config, and the problem's dimension, reference point and first state
 FUZZ_POOL = [True, "no", 0, -1, float("nan"), float("inf"), None, [], {}]
-FUZZ_BASE = small_config(penalty={"beta": 4.0, "alpha_exp": 5.0, "cap": None})
+FUZZ_BASE = small_config(penalty={"cap": None})
 FUZZ_KEYS = ([(k,) for k, v in FUZZ_BASE.items() if not isinstance(v, dict)]
              + [(k, key) for k, v in FUZZ_BASE.items() if isinstance(v, dict) and k != "problem"
                 for key in v]
@@ -322,12 +322,13 @@ class TestMainEntry:
         assert main(["solve", "--config", "no-such-benchmark"]) == 2
 
     def test_inadmissible_wall_exponent_exit_2(self, tmp_path, capsys):
-        config = small_config(penalty={"beta": 3.0, "alpha_exp": 9.0})
+        # the wall exponents derive from the gammas; the penalty section holds the cap only
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        assert main(["solve", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "beta < alpha_exp < (beta+1)*min(gamma, 2)" in err
+        path.write_text(json.dumps(small_config(penalty={"beta": 3})))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown penalty keys: ['beta']"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x_ref, message", [
         ([0.0, 0.0], "x_ref has 2 coordinates, the problem has dimension 1"),
@@ -353,6 +354,19 @@ class TestMainEntry:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["config error: Hamiltonian truncation is supported only for driftless states"]
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_huge_gamma_exit_2(self, tmp_path, capsys):
+        # the ramp envelope of gamma = 1000 at level 10 leaves the float range: the problem
+        # is rejected when it is read, with one line and no RuntimeWarning
+        states = [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "gamma": 1000}]
+        problem = {**SMALL_PROBLEM, "states": states, "truncation": {"level": 10}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(problem=problem)))
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: state 2: the truncated power law at gamma = 1000.0 and truncation "
+            "level 10.0 leaves the float range"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
@@ -396,10 +410,10 @@ class TestMainEntry:
         ("lp", "h", 10**400, None),
         ("mc", "horizon", 10**400, None),
         ("solver", "tol_lambda", 10**400, None),
-        ("penalty", "beta", 10**400, "penalty beta must be a number in the float range"),
+        ("penalty", "beta", 10**400, "unknown penalty keys: ['beta']"),
         ("penalty", "cap", 10**400, "penalty cap must be a number in the float range"),
-        ("penalty", "beta", "4", "penalty beta must be a number, got '4'"),
-        ("penalty", "alpha_exp", float("nan"), "penalty alpha_exp must be finite, got nan"),
+        ("penalty", "beta", "4", "unknown penalty keys: ['beta']"),
+        ("penalty", "alpha_exp", float("nan"), "unknown penalty keys: ['alpha_exp']"),
         (None, "radii", [10**400], "radii entry must be a number in the float range"),
         ("mc", "control", "linear:nan", "linear control coefficient must be finite, got nan"),
         ("mc", "perturbed", "linear:inf", "linear control coefficient must be finite, got inf"),
@@ -428,7 +442,8 @@ class TestMainEntry:
     def test_bad_config_exit_2(self, tmp_path, capsys, section, key, value, message):
         # every section is checked before the first stage writes anything; a case with a
         # message names the whole line; section None is a top-level key, and the sections
-        # come from FUZZ_BASE, which adds a valid penalty section to small_config()
+        # come from FUZZ_BASE, which adds a cap-only penalty section to small_config(), so a
+        # retired wall exponent key (beta, alpha_exp) is an unknown key
         config = small_config()
         if section is None:
             config[key] = value
@@ -447,14 +462,37 @@ class TestMainEntry:
         (float("nan"), "penalty cap must be null or a finite number >= 0, got nan"),
         (-1.0, "penalty cap must be null or a finite number >= 0, got -1.0"),
         (True, "penalty cap must be a number, got True"),
-    ], ids=["string", "nan", "negative", "bool"])
+        (float("inf"), "penalty cap must be null or a finite number >= 0, got inf"),
+    ], ids=["string", "nan", "negative", "bool", "inf"])
     def test_bad_penalty_cap_exit_2(self, tmp_path, capsys, cap, message):
-        config = small_config(penalty={"beta": 4.0, "alpha_exp": 5.0, "cap": cap})
+        config = small_config(penalty={"cap": cap})
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    def test_zero_cap_solves_the_reflected_box(self, tmp_path):
+        # a cap of 0 switches the wall off: λ is the one of the wall-free solve
+        path, out = tmp_path / "c.json", tmp_path / "out"
+        path.write_text(json.dumps(small_config(penalty={"cap": 0}, mc=None, lp=None)))
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        config = RunConfig.from_dict(small_config())
+        reflected = solve_ergodic_normalized(config.problem_spec(), build_grid(1, 4.0, 0.1),
+                                             wall=0.0, opts=SolverOptions(tol_lambda=1e-4))
+        assert json.loads((out / "summary.json").read_text())["lambda"]["value"] == reflected.lam
+
+    def test_null_cap_is_the_default_wall(self, tmp_path):
+        # a null section, an empty one and {"cap": null} give the same bytes
+        written = []
+        for penalty in (None, {}, {"cap": None}):
+            path, out = tmp_path / "c.json", tmp_path / f"out{len(written)}"
+            path.write_text(json.dumps(small_config(penalty=penalty, mc=None, lp=None)))
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+            lam = json.loads((out / "summary.json").read_text())["lambda"]
+            written.append((lam, *((out / name).read_bytes()
+                                   for name in ("fields.csv", "lambda_history.csv"))))
+        assert written[0] == written[1] == written[2]
 
     @pytest.mark.parametrize("problem, message", [
         ({"dimension": float("inf")}, "dimension must be 1 or 2, got inf"),
@@ -625,7 +663,7 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("config error: compare_methods")
         assert not (tmp_path / "out").exists()
 
-    # 150 of the 261 key-value pairs, about 6 s
+    # 150 of the 243 key-value pairs, about 6 s
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
     @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_POOL))
     @example(key=("penalty", "cap"), value="no")
@@ -655,11 +693,9 @@ class TestMainEntry:
         ("solve", ["lambda"], ["config", "fields", "lambda_history"]),
         ("lp", ["lp"], ["config"]),
         ("simulate", ["lambda", "mc"], ["config", "fields", "lambda_history", "sample_path"]),
-        ("audit", ["audits", "lambda", "lp", "mc"],
-         ["audits_json", "audits_md", "config", "fields", "lambda_history", "sample_path"]),
         ("pipeline", ["audits", "lambda", "lp", "mc"],
          ["audits_json", "audits_md", "config", "fields", "lambda_history", "sample_path"]),
-    ], ids=["solve", "lp", "simulate", "audit", "pipeline"])
+    ], ids=["solve", "lp", "simulate", "pipeline"])
     def test_subcommand_outputs(self, tmp_path, command, blocks, files):
         # each subcommand fills its own summary blocks and writes its own files
         path, out = tmp_path / "c.json", tmp_path / "out"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,8 @@ from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.solver import (
     ErgodicSolution,
     LUFactor,
-    PenaltyParams,
     SolverOptions,
-    default_penalty,
+    _wall_exponent,
     extract_control,
     nested_domains,
     penalty_source,
@@ -58,7 +58,7 @@ def test_solver_options_checked(bad):
 class TestPenaltySource:
     def test_zero_away_from_wall(self, quadratic_1d):
         grid = build_grid(1, 6.0, 0.1)
-        src = penalty_source(quadratic_1d, grid, default_penalty(quadratic_1d))
+        src = penalty_source(quadratic_1d, grid)
         center = grid.origin_index
         assert src[0, center] == pytest.approx(0.0)
         x = grid.points[:, 0]
@@ -66,31 +66,36 @@ class TestPenaltySource:
         assert np.allclose(src[0, deep], x[deep] ** 2)
 
     def test_steep_layer_value(self, quadratic_1d):
-        # radius^2 - x^2 = 0.25 -> profile 4, penalty 4^10
+        # radius^2 - x^2 = 0.25 -> profile 4, penalty 4^5 at gamma = 2
         grid = build_grid(1, 1.0, 0.25)
-        params = PenaltyParams(beta=3.0, alpha_exp=7.0, cap=1e30)
-        src = penalty_source(quadratic_1d, grid, params)
+        assert _wall_exponent(quadratic_1d) == 5.0
+        src = penalty_source(quadratic_1d, grid, wall=1e30)
         node = grid.index_of([np.sqrt(1.0 - 0.25)])
         t = 1.0 - grid.points[node, 0] ** 2
-        expected = grid.points[node, 0] ** 2 + (1.0 / t) ** 7.0
+        expected = grid.points[node, 0] ** 2 + (1.0 / t) ** 5.0
         assert src[0, node] == pytest.approx(expected, rel=1e-12)
 
     def test_cap_applies(self, quadratic_1d):
         grid = build_grid(1, 1.0, 0.25)
-        params = PenaltyParams(beta=3.0, alpha_exp=7.0, cap=10.0)
-        src = penalty_source(quadratic_1d, grid, params)
+        src = penalty_source(quadratic_1d, grid, wall=10.0)
         corner = grid.index_of([1.0])
         assert src[0, corner] == pytest.approx(grid.points[corner, 0] ** 2 + 10.0)
 
-    def test_admissible_bracket(self, quadratic_1d):
-        # gamma = 2, beta = 3: admissible wall exponents are (3, 8)
-        PenaltyParams(beta=3.0, alpha_exp=5.0).validated(quadratic_1d)
-        with pytest.raises(ParameterError, match="beta < alpha_exp"):
-            PenaltyParams(beta=3.0, alpha_exp=9.0).validated(quadratic_1d)
-        with pytest.raises(ParameterError, match="beta < alpha_exp"):
-            PenaltyParams(beta=3.0, alpha_exp=2.0).validated(quadratic_1d)
-        with pytest.raises(ParameterError, match="must exceed"):
-            PenaltyParams(beta=1.5, alpha_exp=2.0).validated(quadratic_1d)
+    # each draw builds one problem and evaluates one exponent; well under 1 s in all
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(gammas=st.tuples(*[st.floats(1.0, 8.0, exclude_min=True)] * 2))
+    def test_admissible_bracket(self, gammas):
+        # the barrier supersolution needs beta > max(2, gamma_1, gamma_2), a nonempty
+        # bracket (beta + 1) g > beta + 2 and beta < alpha < (beta + 1) g, g = min(gamma, 2);
+        # compared exactly: next to gamma = 1, beta reaches 2^52 and float sums round
+        g = min(*gammas, 2.0)
+        beta = max(2.0, *gammas) + 1.0
+        if g < 2.0:
+            beta = max(beta, (2.0 - g) / (g - 1.0) + 1.0)
+        alpha, beta, g = (Fraction(v) for v in (_wall_exponent(make_problem(gammas=gammas)),
+                                                beta, g))
+        assert beta > max(2, *map(Fraction, gammas)) and (beta + 1) * g > beta + 2
+        assert beta < alpha < (beta + 1) * g
 
     @pytest.mark.parametrize("cap, message", [
         (-1.0, "penalty cap must be null or a finite number"),
@@ -100,11 +105,12 @@ class TestPenaltySource:
         (True, "penalty cap must be a number"),
     ], ids=["negative", "nan", "inf", "string", "bool"])
     def test_bad_cap_rejected(self, quadratic_1d, cap, message):
+        grid = build_grid(1, 1.0, 0.25)
         with pytest.raises(ParameterError, match=message):
-            PenaltyParams(beta=3.0, alpha_exp=5.0, cap=cap).validated(quadratic_1d)
+            penalty_source(quadratic_1d, grid, wall=cap)
         # 0.0 is the no-wall box, None the default wall
         for ok in (0.0, 0, 10.0, None):
-            PenaltyParams(beta=3.0, alpha_exp=5.0, cap=ok).validated(quadratic_1d)
+            penalty_source(quadratic_1d, grid, wall=ok)
 
 
 class TestPolicyEvaluation:
@@ -223,7 +229,7 @@ def _counting_splu(monkeypatch):
 def _policy_system(problem, grid, xi, discount):
     """Generator and right-hand side of the frozen feedback ``xi``, wall included."""
     lag = np.stack([problem.hamiltonian.lagrangian(k, grid.points, xi[k - 1]) for k in (1, 2)])
-    rhs = (penalty_source(problem, grid, default_penalty(problem)) + lag).ravel()
+    rhs = (penalty_source(problem, grid) + lag).ravel()
     return assemble_generator(grid, problem, xi, discount), rhs
 
 
@@ -397,24 +403,22 @@ class TestDiscounted:
     def test_zero_source_zero_solution(self):
         problem = make_problem(sources=(fields.constant(1, 0.0), fields.constant(1, 0.0)))
         grid = build_grid(1, 2.0, 0.1)
-        no_wall = replace(default_penalty(problem), cap=0.0)
-        sol = solve_discounted(problem, grid, 1.0, penalty=no_wall)
+        sol = solve_discounted(problem, grid, 1.0, wall=0.0)
         assert sol.iterations == 1
         assert np.allclose(sol.w, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("h", [0.02, 0.01])
     def test_discount_times_value_near_eigenvalue(self, quadratic_1d, h):
         grid = build_grid(1, 6.0, h)
-        sol = solve_discounted(quadratic_1d, grid, 1e-3, penalty=default_penalty(quadratic_1d))
+        sol = solve_discounted(quadratic_1d, grid, 1e-3)
         lam_est = 1e-3 * sol.w[0, grid.origin_index]
         assert lam_est == pytest.approx(SQRT2, rel=0.02)
         assert sol.iterations <= 7
 
     def test_monotone_in_discount(self, quadratic_1d):
         grid = build_grid(1, 4.0, 0.1)
-        pen = default_penalty(quadratic_1d)
-        w_half = solve_discounted(quadratic_1d, grid, 0.5, penalty=pen).w
-        w_one = solve_discounted(quadratic_1d, grid, 1.0, penalty=pen).w
+        w_half = solve_discounted(quadratic_1d, grid, 0.5).w
+        w_one = solve_discounted(quadratic_1d, grid, 1.0).w
         assert np.all(w_half >= w_one - 1e-9)
 
     def test_rejects_nonpositive_discount(self, quadratic_1d):
@@ -499,7 +503,7 @@ class TestErgodicDirect:
         pts = grid.points
         lag = np.stack([quadratic_1d.hamiltonian.lagrangian(k, pts, xi[k - 1])
                         for k in (1, 2)])
-        src = penalty_source(quadratic_1d, grid, default_penalty(quadratic_1d))
+        src = penalty_source(quadratic_1d, grid)
         deep = (np.abs(pts[:, 0]) + grid.h) ** 2 <= grid.radius**2 - 1.0
         deep2 = np.concatenate([deep, deep])
         for lam_lower in (sol.lam - 1e-5, sol.lam - 1.0):
@@ -622,7 +626,7 @@ class TestNestedDomains:
         u = (x - x_min)^2 in both states, so both minimizers sit at node x_min."""
         legs = iter(legs)
 
-        def scripted(problem, grid, penalty=None, opts=None, warm=None):
+        def scripted(problem, grid, wall=None, opts=None, warm=None):
             lam, x_min = next(legs)
             u = (grid.points[:, 0] - x_min) ** 2
             return ErgodicSolution(grid=grid, u=np.stack([u, u]), lam=lam, residual=0.0,
@@ -693,12 +697,11 @@ def _random_problem(draw_seed):
 
 
 def _shared_solve(problem, grid, base):
-    """Direct solve with the wall, control cap and tolerance of ``base``, so a
-    change of the data does not leak into them."""
-    pen = replace(default_penalty(base), cap=solver.wall_cap(base, grid))
+    """Direct solve with the wall cap, control cap and tolerance of ``base``, so a
+    change of the sources does not leak into them."""
     opts = SolverOptions(control_cap=control_cap(base, grid),
                          tol_pde=1e-9 * solver._source_scale(base, grid))
-    return solve_ergodic_normalized(problem, grid, penalty=pen, opts=opts)
+    return solve_ergodic_normalized(problem, grid, wall=solver.wall_cap(base, grid), opts=opts)
 
 
 # each draw is three 1D solves (and their 2h starts) of at most 81 nodes per state; about 2 s
