@@ -160,14 +160,14 @@ def _corner_table(grid: Grid, component: np.ndarray) -> np.ndarray:
 
 
 def _bilinear(grid: Grid, tables: tuple[np.ndarray, ...], pts: np.ndarray,
-              k: int | np.ndarray) -> np.ndarray:
+              k: int | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Multilinear interpolation of a two-state node field at arbitrary points.
 
     ``tables`` holds one ``_corner_table`` per field component; ``k`` is one
     state for every point or an array of one state per point.  Each point's
     cell corners are fetched with one row gather per component and weighted
     as whole ``(points,)`` columns, term by term in the order of the
-    multilinear formula, into the columns of the result.
+    multilinear formula, into the columns of the result (``out`` when given).
     """
     h, r, n = grid.h, grid.radius, grid.n_axis
     rel = pts + r
@@ -186,7 +186,8 @@ def _bilinear(grid: Grid, tables: tuple[np.ndarray, ...], pts: np.ndarray,
         gy = 1 - fy
         row = (lo[:, 0] * n + lo[:, 1]).astype(np.intp)   # exact in float
     row += (np.asarray(k) - 1) * n**grid.dim
-    out = np.empty((pts.shape[0], len(tables)))
+    if out is None:
+        out = np.empty((pts.shape[0], len(tables)))
     for col, table in zip(out.T, tables):
         c = table.take(row, axis=0)
         if grid.dim == 1:
@@ -208,8 +209,10 @@ class FeedbackControl:
     field, exact at the nodes and extended by its face values outside the
     box), ``zero``, or ``linear`` (xi(x) = c x).  ``radius`` bounds the box
     on which paths are considered valid.  A call's state ``k`` is one state
-    for all points or an array of one per point.  ``duality_residual`` is
-    the extraction defect of a solved feedback (0 for any other field).
+    for all points or an array of one per point, and ``out``, when given, is
+    the array of ``x``'s shape that receives the values (and is returned).
+    ``duality_residual`` is the extraction defect of a solved feedback (0 for
+    any other field).
     """
 
     kind: str
@@ -246,13 +249,17 @@ class FeedbackControl:
             raise ParameterError(f"linear control coefficient must be finite, got {coefficient}")
         return FeedbackControl(kind="linear", radius=radius, coefficient=coefficient)
 
-    def __call__(self, x: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, k: int | np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(x)
+            if out is None:
+                return np.zeros_like(x)
+            out.fill(0.0)
+            return out
         if self.kind == "linear":
-            return self.coefficient * x
-        return _bilinear(self.grid, self.tables, x, k)
+            return np.multiply(self.coefficient, x, out=out)
+        return _bilinear(self.grid, self.tables, x, k, out)
 
 
 def assemble_generator(grid: Grid, problem: "ProblemSpec", xi: np.ndarray,

@@ -126,7 +126,11 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     x = np.zeros((n_ctrl, n_paths, dim))
     flat = x.reshape(-1, dim)   # a view: row k * n_paths + i is path i under control k
+    # each path's state, its indicator of state 1 and their count, changed only where
+    # a path switches
+    state = np.ones(n_paths, dtype=np.intp)
     in1 = np.ones(n_paths, dtype=bool)
+    n1 = n_paths
     cost_acc = np.zeros((n_ctrl, n_paths))
     time_in = np.zeros(2)
     switches_from = np.zeros(2)
@@ -141,67 +145,78 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     # states with equal data price a path alike: np.where(in1, c, c) is c
     same_cost = sources[0] == sources[1] and all(
         pair[0] == pair[1] for pair in (ham.gammas, ham.metrics, ham.drifts))
-    # with x-free rates (scalar evaluators) the per-path rate changes only at a switch
-    equal_rates = x_free and alphas[0](x) == alphas[1](x)
-    rate = None
+    if x_free:
+        # the per-path rate changes only where a path switches, and never with equal rates
+        levels = np.array([np.nan, alphas[0](x), alphas[1](x)])
+        equal_rates = levels[1] == levels[2]
+        rate = levels[state]
+        rate_dt = rate * dt
+    rate_sum = r1 = None   # rate.sum() and rate @ in1, kept while rate and in1 stay
 
     noise = np.sqrt(2.0 * dt)
     draws = np.empty((n_paths, dim))
+    xi = np.empty((n_ctrl * n_paths, dim))   # row k * n_paths + i, as in flat
     move = np.empty((n_ctrl * n_paths, dim))
+    blocks = [(c, x[k], xi[k * n_paths:(k + 1) * n_paths]) for k, c in enumerate(controls)]
     kept = [[] for _ in controls]
-    # path 0 of chunk 0 at its first tallied steps: x, in1, xi and cost per control
+    # path 0 of chunk 0 at its first tallied steps: x, state, xi and cost per control
     n_path = min(_SAMPLE_PATH_STEPS, n_steps - burn_steps) if chunk == 0 else 0
-    path_x, path_in1 = np.empty((n_path, n_ctrl, dim)), np.empty(n_path, dtype=bool)
+    path_x, path_state = np.empty((n_path, n_ctrl, dim)), np.empty(n_path, dtype=np.intp)
     path_xi, path_cost = np.empty((n_path, n_ctrl, dim)), np.empty((n_path, n_ctrl))
     for step in range(n_steps):
         tallied = step >= burn_steps
-        state = 2 - in1
-        if n_ctrl == 1:
-            xi = controls[0](flat, state)
-        else:
-            xi = np.concatenate([c(x[k], state) for k, c in enumerate(controls)])
-        if rate is None or not x_free:
+        for control, xk, out in blocks:
+            control(xk, state, out=out)
+        if not x_free:
             rate = np.where(in1, alphas[0](flat), alphas[1](flat))
             rate_dt = rate * dt
-            rate_sum = None
+            rate_sum = r1 = None
         if tallied:
             # the source and the Lagrangian act row by row, so one call serves every control
-            run = sources[0](flat) + ham.lagrangian(1, flat, xi)
+            run = sources[0](flat)
+            run += ham.lagrangian(1, flat, xi)
             if not same_cost:
                 run = np.where(in1 if n_ctrl == 1 else np.tile(in1, n_ctrl), run,
                                sources[1](flat) + ham.lagrangian(2, flat, xi))
             run = run.reshape(n_ctrl, n_paths)
-            cost_acc += run * dt
-            n1 = int(np.count_nonzero(in1))
             time_in[0] += n1 * dt
             time_in[1] += (n_paths - n1) * dt
             if rate_sum is None:
                 rate_sum = float(rate.sum())
-            r1 = float(rate @ in1)
+            if r1 is None:
+                r1 = float(rate @ in1)
             rate_acc[0] += r1 * dt
             rate_acc[1] += (rate_sum - r1) * dt
             if sample_stride and step % sample_stride == 0:
-                for k, rows in enumerate(kept):   # x itself moves in place
-                    rows.append((x[k].copy(), state, xi[k * n_paths:(k + 1) * n_paths], run[k]))
+                for k, rows in enumerate(kept):   # x, state, xi and run change in place
+                    rows.append((x[k].copy(), state.copy(), blocks[k][2].copy(), run[k].copy()))
             i = step - burn_steps
             if i < n_path:
                 path_x[i] = x[:, 0]
-                path_in1[i] = in1[0]
+                path_state[i] = state[0]
                 path_xi[i] = xi[::n_paths]
                 path_cost[i] = run[:, 0]
+            run *= dt
+            cost_acc += run
         gen.standard_normal(out=draws)
         clock -= rate_dt
-        flip = clock <= 0.0
-        n_flip = int(np.count_nonzero(flip))
-        if n_flip:
-            clock[flip] = gen.standard_exponential(n_flip)
+        idx = np.flatnonzero(clock <= 0.0)
+        if idx.size:
+            # one fresh clock per switching path, in path order
+            clock[idx] = gen.standard_exponential(idx.size)
+            was1 = in1[idx]
+            from1 = int(np.count_nonzero(was1))
             if tallied:
-                from1 = int(np.count_nonzero(flip & in1))
                 switches_from[0] += from1
-                switches_from[1] += n_flip - from1
-            in1 ^= flip
-            if not equal_rates:
-                rate = None
+                switches_from[1] += idx.size - from1
+            n1 += idx.size - 2 * from1
+            in1[idx] = ~was1
+            state[idx] = 3 - state[idx]
+            r1 = None
+            if x_free and not equal_rates:
+                rate[idx] = levels[state[idx]]
+                rate_dt[idx] = rate[idx] * dt
+                rate_sum = None
         # x - xi dt + noise draws, in that order; every control takes the same draws
         flat -= np.multiply(xi, dt, out=move)
         draws *= noise
@@ -212,7 +227,7 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     return {
         "cost": cost_acc, "time_in": time_in, "switches_from": switches_from,
         "rate_acc": rate_acc, "clamps": clamps, "kept": kept,
-        "path": (path_x, path_in1, path_xi, path_cost),
+        "path": (path_x, path_state, path_xi, path_cost),
     }
 
 
@@ -333,7 +348,7 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
         switches_from = np.sum([r["switches_from"] for r in group_results], axis=0)
         rate_acc = np.sum([r["rate_acc"] for r in group_results], axis=0)
         total_time = float(np.sum(time_in))
-        path_x, path_in1, path_xi, path_cost = group_results[0]["path"]
+        path_x, path_state, path_xi, path_cost = group_results[0]["path"]
         for k in range(len(group)):
             tails = np.concatenate([r["cost"][k] for r in group_results]) / tallied_time
             samples = None
@@ -357,7 +372,7 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
                     for i in range(2)),
                 horizon=horizon, dt=dt, paths=paths, burn_in=burn_in, seed=seed,
                 samples=samples,
-                sample_path=SimulationSamples(path_x[:, k], 2 - path_in1, path_xi[:, k],
+                sample_path=SimulationSamples(path_x[:, k], path_state, path_xi[:, k],
                                               path_cost[:, k], stride=1, start=burn_steps)))
     return tuple(estimates)
 
