@@ -131,10 +131,6 @@ class OccupationMeasure:
                 "state_mass": {str(k): self.state_mass(k) for k in STATES}}
 
 
-def _weights_to_flat(w: np.ndarray) -> np.ndarray:
-    return w.transpose(2, 0, 1).reshape(-1)
-
-
 def assemble_lp(problem: ProblemSpec, grid: Grid, mesh: ControlMesh) -> LPData:
     """Cost vector and operator rows for every mesh control.
 
@@ -219,9 +215,3 @@ def solve_lp(lp: LPData):
                                 iterations=iteration,
                                 optimality_gap=max(0.0, -float(rc.min())))
     return float(lp.cost @ x), measure
-
-
-def stationarity_residual(lp: LPData, measure: OccupationMeasure) -> float:
-    """Sup-norm of the balance rows applied to an arbitrary measure (for
-    checking externally constructed measures, e.g. simulation histograms)."""
-    return float(np.max(np.abs(lp.stationarity @ _weights_to_flat(measure.weights))))

@@ -69,6 +69,11 @@ def _quad(v: np.ndarray, m: np.ndarray, scalar: bool = False) -> np.ndarray:
     return acc
 
 
+def _range_error(k: int, gamma: float, level: float) -> CoefficientError:
+    return CoefficientError(f"state {k}: the truncated power law at gamma = {gamma!r} and "
+                            f"truncation level {level!r} leaves the float range")
+
+
 def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
     """Concave sublinearizing ramp: identity below ``level``, then
     ``level - gamma/2 + (gamma/2)(v - level + 1)^(2/gamma)``.
@@ -95,12 +100,18 @@ class _RampEnvelope:
     ``r_o``; otherwise ``phi`` is convex and ``r_t = r_o = r_n``.  The envelope
     and ``phi`` share one conjugate (Rockafellar, Convex Analysis, Sec. 12), a
     function of ``s = <xi, a^{-1} xi>^(1/2)``, exact up to rounding.
+
+    Where ``r^gamma`` leaves the float range, the outer branch is evaluated
+    through ``log w`` instead; an envelope value, slope or conjugate that
+    leaves the float range itself raises ``CoefficientError`` naming
+    ``state``.
     """
 
-    def __init__(self, gamma: float, level: float):
+    def __init__(self, gamma: float, level: float, state: int | None = None):
         g = float(gamma)
         self.gamma = g
         self.level = float(level)
+        self.state = state
         r_n = (g * level) ** (1.0 / g)
         self.s_c, self.r_t, self.r_o = r_n ** (g - 1.0), r_n, r_n
         w_min = (g - 2.0) * (self.level - 1.0)
@@ -148,24 +159,54 @@ class _RampEnvelope:
                 return r, s * r - (self.level - g / 2.0 + (g / 2.0) * w ** (2.0 / g))
             w = np.fmin(nxt, w)
 
+    def _far(self, values: np.ndarray, redo: np.ndarray, log_form) -> np.ndarray:
+        """``values`` with the entries ``redo``, where ``r^gamma`` (or ``w``) leaves the
+        float range on the outer branch, replaced by ``log_form`` of them; raises where
+        that is not finite either."""
+        if np.any(redo):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fixed = log_form(redo)
+            if not np.all(np.isfinite(fixed)):
+                raise _range_error(self.state, self.gamma, self.level)
+            values = np.array(values)
+            values[redo] = fixed
+        return values
+
+    def _log_w(self, r: np.ndarray) -> np.ndarray:
+        """``log w`` on the outer branch (``w >= 1``) without forming ``r^gamma``."""
+        g = self.gamma
+        big = g * np.log(r) - np.log(g)
+        return big + np.log1p((1.0 - self.level) * np.exp(-big))
+
     def value(self, m: np.ndarray) -> np.ndarray:
         """Envelope at radial gradient magnitude ``m``."""
         g = self.gamma
-        return np.where(m <= self.r_t, m**g / g,
-                        np.where(m < self.r_o, self.r_t**g / g + self.s_c * (m - self.r_t),
-                                 ramp(m**g / g, self.level, g)))
+        m = np.asarray(m, dtype=float)
+        with np.errstate(over="ignore"):
+            mg = m**g
+            out = np.where(m <= self.r_t, mg / g,
+                           np.where(m < self.r_o, self.r_t**g / g + self.s_c * (m - self.r_t),
+                                    ramp(mg / g, self.level, g)))
+        redo = (m >= self.r_o) & ~np.isfinite(mg)
+        return self._far(out, redo, lambda at: self.level - g / 2.0 + (g / 2.0) * np.exp(
+            (2.0 / g) * self._log_w(m[at])))
 
     def slope(self, m: np.ndarray) -> np.ndarray:
         """Envelope slope at radial gradient magnitude ``m``: the optimal
         control magnitude for that gradient."""
         g = self.gamma
         m = np.asarray(m, dtype=float)
-        out = np.where(m <= self.r_t, np.where(m > 0, m, 0.0) ** (g - 1.0), self.s_c)
+        inner = m <= self.r_t
+        out = np.where(inner, np.where(inner & (m > 0), m, 0.0) ** (g - 1.0), self.s_c)
         far = m >= self.r_o
         if np.any(far):
             r = np.maximum(m, self.r_o)
-            out = np.where(far, r ** (g - 1.0) * (r**g / g - self.level + 1.0) ** (2.0 / g - 1.0),
-                           out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rg = r**g
+                outer = r ** (g - 1.0) * (rg / g - self.level + 1.0) ** (2.0 / g - 1.0)
+            outer = self._far(outer, far & ~np.isfinite(rg), lambda at: np.exp(
+                (g - 1.0) * np.log(r[at]) + (2.0 / g - 1.0) * self._log_w(r[at])))
+            out = np.where(far, outer, out)
         return out
 
     def conjugate(self, s: np.ndarray) -> np.ndarray:
@@ -175,8 +216,39 @@ class _RampEnvelope:
         out = np.asarray(s ** (g / (g - 1.0)) * (1.0 - 1.0 / g))
         steep = s > self.s_c
         if np.any(steep):
-            out[steep] = self._outer(s[steep])[1]
+            t = s[steep]
+            with np.errstate(over="ignore"):
+                # where _outer's Newton start (2 sigma/g)^(g-1) times g stays finite
+                near = np.isfinite(g * (2.0 * t ** (g / (g - 1.0)) / g) ** (g - 1.0))
+            cost = np.empty_like(t)
+            cost[near] = self._outer(t[near])[1]
+            out[steep] = self._far(cost, ~near, lambda at: self._outer_log(t[at]))
         return out
+
+    def _outer_log(self, s: np.ndarray) -> np.ndarray:
+        """``_outer``'s ``s r - phi(r)`` where ``w`` leaves the float range.
+
+        With ``c = (sigma/gamma)^(gamma-1)``, held as its logarithm, ``w = c v``
+        and ``v`` is the larger root of the convex ``G(v) = v - v^b + kappa``,
+        ``kappa = (level - 1)/c``; Newton from ``1 + (gamma-1)|kappa|``, where
+        ``G >= 0 < G'``, decreases to it monotonically, as in ``_outer``.  At
+        the root ``w + level - 1 = c v^b``.
+        """
+        g = self.gamma
+        b = (g - 2.0) / (g - 1.0)
+        log_c = g * np.log(s) - (g - 1.0) * np.log(g)
+        kappa = (self.level - 1.0) * np.exp(-log_c)
+        floor = b ** (g - 1.0)
+        v = 1.0 + (g - 1.0) * np.abs(kappa)
+        while True:
+            vb = v**b
+            with np.errstate(divide="ignore", invalid="ignore"):    # G' = 0 at the floor
+                nxt = np.fmax(v - (v - vb + kappa) / (1.0 - b * vb / v), floor)
+            if not np.any(nxt < v):
+                break
+            v = np.fmin(nxt, v)
+        r = np.exp((np.log(g) + log_c + b * np.log(v)) / g)
+        return s * r - (self.level - g / 2.0 + (g / 2.0) * np.exp((2.0 / g) * (log_c + np.log(v))))
 
 
 @dataclass(frozen=True)
@@ -216,11 +288,9 @@ class HamiltonianSpec:
             else:
                 try:
                     with np.errstate(over="raise"):
-                        envelopes.append(_RampEnvelope(self.gamma(k), level))
+                        envelopes.append(_RampEnvelope(self.gamma(k), level, k))
                 except (FloatingPointError, OverflowError):
-                    raise CoefficientError(
-                        f"state {k}: the truncated power law at gamma = {self.gamma(k)!r} and "
-                        f"truncation level {level!r} leaves the float range") from None
+                    raise _range_error(k, self.gamma(k), level) from None
         object.__setattr__(self, "_envelopes", tuple(envelopes))
         object.__setattr__(self, "_conjugates", tuple(
             (self.conjugate_gamma(k), None if self.drift(k).is_zero else self.drift(k).b,

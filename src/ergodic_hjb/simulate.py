@@ -8,7 +8,9 @@ component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The switching
 time comes from the integrated intensity (Yin & Zhu, Hybrid Switching
 Diffusions, 2010): each path holds an Exp(1) clock that every step runs down
 by ``alpha_S(X) dt``, and the path switches when its clock reaches 0, drawing
-a fresh clock; no step draws anything for switching otherwise.  The long-run
+a fresh clock; no step draws anything for switching otherwise.  Each path's
+state, the state-1 indicator and the state-1 count persist across steps and
+change only at the indices of the paths that switched.  The long-run
 average of ``f_S(X) + l_S(X, xi(X, S))`` estimates the eigenvalue when xi is
 the extracted optimal feedback, and strictly exceeds it for other fields.
 When the two states have equal source and Hamiltonian data (gamma, metric,
@@ -18,11 +20,14 @@ its own state's.
 The feedback is a ``discretize.FeedbackControl``: the solver's extracted
 field (interpolated multilinearly between nodes) or an analytic one.
 When both rates are x-free (their ``evaluator()`` returns a constant), the
-per-path rate, ``rate * dt`` and the rate sum are built once per path chunk
-and rebuilt only after a switch, never when the two rates are equal.
+per-path rate and ``rate * dt`` are built once per path chunk and rebuilt only
+at the paths that switched, never when the two rates are equal.  Every
+control writes its feedback into one preallocated buffer.
 
-Randomness comes from one counter-based Philox stream per fixed path chunk,
-keyed by ``(seed, chunk index)``; accumulation is an ordered reduction over
+Randomness comes from one SFC64 stream per fixed path chunk, seeded with
+``SeedSequence([seed, chunk index])`` so that the chunks' streams are
+independent; each step draws its normals path-major, then one Exp(1) clock
+per switching path in path order.  Accumulation is an ordered reduction over
 the path axis, so estimates are bit-identical across serial and pooled runs,
 where ``threads`` forked worker processes run the path chunks.
 The stream does not depend on the control, and with x-free rates neither do a
@@ -123,7 +128,7 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     rate sums and switch counts are shared.
     """
     n_ctrl, dim = len(controls), problem.dimension
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk])))
     x = np.zeros((n_ctrl, n_paths, dim))
     flat = x.reshape(-1, dim)   # a view: row k * n_paths + i is path i under control k
     # each path's state, its indicator of state 1 and their count, changed only where
@@ -147,7 +152,7 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
         pair[0] == pair[1] for pair in (ham.gammas, ham.metrics, ham.drifts))
     if x_free:
         # the per-path rate changes only where a path switches, and never with equal rates
-        levels = np.array([np.nan, alphas[0](x), alphas[1](x)])
+        levels = np.array([np.nan, alphas[0](x), alphas[1](x)])   # indexed by state
         equal_rates = levels[1] == levels[2]
         rate = levels[state]
         rate_dt = rate * dt
@@ -232,7 +237,7 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
 
 
 def _check_seed_threads(seed, threads) -> None:
-    """Reject a seed that does not fit a Philox key word and a worker count below 1."""
+    """Reject a seed outside [0, 2^64) and a worker count below 1."""
     for name, value, lo, hi in (("seed", seed, 0, 2**64), ("threads", threads, 1, np.inf)):
         if not lo <= number(value, name, integer=True) < hi:
             raise ParameterError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")

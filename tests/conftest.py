@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ergodic_hjb import fields
+from ergodic_hjb.dual_lp import LPData, OccupationMeasure
 from ergodic_hjb.model import HamiltonianSpec, ProblemSpec
 
 
@@ -22,6 +23,16 @@ def make_problem(dim=1, gammas=(2.0, 2.0), alphas=(1.0, 1.0), sources=None,
         switch_rates=(fields.constant(dim, alphas[0]), fields.constant(dim, alphas[1])),
         sources=tuple(sources),
     )
+
+
+def _weights_to_flat(w: np.ndarray) -> np.ndarray:
+    return w.transpose(2, 0, 1).reshape(-1)
+
+
+def stationarity_residual(lp: LPData, measure: OccupationMeasure) -> float:
+    """Sup-norm of the balance rows applied to an arbitrary measure (for
+    checking externally constructed measures, e.g. simulation histograms)."""
+    return float(np.max(np.abs(lp.stationarity @ _weights_to_flat(measure.weights))))
 
 
 @pytest.fixture(autouse=True)

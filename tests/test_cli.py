@@ -305,6 +305,19 @@ class TestPipeline:
                                  "gamma = 1000.0 and |p| up to ")
 
 
+    @pytest.mark.parametrize("gamma, level", [(1000, 1), (100, 10), (50, 10)])
+    def test_truncated_large_gamma_solves(self, tmp_path, capsys, gamma, level):
+        # r^gamma leaves the float range on the ramp's outer branch, whose value, slope
+        # and running cost do not: the solve ends with no RuntimeWarning and no gap
+        states = [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "gamma": gamma}]
+        problem = {**SMALL_PROBLEM, "states": states, "truncation": {"level": level}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config(problem=problem, lp=None, mc=None)))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        lam = json.loads((tmp_path / "out" / "summary.json").read_text())["lambda"]
+        assert lam["duality_residual"] <= 1e-12 and 1.0 < lam["value"] < 2.0
+
 class TestMainEntry:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -349,3 +349,22 @@ def test_bilinear_rejects_nan_points(dim):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(IndexError, match="out of bounds"):
             ctrl(pts, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_feedback_writes_into_out(dim):
+    # every kind writes the bytes of a call without out into out and returns out,
+    # also when out is a row block of a larger buffer, as the Monte Carlo step uses
+    rng = np.random.default_rng(60 + dim)
+    grid = build_grid(dim, 2.0, 0.25)
+    controls = (FeedbackControl.from_fields(grid, rng.normal(size=(2, grid.n_nodes, dim))),
+                FeedbackControl.linear(2.0, 1.7), FeedbackControl.zero(2.0))
+    pts = rng.uniform(-2.4, 2.4, size=(300, dim))
+    states = rng.integers(1, 3, size=pts.shape[0])
+    for ctrl in controls:
+        for k in (1, 2, states):
+            buf = np.full((2 * pts.shape[0], dim), np.nan)
+            out = buf[pts.shape[0]:]
+            assert ctrl(pts, k, out=out) is out
+            assert out.tobytes() == ctrl(pts, k).tobytes()
+            assert np.isnan(buf[:pts.shape[0]]).all()

@@ -16,12 +16,11 @@ from ergodic_hjb.dual_lp import (
     assemble_lp,
     build_control_mesh,
     solve_lp,
-    stationarity_residual,
 )
 from ergodic_hjb.errors import LPError, ParameterError
 from ergodic_hjb.model import STATES, truncate_hamiltonian
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
-from tests.conftest import make_problem
+from tests.conftest import _weights_to_flat, make_problem, stationarity_residual
 
 SQRT2 = np.sqrt(2.0)
 
@@ -166,7 +165,7 @@ class TestSolve:
 
 def measure_cost(lp, measure: OccupationMeasure) -> float:
     """The LP's objective at an arbitrary measure."""
-    return float(lp.cost @ dual_lp._weights_to_flat(measure.weights))
+    return float(lp.cost @ _weights_to_flat(measure.weights))
 
 
 def _highs_value(lp) -> float:

@@ -248,6 +248,37 @@ def test_truncated_pair_properties(gamma, level):
     assert max(abs(at - below), abs(above - at)) <= 2.0 * env.r_o * step + 1e-12 * (1.0 + at)
 
 
+@pytest.mark.parametrize("gamma, level", [(50.0, 10.0), (100.0, 10.0), (1000.0, 1.0),
+                                          (1000.0, 0.3)])
+def test_truncated_large_gamma_stays_a_legendre_pair(gamma, level):
+    # far out on the outer branch r^gamma leaves the float range while the envelope,
+    # its slope and its conjugate do not: they are evaluated through log w, with no
+    # RuntimeWarning and no duality gap
+    h = truncate_hamiltonian(ham(dim=1, gammas=(2.0, gamma)), level=level)
+    x = np.zeros((400, 1))
+    p = np.geomspace(1e-3, 1e8, 400)[:, None]
+    values = h.value(2, x, p)
+    assert np.all(np.isfinite(values)) and np.all(np.diff(values) >= 0)
+    assert np.all(np.abs(h.duality_gap(2, x, p)) <= 1e-12 * (1.0 + np.abs(values)))
+
+
+def test_outer_log_form_matches_the_direct_one():
+    # where both are finite, the log-w Newton gives the direct Newton's running cost
+    env = _RampEnvelope(50.0, 10.0)
+    s = env.s_c * np.geomspace(1.5, 1e5, 50)
+    direct = env._outer(s)[1]
+    assert np.all(np.isfinite(direct))
+    assert np.allclose(env._outer_log(s), direct, rtol=1e-12, atol=0.0)
+
+
+def test_truncated_envelope_out_of_range_raises():
+    # at |p| = 1e154 the true envelope value of gamma = 50 is about 2e309
+    h = truncate_hamiltonian(ham(dim=1, gammas=(2.0, 50.0)), level=10.0)
+    with pytest.raises(CoefficientError, match=r"^state 2: the truncated power law at "
+                       r"gamma = 50\.0 and truncation level 10\.0 leaves the float range$"):
+        h.value(2, np.zeros((1, 1)), np.array([[1e154]]))
+
+
 def test_truncation_identity_for_subquadratic():
     h2 = ham(dim=1, gammas=(2.0, 2.0))
     assert truncate_hamiltonian(h2, level=5.0) is h2

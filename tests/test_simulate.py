@@ -8,14 +8,14 @@ import pytest
 
 from ergodic_hjb import fields, simulate
 from ergodic_hjb.discretize import build_grid
-from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh, stationarity_residual
+from ergodic_hjb.dual_lp import assemble_lp, build_control_mesh
 from ergodic_hjb.errors import CoefficientError, ParameterError
 from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.simulate import (
     _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_controls, simulate_paths)
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from ergodic_hjb.verify import consistency_report
-from tests.conftest import make_problem
+from tests.conftest import make_problem, stationarity_residual
 
 SQRT2 = np.sqrt(2.0)
 
@@ -194,12 +194,12 @@ def _pinned_run(dim, rates, record_samples=False):
 # the arithmetic of the step loop changed, which must be deliberate and reported;
 # the last key part names the switching rule, the integrated-intensity Exp(1) clock
 PINNED = {
-    ("1d", "constant", "exponential"): (1.7281231862907251, 0.09176689050249606, 128),
-    ("1d", "equal", "exponential"): (1.722424314253423, 0.12350701815558739, 92),
-    ("1d", "x-dependent", "exponential"): (1.4320469932756585, 0.08526312223764507, 92),
-    ("2d", "constant", "exponential"): (2.860089730675118, 0.13741851643805428, 118),
-    ("2d", "equal", "exponential"): (3.243491189965901, 0.24734223644036632, 104),
-    ("2d", "x-dependent", "exponential"): (3.247077476325772, 0.17927737612600683, 108),
+    ("1d", "constant", "exponential"): (1.9323442577443766, 0.12992210134798604, 123),
+    ("1d", "equal", "exponential"): (1.8071837795135897, 0.12716783303021756, 112),
+    ("1d", "x-dependent", "exponential"): (1.475833503018562, 0.11439304317106695, 91),
+    ("2d", "constant", "exponential"): (2.9579957994477812, 0.15732333781171687, 112),
+    ("2d", "equal", "exponential"): (2.8028468253686065, 0.15730137214030857, 117),
+    ("2d", "x-dependent", "exponential"): (2.8472276195837263, 0.18635977811258528, 97),
 }
 
 
@@ -213,22 +213,22 @@ def test_estimates_pinned(case):
 # exact (mean_rate, state_fraction, clamp_count) of the same runs, and the sha256 of
 # the bytes of the kept x, state, control and cost of a record_samples run
 PINNED_TALLIES = {
-    ("1d", "constant"): ((1.5000000000000053, 0.7000000000000013),
-                         (0.44674479166666714, 0.553255208333333), 0,
-                         "999f13f1fdf8735df3f31f420869f6b327958dd6559ed2a1be4572db59fdecb9"),
-    ("1d", "equal"): ((1.0, 1.0), (0.6004340277777783, 0.39956597222222157), 0,
-                      "9c11d29507db76cb60d6c7860f2658a41bb0e9d65a1d36801e8368d67fe8b1f3"),
-    ("1d", "x-dependent"): ((0.609892571980317, 1.0643395476631337),
-                            (0.6733940972222224, 0.3266059027777776), 0,
-                            "0865828bb3310f650f2ee85f925e98535db0998170ae6dbd2153782dcc15a7f8"),
-    ("2d", "constant"): ((1.4999999999999996, 0.6999999999999993),
-                         (0.4124131944444441, 0.587586805555556), 7,
-                         "dfb8050d04760743562be77d3e8e962dc243532a91bcf214da5890cd83010c7b"),
-    ("2d", "equal"): ((1.0, 1.0), (0.6155815972222219, 0.384418402777778), 14,
-                      "84f145c395bda82394701059fa47683c7f6f63c5e2e636d406f09b0c2b000dfd"),
-    ("2d", "x-dependent"): ((0.7842462985472444, 1.1746401777450635),
-                            (0.6539496527777776, 0.34605034722222233), 5,
-                            "031335e60f50d9fbf14e2fd18ef36070915359bb6e29faa570a5adfe40904655"),
+    ("1d", "constant"): ((1.4999999999999956, 0.7000000000000024),
+                         (0.4037326388888895, 0.5962673611111104), 0,
+                         "b5b839709a1c5f35e31c04b799351eb7d08811b7fa452dfa0e62c189eb1541bb"),
+    ("1d", "equal"): ((1.0, 1.0), (0.5263454861111111, 0.47365451388888885), 0,
+                      "741112c28f9cda03dfe8252d4546c0ad25b3927e86f193958bc653ad18929cd2"),
+    ("1d", "x-dependent"): ((0.614053279267134, 1.0739186843451192),
+                            (0.7066406249999995, 0.2933593750000006), 0,
+                            "c3c69286424c88471ef0530d4a610deefc450a30dc1e9709874da54b5f1ab04c"),
+    ("2d", "constant"): ((1.4999999999999916, 0.6999999999999998),
+                         (0.3748263888888893, 0.6251736111111107), 0,
+                         "6efe1db635ebb875be9406e6a3dd14554196cfbbef38cb08e0612e98c5050cd3"),
+    ("2d", "equal"): ((1.0, 1.0), (0.5993923611111106, 0.4006076388888893), 4,
+                      "36fb996b204e099b2be8f354ea57ae36324cd8182187d0d29dba16c4706d489c"),
+    ("2d", "x-dependent"): ((0.7484660963157221, 1.1495472348618603),
+                            (0.6750434027777771, 0.32495659722222286), 5,
+                            "faa9ed8d75450e6f91d1d8395eb516ece4f8780ab9ea19b4e56a8801914ada1a"),
 }
 
 
@@ -278,7 +278,7 @@ def _box_run(dim, problem=None):
 
 # exact (clamp_count, avg_cost) of _box_run: the count is of entries with |x| > radius
 # over every step, whichever test decides that a step has one
-CLAMPED = {1: (579, 0.9306593043252607), 2: (906, 1.3143111511561725)}
+CLAMPED = {1: (389, 0.7946043341209422), 2: (987, 1.2540856696318006)}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -400,6 +400,21 @@ def test_worker_failure_surfaces_and_leaves_no_worker(monkeypatch, quadratic_1d)
     assert type(exc.value) is CoefficientError and str(exc.value) == WORKER_FAILURE
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stream_is_sfc64_keyed_by_seed_and_chunk(dim):
+    # chunk 0 draws its paths' Exp(1) clocks, then each step's normals path-major, from
+    # SFC64 seeded with SeedSequence([seed, chunk]); under the zero control path 0 sits
+    # at its first normals times sqrt(2 dt) after one step
+    dt, paths, seed = 1e-2, 3, 11
+    est = simulate_paths(make_problem(dim=dim), FeedbackControl.zero(50.0), horizon=0.1, dt=dt,
+                         paths=paths, burn_in=0.0, seed=seed)
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0])))
+    gen.standard_exponential(paths)
+    z = gen.standard_normal((paths, dim))
+    assert not est.sample_path.x[0].any()
+    assert np.array_equal(est.sample_path.x[1], np.sqrt(2.0 * dt) * z[0])
 
 
 def test_sample_path_is_path_zero_of_the_kept_stream():
