@@ -449,9 +449,6 @@ class ProblemSpec:
     def with_sources(self, sources) -> "ProblemSpec":
         return replace(self, sources=tuple(sources))
 
-    def with_hamiltonian(self, ham: HamiltonianSpec) -> "ProblemSpec":
-        return replace(self, hamiltonian=ham)
-
     @property
     def ref_point(self) -> np.ndarray:
         return np.asarray(self.x_ref, dtype=float)

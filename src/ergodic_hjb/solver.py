@@ -24,17 +24,22 @@ finite stand-in for boundary blow-up) which confines the minimizer strictly
 inside the domain when the source is coercive.  Every entry point takes its
 cap as ``wall``: ``None`` is :func:`wall_cap`, ``0.0`` no wall.
 
-Every evaluation runs one iterative refinement to a componentwise backward
-error of 1e-15, with the LU factor the Howard loop carries from the last
-evaluation (:class:`LUFactor`).  When the policy moved too far for that factor,
-it is dropped before the new one is built, and the refinement reruns.  A
-direct solve started cold first solves on the 2h grid of the same box, when
-that grid exists, and starts from its feedback (nested iteration, as in full
-multigrid); if that 2h solve fails, the h solve runs cold.
+Every evaluation runs one iterative refinement in float64 to a componentwise
+backward error of 1e-15, with the LU factor the Howard loop carries from the
+last evaluation (:class:`LUFactor`).  Factors are float32 (mixed-precision
+refinement: Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40,
+2018): on the 2D benchmark their 7.7M nnz(L+U) are 4-byte values.  When the
+policy moved too far for the held factor, it is dropped before the new one is
+built, and the refinement reruns; a fresh float32 factor that cannot be built
+or whose refinement stalls gives way to a float64 one.  A direct solve started
+cold first solves on the 2h grid of the same box, when that grid exists, and
+starts from its feedback (nested iteration, as in full multigrid); if that 2h
+solve fails, the h solve runs cold.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -53,6 +58,8 @@ from .discretize import (
 from .errors import ConvergenceError, MonotonicityError, ParameterError, SolverError
 from .fields import number
 from .model import ProblemSpec, STATES
+
+_log = logging.getLogger(__name__)
 
 
 def _wall_exponent(problem: ProblemSpec) -> float:
@@ -208,15 +215,22 @@ class ErgodicSolution:
 class LUFactor:
     """Holder that carries the last LU factor from one policy evaluation to the next.
 
-    ``matrix`` and ``ref`` name the system the factor ``lu`` belongs to, and
-    ``z`` is its solve against the ones vector (average-cost systems only).
-    An empty holder (``lu`` None) makes the next evaluation factor afresh.
+    ``matrix`` and ``ref`` name the system the factor ``lu`` belongs to,
+    ``dtype`` is the precision of the factor's values (``np.float32``, or
+    ``np.float64`` after a fallback), and ``z`` is its solve against the ones
+    vector (average-cost systems only).  Every solve through the holder takes
+    and returns float64.  An empty holder (``lu`` None) makes the next
+    evaluation factor afresh.
     """
 
     lu: object = None
     matrix: sp.spmatrix | None = None
     ref: int | None = None
     z: np.ndarray | None = None
+    dtype: type | None = None
+
+    def clear(self):
+        self.lu = self.matrix = self.ref = self.z = self.dtype = None
 
 
 # refinement stops at a componentwise backward error of REFINE_TOL, and gives up
@@ -226,37 +240,74 @@ REFINE_SHRINK = 4.0
 REFINE_TOL = 1e-15
 
 
-def _factor(matrix: sp.csr_matrix, ref: int | None):
-    """SuperLU factor of ``matrix`` (pinned at ``ref``) and its solve against ones."""
-    pinned = (matrix if ref is None
-              else matrix + sp.csr_matrix(([1.0], ([ref], [ref])), matrix.shape))
+def _pinned(matrix: sp.spmatrix, ref: int | None) -> sp.spmatrix:
+    """``matrix + e_ref e_ref^T``, or ``matrix`` itself when ``ref`` is None."""
+    if ref is None:
+        return matrix
+    return matrix + sp.csr_matrix(([1.0], ([ref], [ref])), matrix.shape)
+
+
+def _lu_solve(factor: LUFactor, r: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve with the held factor in its own precision; float64 in and out.
+
+    A float32 factor solves ``r`` scaled to a max norm of 1, so that neither
+    the cast down nor the triangular solves overflow or underflow, and the
+    solution comes back up to float64 before it is scaled back.
+    """
+    if factor.dtype is np.float64:
+        return factor.lu.solve(r, trans=trans)
+    scale = float(np.max(np.abs(r))) or 1.0
+    down = (r / scale).astype(factor.dtype)
+    return factor.lu.solve(down, trans=trans).astype(np.float64) * scale
+
+
+def _factor(factor: LUFactor, matrix: sp.csr_matrix, ref: int | None, dtype: type) -> None:
+    """Fill the empty holder with the ``dtype`` SuperLU factor of ``matrix`` pinned at
+    ``ref``, and its solve against ones.
+
+    Raises ``SolverError``, leaving the holder empty, when the pinned matrix
+    is not finite in ``dtype``, when SuperLU calls it singular, or when the
+    solve against ones is not finite or vanishes at ``ref``.
+    """
+    with np.errstate(over="ignore"):
+        pinned = _pinned(matrix, ref).tocsc().astype(dtype, copy=False)
     if not np.isfinite(pinned.data).all():
-        raise SolverError("sparse factorization failed: the matrix has a non-finite entry")
+        raise SolverError("sparse factorization failed: the matrix has a non-finite entry "
+                          f"in {np.dtype(dtype)}")
     try:
-        lu = spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(pinned, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    z = None
+        raise SolverError(f"sparse factorization failed in {np.dtype(dtype)}: {exc}") from exc
+    _log.debug("%s factor: %d unknowns, nnz(L+U) %d", np.dtype(dtype), matrix.shape[0], lu.nnz)
+    factor.lu, factor.matrix, factor.ref, factor.dtype = lu, matrix, ref, dtype
     if ref is not None:
-        z = lu.solve(np.ones(matrix.shape[0]))
-        if abs(z[ref]) < 1e-300:
-            raise SolverError("pinned system is numerically singular")
-    return lu, z
+        factor.z = _lu_solve(factor, np.ones(matrix.shape[0]))
+        if not (np.isfinite(factor.z).all() and abs(factor.z[ref]) >= 1e-300):
+            factor.clear()
+            raise SolverError(f"pinned system is numerically singular in {np.dtype(dtype)}")
 
 
-def _pinned_solve(lu, z, ref: int | None, r: np.ndarray):
-    """``(u, lam)`` with ``A u + lam = r`` and ``u[ref] = 0`` through the factor of
-    ``A + e_ref e_ref^T`` and its solve ``z`` against ones; ``lam = 0`` unpinned."""
-    u = lu.solve(r)
+def _pinned_solve(factor: LUFactor, ref: int | None, r: np.ndarray, trans: str = "N"):
+    """``(u, lam)`` with ``A u + lam = r`` and ``u[ref] = 0`` through the held factor of
+    ``A + e_ref e_ref^T`` and its solve ``z`` against ones; ``lam = 0`` unpinned.
+    ``u[ref]`` is set to 0 exactly, so that refinement measures the defect of the
+    iterate it returns."""
+    u = _lu_solve(factor, r, trans)
     if ref is None:
         return u, 0.0
-    lam = u[ref] / z[ref]
-    return u - lam * z, lam
+    lam = u[ref] / factor.z[ref]
+    u = u - lam * factor.z
+    u[ref] = 0.0
+    return u, lam
 
 
-def _refine(factor: LUFactor, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None):
+def _refine(factor: LUFactor, matrix: sp.spmatrix, rhs: np.ndarray, ref: int | None,
+            trans: str = "N"):
     """Iterative refinement of ``A u + lam = rhs`` preconditioned by the held factor.
 
+    Residuals and updates are float64 whatever the factor's precision; with
+    ``trans="T"`` the factor's transposed solves precondition ``matrix``,
+    which is then the transpose of the factored one (``ref`` None).
     Returns ``(u, lam, converged)``.  ``converged`` is True once the defect is
     below ``REFINE_TOL`` times ``|A||u| + |rhs| + |lam|`` in every row, and
     False after ``REFINE_STEPS`` steps or as soon as a step shrinks that
@@ -265,7 +316,7 @@ def _refine(factor: LUFactor, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int |
     Howard loop.
     """
     absmat = abs(matrix)
-    u, lam = _pinned_solve(factor.lu, factor.z, ref, rhs)
+    u, lam = _pinned_solve(factor, ref, rhs, trans)
     previous = np.inf
     for _ in range(REFINE_STEPS):
         defect = rhs - matrix @ u - lam
@@ -276,7 +327,7 @@ def _refine(factor: LUFactor, matrix: sp.csr_matrix, rhs: np.ndarray, ref: int |
         if not omega * REFINE_SHRINK <= previous:
             return u, lam, False
         previous = omega
-        du, dlam = _pinned_solve(factor.lu, factor.z, ref, defect)
+        du, dlam = _pinned_solve(factor, ref, defect, trans)
         u, lam = u + du, lam + dlam
     return u, lam, False
 
@@ -295,42 +346,70 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = 
     is structurally symmetric, and the ordering halves the fill of COLAMD.
 
     ``factor`` is an :class:`LUFactor` holder carried between calls (``None``:
-    an empty one), and :func:`_refine` is the one refinement loop.  A held
-    factor (same ``ref``) is tried first.  If it belongs to another matrix and
-    does not converge, the holder is emptied before this matrix is factored,
-    so two factors are never alive at once, and the refinement restarts from
-    the new factor's solve; one step gives a fresh factor a componentwise
-    backward error of order eps (Skeel, 1980).  A refinement that still stalls
-    must reach a normwise backward error <= 1e-12, or ``SolverError`` reports
-    it.  The holder ends up holding the factor used.
+    an empty one), and :func:`_refine` is the one refinement loop, in
+    float64.  The factors are tried in this order: the held one (same
+    ``ref``), a fresh float32 factor of this matrix, a fresh float64 one.  A
+    float32 factor holds half the bytes of a float64 one; where one step with
+    a fresh float64 factor reaches a componentwise backward error of order eps
+    (Skeel, 1980), each step with a fresh float32 factor shrinks the error by
+    about ``kappa * 2^-24`` (mixed-precision refinement), so a few steps reach
+    the same target.  The float64 factor is built only when the float32 cast
+    is not finite, when SuperLU calls the float32 matrix singular (a switching
+    rate or a discount below float32's resolution of the diagonal), or when
+    the refinement with the fresh float32 factor stalls.  The holder is emptied
+    before each new factor is built, so two factors are never alive at once,
+    and the refinement restarts from the new factor's solve.  A refinement
+    that still stalls must reach a normwise backward error <= 1e-12, or
+    ``SolverError`` reports it; so does a float64 factorization that fails.
+    The holder ends up holding the factor used.
     """
     rhs = np.asarray(rhs, dtype=float)
     factor = LUFactor() if factor is None else factor
     converged = False
+    rungs = (np.float32, np.float64)
     if factor.lu is not None and factor.ref == ref:
         u, lam, converged = _refine(factor, matrix, rhs, ref)
-    if not converged and not (factor.matrix is matrix and factor.ref == ref):
+        if factor.matrix is matrix:
+            # this matrix's own factor has run: only a wider one is left to try
+            rungs = rungs[rungs.index(factor.dtype) + 1:]
+    for dtype in rungs:
+        if converged:
+            break
         # drop the stalled iterate and the old factor before splu builds the new one
-        u = factor.lu = factor.z = factor.matrix = None
-        factor.lu, factor.z = _factor(matrix, ref)
-        factor.matrix, factor.ref = matrix, ref
+        u = None
+        factor.clear()
+        try:
+            _factor(factor, matrix, ref, dtype)
+        except SolverError as exc:
+            if dtype is np.float64:
+                raise
+            _log.debug("float64 fallback: %s", exc)
+            continue
         u, lam, converged = _refine(factor, matrix, rhs, ref)
+        if not converged and dtype is np.float32:
+            _log.debug("float64 fallback: refinement with the fresh float32 factor stalled")
     if not converged:
         scale = np.max(abs(matrix) @ np.abs(u)) + np.max(np.abs(rhs)) + abs(lam)
         rel = float(np.max(np.abs(rhs - matrix @ u - lam)) / max(scale, 1e-300))
         if not (np.all(np.isfinite(u)) and rel <= 1e-12):
             raise SolverError(f"policy evaluation reached relative residual {rel:.3e} > 1e-12")
-    if ref is not None:
-        u[ref] = 0.0
     return u, float(lam)
 
 
 def stationary_law(factor: LUFactor, ref: int) -> np.ndarray:
     """Stationary law (mass 1) of the chain whose average-cost system ``factor`` holds:
-    for ``P = A + e_ref e_ref^T`` and ``A^T m = 0``, ``P^T m = m_ref e_ref``."""
+    for ``P = A + e_ref e_ref^T`` and ``A^T m = 0``, ``P^T m = m_ref e_ref``.
+
+    The transposed solve is refined in float64 with the held factor's
+    transposed solves (:func:`_refine`, same target and stall rule), so a
+    float32 factor gives the law to float64 accuracy; a refinement that
+    stalls returns its last iterate.
+    """
     if factor.lu is None or factor.ref != ref:
         raise ParameterError(f"the held factor is not an average-cost factor pinned at {ref}")
-    law = factor.lu.solve(np.eye(1, factor.matrix.shape[0], ref)[0], trans="T")
+    n = factor.matrix.shape[0]
+    law, _, _ = _refine(factor, _pinned(factor.matrix, ref).T, np.eye(1, n, ref)[0], None,
+                        trans="T")
     return law / law.sum()
 
 

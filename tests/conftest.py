@@ -1,4 +1,5 @@
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ def make_problem(dim=1, gammas=(2.0, 2.0), alphas=(1.0, 1.0), sources=None,
         switch_rates=(fields.constant(dim, alphas[0]), fields.constant(dim, alphas[1])),
         sources=tuple(sources),
     )
+
+
+def with_hamiltonian(problem: ProblemSpec, ham: HamiltonianSpec) -> ProblemSpec:
+    """``problem`` with its Hamiltonian replaced by ``ham``."""
+    return replace(problem, hamiltonian=ham)
 
 
 def _weights_to_flat(w: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from ergodic_hjb.verify import (
     audit_comparison,
     audit_gradient_bound,
 )
-from tests.conftest import make_problem
+from tests.conftest import make_problem, with_hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -265,8 +265,8 @@ class TestCriterion8StructuralAudits:
                 k, grid.points[inner], gradient_central(grid, base.state(k))[inner])))
             for k in (1, 2))
         level = 1.2 * h_sup
-        truncated = problem.with_hamiltonian(
-            truncate_hamiltonian(problem.hamiltonian, level=level))
+        truncated = with_hamiltonian(
+            problem, truncate_hamiltonian(problem.hamiltonian, level=level))
         sol = solve_ergodic_normalized(truncated, grid)
         err = abs(sol.lam - base.lam) / abs(base.lam)
         print(f"[criterion 8e] quartic truncation at {level:.1f} "

@@ -20,7 +20,7 @@ from ergodic_hjb.dual_lp import (
 from ergodic_hjb.errors import LPError, ParameterError
 from ergodic_hjb.model import STATES, truncate_hamiltonian
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
-from tests.conftest import _weights_to_flat, make_problem, stationarity_residual
+from tests.conftest import _weights_to_flat, make_problem, stationarity_residual, with_hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -137,8 +137,8 @@ class TestSolve:
         # untruncated one runs the automatic mesh of 309 to the control cap
         problem = make_problem(gammas=(4.0, 4.0))
         if level is not None:
-            problem = problem.with_hamiltonian(
-                truncate_hamiltonian(problem.hamiltonian, level=level))
+            problem = with_hamiltonian(
+                problem, truncate_hamiltonian(problem.hamiltonian, level=level))
         sol = solve_ergodic_normalized(problem, build_grid(1, 6.0, 0.05))
         assert extract_control(problem, sol).duality_residual <= 1e-12
         grid = build_grid(1, 6.0, 0.1)
@@ -247,14 +247,14 @@ def _bundled_lp():
 
 
 class TestPinned:
-    # recorded before the LP held its operator rows once, in place of the
-    # stacked balance blocks and their transposed copy
+    # recorded with float32 policy-evaluation factors refined to float64 and the
+    # stationary law refined through the held factor's transposed solves
     @pytest.mark.parametrize("make_lp, lam_hex, iterations, gap, residual, digest", [
-        (_bundled_lp, "0x1.6ab3e9c11eaf6p+0", 6, 1.0373923942097463e-12, 1.061650767297806e-15,
-         "b9d82dde1c2aed24ff6ae83d9359cc4dcc87c2eadaca7b65a06c0c6e1eb745de"),
-        (_coarse_2d_lp, "0x1.201376eaa9106p+1", 2, 1.5987211554602254e-14,
-         3.608224830031759e-16,
-         "3c56e28bbbce580e6155aafba8c1057885b6781300fd535e3e949813d1f4593f"),
+        (_bundled_lp, "0x1.6ab3e9c11eaf6p+0", 6, 1.0373923942097463e-12, 9.159339953157541e-16,
+         "7c2c5afd01bfdce8229336dfde4fd2504a2496d938e3d4602c08c07fb5ffebb1"),
+        (_coarse_2d_lp, "0x1.201376eaa9108p+1", 2, 1.0658141036401503e-14,
+         5.551115123125783e-17,
+         "7c67af253863d884ba1bd322cc7f12ae1bcf8b408693eb180e158a06eebaa6da"),
     ], ids=["bundled", "coarse-2d"])
     def test_solution_pinned(self, make_lp, lam_hex, iterations, gap, residual, digest):
         _, _, lp = make_lp()

@@ -29,7 +29,7 @@ from ergodic_hjb.model import (
     validate_assumptions,
     window_max,
 )
-from tests.conftest import make_problem
+from tests.conftest import make_problem, with_hamiltonian
 
 
 def ham(dim=2, gammas=(2.0, 2.0), drift=None, metric=None):
@@ -393,7 +393,7 @@ def test_problem_roundtrip(tmp_path):
 
 def test_truncated_problem_roundtrip(tmp_path):
     problem = make_problem(gammas=(4.0, 2.0))
-    problem = problem.with_hamiltonian(truncate_hamiltonian(problem.hamiltonian, level=5.0))
+    problem = with_hamiltonian(problem, truncate_hamiltonian(problem.hamiltonian, level=5.0))
     path = tmp_path / "problem.json"
     save_problem(problem, path)
     assert load_problem(path) == problem

@@ -15,7 +15,7 @@ from ergodic_hjb.simulate import (
     _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_controls, simulate_paths)
 from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
 from ergodic_hjb.verify import consistency_report
-from tests.conftest import make_problem, stationarity_residual
+from tests.conftest import make_problem, stationarity_residual, with_hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -370,8 +370,8 @@ def test_pooled_run_pickles_a_truncated_problem():
     # the worker processes receive the problem, ramp envelopes included, and the
     # grid control by pickling; two path chunks of one control reach the pool
     base, ctrl = _pinned_problem(1, "x-dependent")
-    problem = base.with_hamiltonian(
-        truncate_hamiltonian(replace(base.hamiltonian, gammas=(4.0, 3.0)), level=6.0))
+    problem = with_hamiltonian(
+        base, truncate_hamiltonian(replace(base.hamiltonian, gammas=(4.0, 3.0)), level=6.0))
     assert all(e is not None for e in problem.hamiltonian._envelopes)
     run = dict(horizon=2.5e-2, dt=5e-3, burn_in=0.2, paths=_PATH_CHUNK + 64, seed=13,
                record_samples=True)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodic_hjb import fields, solver
@@ -34,7 +35,7 @@ from ergodic_hjb.solver import (
     solve_ergodic_normalized,
     vanishing_discount,
 )
-from tests.conftest import make_problem
+from tests.conftest import make_problem, with_hamiltonian
 
 SQRT2 = np.sqrt(2.0)
 
@@ -184,14 +185,20 @@ class TestPolicyEvaluation:
         grid = build_grid(1, 2.0, 0.1)
         xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
         gen = assemble_generator(grid, problem, xi, 0.0)
-        factor = LUFactor()
-        policy_evaluation(gen, rng.normal(size=2 * grid.n_nodes), grid.origin_index, factor)
-        law = solver.stationary_law(factor, grid.origin_index)
-        # the law of the chain with generator -gen: nonnegative, mass 1, and balanced
-        assert law.min() >= 0.0 and law.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(gen.T @ law)) <= 1e-12 * abs(gen).max()
+        # the float32 factor an evaluation leaves behind, and a float64 one
+        evaluated, wide = LUFactor(), LUFactor()
+        policy_evaluation(gen, rng.normal(size=2 * grid.n_nodes), grid.origin_index, evaluated)
+        solver._factor(wide, gen, grid.origin_index, np.float64)
+        eps = np.finfo(float).eps
+        for factor, dtype in ((evaluated, np.float32), (wide, np.float64)):
+            assert factor.dtype is dtype
+            law = solver.stationary_law(factor, grid.origin_index)
+            # the law of the chain with generator -gen: nonnegative and balanced to
+            # roundoff (one unrefined float32 transposed solve misses by 1e7), mass 1
+            assert law.min() >= -eps * law.max() and law.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.max(np.abs(gen.T @ law)) <= 16 * eps * np.max(abs(gen).T @ np.abs(law))
         with pytest.raises(ParameterError, match="not an average-cost factor pinned at 3"):
-            solver.stationary_law(factor, 3)
+            solver.stationary_law(evaluated, 3)
 
     def test_factor_fill_bounded(self, quadratic_2d, monkeypatch):
         # the pinned 2D pattern is structurally symmetric: minimum degree on
@@ -354,6 +361,80 @@ class TestFactorReuse:
         fresh_u, fresh_lam = policy_evaluation(gen, rhs, ref)
         assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
         assert abs(lam - fresh_lam) <= 1e-12 * max(1.0, abs(fresh_lam))
+
+
+def _bordered(gen, rhs, ref):
+    """The evaluation as one square float64 system in ``x`` = u (then lam when pinned):
+    ``A u + lam = rhs``, and ``u[ref] = 0`` when pinned."""
+    if ref is None:
+        return gen.tocsc(), rhs
+    n = gen.shape[0]
+    pin = sp.csr_matrix(([1.0], ([0], [ref])), (1, n))
+    return sp.bmat([[gen, np.ones((n, 1))], [pin, None]], format="csc"), np.append(rhs, 0.0)
+
+
+class TestPrecision:
+    # derandomized; 60 frozen systems of at most 338 unknowns, each evaluated,
+    # probed in float32 and solved densely, about 1 s in all
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(seed=st.integers(0, 2**16), dim=st.sampled_from([1, 2]), pinned=st.booleans(),
+           control=st.floats(0.0, 3.0), log_discount=st.floats(-8.0, 0.0),
+           log_rates=st.tuples(st.floats(-6.0, 1.0), st.floats(-6.0, 1.0)))
+    # SuperLU calls the float32 cast singular: the rate 1e-6 is below float32's
+    # resolution of the diagonal 2/h^2 = 800, and the zero control keeps the
+    # state blocks' row sums exact
+    @example(seed=0, dim=1, pinned=True, control=0.0, log_discount=0.0, log_rates=(-6.0, -6.0))
+    def test_evaluation_meets_the_contract_in_either_precision(
+            self, seed, dim, pinned, control, log_discount, log_rates):
+        # whichever factor serves, the evaluation has a componentwise backward
+        # error of 1e-15 (or a normwise one of 1e-12), agrees with a float64 direct
+        # solve to within the conditioning of both, and ends in float64 exactly
+        # when the fresh float32 factor cannot be built or its refinement stalls
+        rng = np.random.default_rng(seed)
+        grid = build_grid(1, 4.0, 0.05) if dim == 1 else build_grid(2, 1.5, 0.25)
+        problem = make_problem(dim=dim, alphas=tuple(10.0**r for r in log_rates))
+        ref, discount = (grid.origin_index, 0.0) if pinned else (None, 10.0**log_discount)
+        xi = control * rng.uniform(-1.0, 1.0, (2, grid.n_nodes, dim))
+        gen, rhs = solver.frozen_system(problem, grid, rng.normal(size=2 * grid.n_nodes), xi,
+                                        discount)
+        probe = LUFactor()
+        try:
+            solver._factor(probe, gen, ref, np.float32)
+            float32_failed = not solver._refine(probe, gen, rhs, ref)[2]
+        except SolverError:
+            float32_failed = True
+        factor = LUFactor()
+        u, lam = policy_evaluation(gen, rhs, ref, factor)
+        assert (factor.dtype is np.float64) == float32_failed
+        assert not pinned or u[ref] == 0.0
+
+        defect, au = np.abs(rhs - gen @ u - lam), abs(gen) @ np.abs(u)
+        assert (np.max(defect / (au + np.abs(rhs) + abs(lam))) <= 1e-15
+                or np.max(defect) <= 1e-12 * (np.max(au) + np.max(np.abs(rhs)) + abs(lam)))
+        # x - x_ref is the inverse applied to the difference of the two exact
+        # residuals; each computed residual is within 16 eps of its exact one
+        matrix, b = _bordered(gen, rhs, ref)
+        x_ref = spla.spsolve(matrix, b)
+        x = u if ref is None else np.append(u, lam)
+        slack = 16 * np.finfo(float).eps * (abs(matrix) @ (np.abs(x) + np.abs(x_ref))
+                                            + 2 * np.abs(b))
+        bound = np.abs(np.linalg.inv(matrix.toarray())) @ (
+            np.abs(b - matrix @ x) + np.abs(b - matrix @ x_ref) + slack)
+        assert np.all(np.abs(x - x_ref) <= 2 * bound)
+
+    @EVALUATION_MODES
+    def test_float32_overflow_falls_back(self, quadratic_1d, discount, pinned):
+        # entries beyond float32's range: the cast is not finite, so the factor is
+        # float64 and the evaluation is the one of the unscaled system, scaled
+        grid = build_grid(1, 4.0, 0.1)
+        ref = grid.origin_index if pinned else None
+        gen, rhs = _policy_system(quadratic_1d, grid, np.zeros((2, grid.n_nodes, 1)), discount)
+        factor = LUFactor()
+        u, lam = policy_evaluation(1e40 * gen, 1e40 * rhs, ref, factor)
+        assert factor.dtype is np.float64
+        small_u, small_lam = policy_evaluation(gen, rhs, ref)
+        assert np.max(np.abs(u - small_u)) <= 1e-12 * np.max(np.abs(small_u))
+        assert abs(lam - 1e40 * small_lam) <= 1e-12 * max(1.0, abs(1e40 * small_lam))
 
 
 class TestCoarseStart:
@@ -575,15 +656,15 @@ class TestTruncation:
             float(np.max(problem.hamiltonian.value_raw(
                 k, grid.points[inner], gradient_central(grid, base.state(k))[inner])))
             for k in (1, 2))
-        truncated = problem.with_hamiltonian(
-            truncate_hamiltonian(problem.hamiltonian, level=1.2 * h_sup))
+        truncated = with_hamiltonian(
+            problem, truncate_hamiltonian(problem.hamiltonian, level=1.2 * h_sup))
         sol = solve_ergodic_normalized(truncated, grid)
         assert sol.lam == pytest.approx(base.lam, rel=0.01)
 
     def test_deep_truncation_converges(self):
         problem = make_problem(gammas=(4.0, 4.0))
-        truncated = problem.with_hamiltonian(
-            truncate_hamiltonian(problem.hamiltonian, level=5.0))
+        truncated = with_hamiltonian(
+            problem, truncate_hamiltonian(problem.hamiltonian, level=5.0))
         grid = build_grid(1, 6.0, 0.05)
         sol = solve_ergodic_normalized(truncated, grid)
         assert np.isfinite(sol.lam)
