@@ -14,9 +14,12 @@ supremum in H_k(x,p) = sup_xi { xi.p - l_k(x,xi) } is attained at
 xi = grad_p H_k(x,p), which is what the feedback-control extraction uses.
 
 A truncated superquadratic state (see :func:`truncate_hamiltonian`) is the
-convex envelope of ``ramp(H_k)`` instead, paired with its conjugate; it stays
+convex envelope of the ramped H_k instead, paired with its conjugate; it stays
 a Legendre pair, so every consumer of ``value``, ``grad_p`` and
 ``lagrangian`` sees one consistent cost whether a state is truncated or not.
+Its outer ramp branch is evaluated through ``log w`` and solved for a given
+slope by one Newton, scaled so that neither a large gamma nor a small slope
+leaves the float range (see :class:`_RampEnvelope`).
 
 Sign convention: the drift enters the Hamiltonian as ``+ b . p``.  In the
 controlled-diffusion reading the state drift of the optimally controlled
@@ -74,37 +77,27 @@ def _range_error(k: int, gamma: float, level: float) -> CoefficientError:
                             f"truncation level {level!r} leaves the float range")
 
 
-def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
-    """Concave sublinearizing ramp: identity below ``level``, then
-    ``level - gamma/2 + (gamma/2)(v - level + 1)^(2/gamma)``.
-
-    Nondecreasing, 1-Lipschitz, and never above its argument.
-    """
-    v = np.asarray(values, dtype=float)
-    above = np.maximum(v - level + 1.0, 1.0)
-    capped = level - gamma / 2.0 + (gamma / 2.0) * above ** (2.0 / gamma)
-    return np.where(v <= level, v, capped)
-
-
 class _RampEnvelope:
     """Convex envelope of a driftless ramped power law, and its conjugate.
 
-    In the radial magnitude ``r = <p, a p>^(1/2)`` the ramped Hamiltonian is
-    ``phi(r) = ramp(r^gamma / gamma)``: the power law below the junction
-    radius ``r_n`` and the outer ramp branch above it, where
-    ``w = r^gamma / gamma - level + 1`` gives the value ``level - gamma/2 +
-    (gamma/2) w^(2/gamma)`` and the slope ``r^(gamma-1) w^(2/gamma-1)``.  The
-    slope is least at ``w = (gamma - 2)(level - 1)``; past the junction
-    (``w > 1``) the envelope bridges that dip with the common tangent of slope
-    ``s_c``, which touches the power law at ``r_t`` and the outer branch at
-    ``r_o``; otherwise ``phi`` is convex and ``r_t = r_o = r_n``.  The envelope
-    and ``phi`` share one conjugate (Rockafellar, Convex Analysis, Sec. 12), a
-    function of ``s = <xi, a^{-1} xi>^(1/2)``, exact up to rounding.
+    The ramp is the identity below ``level`` and ``level - gamma/2 + (gamma/2)
+    (v - level + 1)^(2/gamma)`` above it: concave, nondecreasing, 1-Lipschitz and
+    never above its argument.  In the radial magnitude ``r = <p, a p>^(1/2)`` the
+    ramped Hamiltonian ``phi(r)`` is the power law ``r^gamma / gamma`` below the
+    junction radius ``r_n`` and the outer ramp branch above it, where ``w =
+    r^gamma / gamma - level + 1`` gives the value ``level - gamma/2 + (gamma/2)
+    w^(2/gamma)`` and the slope ``r^(gamma-1) w^(2/gamma-1)``.  The slope is least
+    at ``w = (gamma - 2)(level - 1)``; past the junction (``w > 1``) the envelope
+    bridges that dip with the common tangent of slope ``s_c``, which touches the
+    power law at ``r_t`` and the outer branch at ``r_o``; otherwise ``phi`` is
+    convex and ``r_t = r_o = r_n``.  The envelope and ``phi`` share one conjugate
+    (Rockafellar, Convex Analysis, Sec. 12), a function of ``s = <xi, a^{-1}
+    xi>^(1/2)``, exact up to rounding.
 
-    Where ``r^gamma`` leaves the float range, the outer branch is evaluated
-    through ``log w`` instead; an envelope value, slope or conjugate that
-    leaves the float range itself raises ``CoefficientError`` naming
-    ``state``.
+    The outer branch is evaluated through ``log w`` and never forms ``r^gamma``;
+    one Newton (``_outer``) finds its point of a given slope for the bridge, ``r_o``
+    and the conjugate.  An envelope value, slope or conjugate that leaves the float
+    range raises ``CoefficientError`` naming ``state``.
     """
 
     def __init__(self, gamma: float, level: float, state: int | None = None):
@@ -137,40 +130,47 @@ class _RampEnvelope:
         self.r_t = self.s_c ** (1.0 / (g - 1.0))
         self.r_o = float(self._outer(self.s_c)[0])
 
+    def _checked(self, values: np.ndarray) -> np.ndarray:
+        """``values``, or ``CoefficientError`` naming ``state`` where one is not finite."""
+        if not np.all(np.isfinite(values)):
+            raise _range_error(self.state, self.gamma, self.level)
+        return values
+
     def _outer(self, s):
         """Radius ``r`` and ``s r - phi(r)`` at the outer branch's point of slope ``s`` on
-        its convex part.  There ``w`` is the larger root of the convex ``F(w) = gamma w
-        + gamma (level - 1) - sigma w^b``, with ``sigma = s^(gamma/(gamma-1))`` and
-        ``b = (gamma-2)/(gamma-1)``.  Newton from where ``F >= 0 < F'`` decreases to it
-        monotonically (Ortega & Rheinboldt, 1970), kept right of the minimum of ``F``
-        (``floor``); it stops at the first step where no entry decreases."""
+        its convex part.
+
+        With ``sigma = s^(gamma/(gamma-1))`` and ``c = (sigma/gamma)^(gamma-1)``, ``w =
+        lam v`` for ``log lam = max(log c, 0)``, and ``v`` is the larger root of the
+        convex ``G(v) = v - mu v^b + kappa``: ``b = (gamma-2)/(gamma-1)``, ``mu =
+        (sigma/gamma) lam^(-1/(gamma-1)) <= 1`` and ``kappa = (level - 1)/lam``, so that
+        neither a large ``c`` nor a small one leaves the float range.  As ``v^b`` is
+        concave, ``G >= 0 < G'`` at ``1 + (gamma-1)|kappa|``; Newton from there
+        decreases to the root monotonically (Ortega & Rheinboldt, 1970), kept right of
+        the minimum of ``G`` (``floor``), and stops at the first step where no entry
+        decreases.  At the root ``r^gamma = gamma (w + level - 1) = gamma lam (v + kappa)``.
+        """
         g = self.gamma
         b = (g - 2.0) / (g - 1.0)
-        sigma = np.asarray(s, dtype=float) ** (g / (g - 1.0))
-        floor = (b * sigma / g) ** (g - 1.0)
-        w = np.maximum((2.0 * sigma / g) ** (g - 1.0), 2.0 * (1.0 - self.level))
-        while True:
-            wb = w**b
-            with np.errstate(divide="ignore", invalid="ignore"):    # F' = 0 at the floor
-                nxt = np.fmax(w - (g * w + g * (self.level - 1.0) - sigma * wb)
-                              / (g - b * sigma * wb / w), floor)
-            if not np.any(nxt < w):
-                r = (g * (w + self.level - 1.0)) ** (1.0 / g)
-                return r, s * r - (self.level - g / 2.0 + (g / 2.0) * w ** (2.0 / g))
-            w = np.fmin(nxt, w)
-
-    def _far(self, values: np.ndarray, redo: np.ndarray, log_form) -> np.ndarray:
-        """``values`` with the entries ``redo``, where ``r^gamma`` (or ``w``) leaves the
-        float range on the outer branch, replaced by ``log_form`` of them; raises where
-        that is not finite either."""
-        if np.any(redo):
-            with np.errstate(over="ignore", invalid="ignore"):
-                fixed = log_form(redo)
-            if not np.all(np.isfinite(fixed)):
-                raise _range_error(self.state, self.gamma, self.level)
-            values = np.array(values)
-            values[redo] = fixed
-        return values
+        # G' = 0 at the floor; an overflowed slope gives nan, which _checked rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_s = np.log(s)
+            log_c = g * log_s - (g - 1.0) * np.log(g)
+            log_lam = np.maximum(log_c, 0.0)
+            mu = np.exp((log_c - log_lam) / (g - 1.0))
+            kappa = (self.level - 1.0) * np.exp(-log_lam)
+            floor = (b * mu) ** (g - 1.0)
+            v = 1.0 + (g - 1.0) * np.abs(kappa)
+            while True:
+                vb = mu * v**b
+                nxt = np.fmax(v - (v - vb + kappa) / (1.0 - b * vb / v), floor)
+                if not np.any(nxt < v):
+                    break
+                v = np.fmin(nxt, v)
+            log_w = log_lam + np.log(v)
+            r = np.exp((np.log(g) + log_lam + np.log(v + kappa)) / g)
+            cost = s * r - (self.level - g / 2.0 + (g / 2.0) * np.exp((2.0 / g) * log_w))
+        return r, self._checked(cost)
 
     def _log_w(self, r: np.ndarray) -> np.ndarray:
         """``log w`` on the outer branch (``w >= 1``) without forming ``r^gamma``."""
@@ -183,13 +183,11 @@ class _RampEnvelope:
         g = self.gamma
         m = np.asarray(m, dtype=float)
         with np.errstate(over="ignore"):
-            mg = m**g
-            out = np.where(m <= self.r_t, mg / g,
+            out = np.where(m <= self.r_t, m**g / g,
                            np.where(m < self.r_o, self.r_t**g / g + self.s_c * (m - self.r_t),
-                                    ramp(mg / g, self.level, g)))
-        redo = (m >= self.r_o) & ~np.isfinite(mg)
-        return self._far(out, redo, lambda at: self.level - g / 2.0 + (g / 2.0) * np.exp(
-            (2.0 / g) * self._log_w(m[at])))
+                                    self.level - g / 2.0 + (g / 2.0) * np.exp(
+                                        (2.0 / g) * self._log_w(np.maximum(m, self.r_o)))))
+        return self._checked(out)
 
     def slope(self, m: np.ndarray) -> np.ndarray:
         """Envelope slope at radial gradient magnitude ``m``: the optimal
@@ -200,13 +198,13 @@ class _RampEnvelope:
         out = np.where(inner, np.where(inner & (m > 0), m, 0.0) ** (g - 1.0), self.s_c)
         far = m >= self.r_o
         if np.any(far):
+            # r^(gamma-1) w^(2/gamma-1) = gamma (1 + (level-1)/w) w^(2/gamma) / r
             r = np.maximum(m, self.r_o)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rg = r**g
-                outer = r ** (g - 1.0) * (rg / g - self.level + 1.0) ** (2.0 / g - 1.0)
-            outer = self._far(outer, far & ~np.isfinite(rg), lambda at: np.exp(
-                (g - 1.0) * np.log(r[at]) + (2.0 / g - 1.0) * self._log_w(r[at])))
-            out = np.where(far, outer, out)
+            log_w = self._log_w(r)
+            with np.errstate(over="ignore"):
+                outer = (g * (1.0 + (self.level - 1.0) * np.exp(-log_w))
+                         * np.exp((2.0 / g) * log_w) / r)
+            out = np.where(far, self._checked(outer), out)
         return out
 
     def conjugate(self, s: np.ndarray) -> np.ndarray:
@@ -216,39 +214,9 @@ class _RampEnvelope:
         out = np.asarray(s ** (g / (g - 1.0)) * (1.0 - 1.0 / g))
         steep = s > self.s_c
         if np.any(steep):
-            t = s[steep]
             with np.errstate(over="ignore"):
-                # where _outer's Newton start (2 sigma/g)^(g-1) times g stays finite
-                near = np.isfinite(g * (2.0 * t ** (g / (g - 1.0)) / g) ** (g - 1.0))
-            cost = np.empty_like(t)
-            cost[near] = self._outer(t[near])[1]
-            out[steep] = self._far(cost, ~near, lambda at: self._outer_log(t[at]))
+                out[steep] = self._outer(s[steep])[1]
         return out
-
-    def _outer_log(self, s: np.ndarray) -> np.ndarray:
-        """``_outer``'s ``s r - phi(r)`` where ``w`` leaves the float range.
-
-        With ``c = (sigma/gamma)^(gamma-1)``, held as its logarithm, ``w = c v``
-        and ``v`` is the larger root of the convex ``G(v) = v - v^b + kappa``,
-        ``kappa = (level - 1)/c``; Newton from ``1 + (gamma-1)|kappa|``, where
-        ``G >= 0 < G'``, decreases to it monotonically, as in ``_outer``.  At
-        the root ``w + level - 1 = c v^b``.
-        """
-        g = self.gamma
-        b = (g - 2.0) / (g - 1.0)
-        log_c = g * np.log(s) - (g - 1.0) * np.log(g)
-        kappa = (self.level - 1.0) * np.exp(-log_c)
-        floor = b ** (g - 1.0)
-        v = 1.0 + (g - 1.0) * np.abs(kappa)
-        while True:
-            vb = v**b
-            with np.errstate(divide="ignore", invalid="ignore"):    # G' = 0 at the floor
-                nxt = np.fmax(v - (v - vb + kappa) / (1.0 - b * vb / v), floor)
-            if not np.any(nxt < v):
-                break
-            v = np.fmin(nxt, v)
-        r = np.exp((np.log(g) + log_c + b * np.log(v)) / g)
-        return s * r - (self.level - g / 2.0 + (g / 2.0) * np.exp((2.0 / g) * (log_c + np.log(v))))
 
 
 @dataclass(frozen=True)
@@ -256,7 +224,7 @@ class HamiltonianSpec:
     """Per-state Hamiltonian data for the power-law family.
 
     With a ``truncation_level``, every superquadratic state is the convex
-    envelope of ``ramp(H_k)``; ``value``, ``grad_p`` and ``lagrangian`` then
+    envelope of the ramped ``H_k``; ``value``, ``grad_p`` and ``lagrangian`` then
     evaluate that envelope, its slope map and its conjugate.  The envelopes
     are built once, here, and truncation requires a driftless state.
     """

@@ -31,6 +31,19 @@ def with_hamiltonian(problem: ProblemSpec, ham: HamiltonianSpec) -> ProblemSpec:
     return replace(problem, hamiltonian=ham)
 
 
+def ramp(values: np.ndarray, level: float, gamma: float) -> np.ndarray:
+    """Concave sublinearizing ramp: identity below ``level``, then
+    ``level - gamma/2 + (gamma/2)(v - level + 1)^(2/gamma)``; the brute-force
+    reference for the truncated envelopes.
+
+    Nondecreasing, 1-Lipschitz, and never above its argument.
+    """
+    v = np.asarray(values, dtype=float)
+    above = np.maximum(v - level + 1.0, 1.0)
+    capped = level - gamma / 2.0 + (gamma / 2.0) * above ** (2.0 / gamma)
+    return np.where(v <= level, v, capped)
+
+
 def _weights_to_flat(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 0, 1).reshape(-1)
 

@@ -305,7 +305,7 @@ class TestPipeline:
                                  "gamma = 1000.0 and |p| up to ")
 
 
-    @pytest.mark.parametrize("gamma, level", [(1000, 1), (100, 10), (50, 10)])
+    @pytest.mark.parametrize("gamma, level", [(1000, 1), (1000, 10), (100, 10), (50, 10)])
     def test_truncated_large_gamma_solves(self, tmp_path, capsys, gamma, level):
         # r^gamma leaves the float range on the ramp's outer branch, whose value, slope
         # and running cost do not: the solve ends with no RuntimeWarning and no gap
@@ -369,18 +369,28 @@ class TestMainEntry:
         assert err == ["config error: Hamiltonian truncation is supported only for driftless states"]
         assert not (tmp_path / "out").exists()
 
-    def test_truncated_huge_gamma_exit_2(self, tmp_path, capsys):
-        # the ramp envelope of gamma = 1000 at level 10 leaves the float range: the problem
-        # is rejected when it is read, with one line and no RuntimeWarning
-        states = [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "gamma": 1000}]
-        problem = {**SMALL_PROBLEM, "states": states, "truncation": {"level": 10}}
+    def _assert_envelope_out_of_range_exit_2(self, tmp_path, capsys, gamma, level, message):
+        states = [SMALL_PROBLEM["states"][0], {**SMALL_PROBLEM["states"][1], "gamma": gamma}]
+        problem = {**SMALL_PROBLEM, "states": states, "truncation": {"level": level}}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config(problem=problem)))
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: state 2: the truncated power law at gamma = 1000.0 and truncation "
-            "level 10.0 leaves the float range"]
+        assert capsys.readouterr().err.splitlines() == [f"config error: state 2: {message}"]
         assert not (tmp_path / "out").exists()
+
+    def test_truncated_huge_gamma_exit_2(self, tmp_path, capsys):
+        # the ramp envelope of gamma = 50 at level 1e300 leaves the float range: the problem
+        # is rejected when it is read, with one line and no RuntimeWarning
+        self._assert_envelope_out_of_range_exit_2(
+            tmp_path, capsys, 50, 1e300, "the truncated power law at gamma = 50.0 and "
+            "truncation level 1e+300 leaves the float range")
+
+    def test_truncated_envelope_built_on_inf_minus_inf_exit_2(self, tmp_path, capsys):
+        # at gamma = 1e6 and level 1e300 the bridge's lower slope bracket overflows and its
+        # gap is inf - inf: rejected the same way, not built as a convex envelope
+        self._assert_envelope_out_of_range_exit_2(
+            tmp_path, capsys, 1e6, 1e300, "the truncated power law at gamma = 1000000.0 and "
+            "truncation level 1e+300 leaves the float range")
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("mc", "pathz", 10, None),

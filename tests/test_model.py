@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -22,14 +23,13 @@ from ergodic_hjb.model import (
     ProblemSpec,
     load_problem,
     other_state,
-    ramp,
     save_problem,
     switch_rate_violations,
     truncate_hamiltonian,
     validate_assumptions,
     window_max,
 )
-from tests.conftest import make_problem, with_hamiltonian
+from tests.conftest import make_problem, ramp, with_hamiltonian
 
 
 def ham(dim=2, gammas=(2.0, 2.0), drift=None, metric=None):
@@ -209,7 +209,7 @@ def test_truncated_pair_with_metric(rng):
 
 
 @pytest.mark.parametrize("gamma, level", [(2.5, 0.3), (3.0, 5.0), (4.0, 2.0), (4.0, 28.7),
-                                          (6.0, 1e3)])
+                                          (6.0, 1e3), (1000.0, 0.3), (1000.0, 10.0)])
 def test_truncated_conjugate_matches_brute_force(gamma, level):
     # the running cost is sup_r (s r - ramp(r^gamma / gamma)): on a uniform r grid the
     # maximum is never above it, and falls short by at most dr^2 phi'' / 8 where phi is
@@ -217,8 +217,16 @@ def test_truncated_conjugate_matches_brute_force(gamma, level):
     env = _RampEnvelope(gamma, level)
     s_values = np.concatenate([env.s_c * np.array([1.0 - 1e-6, 1.0 + 1e-6]),
                                np.linspace(0.0, 4.0 * env.s_c, 9)[1:]])
-    r = np.linspace(0.0, 4.0 * env.s_c + env.r_o + 1.0, 400_001)
-    phi = ramp(r**gamma / gamma, level, gamma)
+    # on the outer branch phi' >= r (gamma min(level, 1))^(1 - 2/gamma), so every
+    # maximizer for s <= 4 s_c lies below r_max
+    r_max = env.r_o + 4.0 * env.s_c / (gamma * min(level, 1.0)) ** (1.0 - 2.0 / gamma)
+    r = np.linspace(0.0, r_max, 400_001)
+    with np.errstate(over="ignore"):
+        phi = ramp(r**gamma / gamma, level, gamma)
+    far = ~np.isfinite(phi)     # r^gamma overflows: the ramp's outer branch through log w
+    log_v = gamma * np.log(r[far]) - np.log(gamma)
+    log_w = log_v + np.log1p((1.0 - level) * np.exp(-log_v))
+    phi[far] = level - gamma / 2.0 + (gamma / 2.0) * np.exp((2.0 / gamma) * log_w)
     shortfall = np.max(np.diff(phi, 2)) / 8.0
     for s in s_values:
         gains = s * r - phi
@@ -249,7 +257,7 @@ def test_truncated_pair_properties(gamma, level):
 
 
 @pytest.mark.parametrize("gamma, level", [(50.0, 10.0), (100.0, 10.0), (1000.0, 1.0),
-                                          (1000.0, 0.3)])
+                                          (1000.0, 0.3), (1000.0, 10.0)])
 def test_truncated_large_gamma_stays_a_legendre_pair(gamma, level):
     # far out on the outer branch r^gamma leaves the float range while the envelope,
     # its slope and its conjugate do not: they are evaluated through log w, with no
@@ -262,13 +270,22 @@ def test_truncated_large_gamma_stays_a_legendre_pair(gamma, level):
     assert np.all(np.abs(h.duality_gap(2, x, p)) <= 1e-12 * (1.0 + np.abs(values)))
 
 
-def test_outer_log_form_matches_the_direct_one():
-    # where both are finite, the log-w Newton gives the direct Newton's running cost
-    env = _RampEnvelope(50.0, 10.0)
-    s = env.s_c * np.geomspace(1.5, 1e5, 50)
-    direct = env._outer(s)[1]
-    assert np.all(np.isfinite(direct))
-    assert np.allclose(env._outer_log(s), direct, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("level", [0.3, 10.0])
+@pytest.mark.parametrize("gamma", [2.1, 4.0, 100.0, 1000.0])
+def test_truncated_slope_matches_a_50_digit_reference(gamma, level):
+    # on the outer branch the slope r^(gamma-1) w^(2/gamma-1), w = r^gamma / gamma -
+    # level + 1, is within 1e-14 of the same expression carried to 50 digits
+    env = _RampEnvelope(gamma, level)
+    r = env.r_o * np.geomspace(1.0, 1e3, 200)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        g, lv = decimal.Decimal(gamma), decimal.Decimal(level)
+        reference = []
+        for x in map(decimal.Decimal, r):
+            w = x**g / g - lv + 1
+            reference.append(float(x ** (g - 1) * w ** (2 / g - 1)))
+    reference = np.array(reference)
+    assert np.all(np.abs(env.slope(r) - reference) <= 1e-14 * reference)
 
 
 def test_truncated_envelope_out_of_range_raises():
