@@ -4,7 +4,15 @@ Simulates the regime-switching diffusion whose extended generator matches the
 discretized operator: under a feedback field xi the continuous component
 moves with drift ``-xi(X, S)`` and diffusion ``sqrt(2) dW`` (the unit
 Laplacian in the generator fixes the noise scale), while the discrete
-component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The switching
+component switches 1 <-> 2 with intensities ``alpha_k(X)``.  The Brownian
+increment of a step is two-point, ``+-sqrt(2 dt)`` on each axis with equal
+chances: the simplified weak Euler scheme, of the same weak order 1 as
+Gaussian increments (Kloeden & Platen, Numerical Solution of SDEs, 14.1).
+Paths start in state 1; under a grid control (the solver's extracted field)
+they start at nodes drawn from the stationary law of the control's own
+discrete chain conditioned on state 1 (``solver.feedback_law``, Kushner &
+Dupuis, 2001), so that a short run carries no start-up transient from the
+origin, and under an analytic control at the origin.  The switching
 time comes from the integrated intensity (Yin & Zhu, Hybrid Switching
 Diffusions, 2010): each path holds an Exp(1) clock that every step runs down
 by ``alpha_S(X) dt``, and the path switches when its clock reaches 0, drawing
@@ -26,13 +34,18 @@ control writes its feedback into one preallocated buffer.
 
 Randomness comes from one SFC64 stream per fixed path chunk, seeded with
 ``SeedSequence([seed, chunk index])`` so that the chunks' streams are
-independent; each step draws its normals path-major, then one Exp(1) clock
-per switching path in path order.  Accumulation is an ordered reduction over
-the path axis, so estimates are bit-identical across serial and pooled runs,
-where ``threads`` forked worker processes run the path chunks.
+independent.  A chunk first draws one Exp(1) clock per path, then one start
+uniform per path (drawn whatever the controls, and mapped through each grid
+control's inverse CDF); each step then draws one uniform ``u`` per path and
+axis, path-major, whose increment is ``copysign(sqrt(2 dt), u - 0.5)``, then
+one Exp(1) clock per switching path in path order.  Every start law is
+computed once per call, in the calling process, before any worker forks.
+Accumulation is an ordered reduction over the path axis, so estimates are
+bit-identical across serial and pooled runs, where ``threads`` forked worker
+processes run the path chunks.
 The stream does not depend on the control, and with x-free rates neither do a
 path's switches, so several controls estimated at once (``simulate_controls``)
-share one step loop: one set of normals, clocks and flips serves them all,
+share one step loop: one set of increments, clocks and flips serves them all,
 and each control's estimate is the one it gets alone, bit for bit.  Every
 estimate keeps path 0 over its first tallied steps as its sample path.
 """
@@ -51,6 +64,7 @@ from .dual_lp import ControlMesh, OccupationMeasure
 from .errors import ParameterError, WorkerError
 from .fields import number
 from .model import ProblemSpec, STATES
+from .solver import feedback_law
 
 
 @dataclass(frozen=True)
@@ -116,12 +130,25 @@ def _rates(problem: ProblemSpec):
     return alphas, all(np.ndim(a(probe)) == 0 for a in alphas)
 
 
-def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, seed,
+def _start_cdf(problem: ProblemSpec, control: FeedbackControl) -> np.ndarray | None:
+    """CDF over the nodes of a grid control's stationary law in state 1; None for an
+    analytic control, whose paths start at the origin."""
+    if control.kind != "grid":
+        return None
+    law = np.maximum(feedback_law(problem, control.grid, control.values)[0], 0.0)
+    cdf = np.cumsum(law)
+    return cdf / cdf[-1]
+
+
+def _simulate_chunk(problem, controls, starts, n_steps, dt, chunk, n_paths, burn_steps, seed,
                     sample_stride):
     """One path chunk under every control of ``controls``, in one step loop.
 
+    ``starts`` holds each control's ``_start_cdf``.  The chunk draws its paths'
+    Exp(1) clocks, then one start uniform per path, from which control k's
+    paths start at the inverse of its CDF (at the origin when it has none).
     The controls share the chunk's stream and switching process: each step
-    draws one normal per path and axis, runs down one set of clocks and flips
+    draws one uniform per path and axis, runs down one set of clocks and flips
     one state array, and control k moves its own positions ``x[k]`` with them.
     Sharing the flips needs x-free rates when there is more than one control.
     Costs, clamp counts and kept samples are per control; the tallied time,
@@ -129,7 +156,12 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     """
     n_ctrl, dim = len(controls), problem.dimension
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk])))
+    clock = gen.standard_exponential(n_paths)   # remaining integrated intensity
+    start = gen.random(n_paths)   # drawn for every control, so solo and joint runs agree
     x = np.zeros((n_ctrl, n_paths, dim))
+    for xk, control, cdf in zip(x, controls, starts):
+        if cdf is not None:
+            xk[:] = control.grid.points[np.searchsorted(cdf, start, side="right")]
     flat = x.reshape(-1, dim)   # a view: row k * n_paths + i is path i under control k
     # each path's state, its indicator of state 1 and their count, changed only where
     # a path switches
@@ -141,7 +173,6 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
     switches_from = np.zeros(2)
     rate_acc = np.zeros(2)
     clamps = np.zeros(n_ctrl, dtype=np.int64)
-    clock = gen.standard_exponential(n_paths)   # remaining integrated intensity
     radius = np.array([c.radius for c in controls])[:, None, None]
     inner = float(radius.min())
     alphas, x_free = _rates(problem)
@@ -203,7 +234,10 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
                 path_cost[i] = run[:, 0]
             run *= dt
             cost_acc += run
-        gen.standard_normal(out=draws)
+        # two-point increments +-sqrt(2 dt), each sign from one uniform with probability 1/2
+        gen.random(out=draws)
+        draws -= 0.5
+        np.copysign(noise, draws, out=draws)
         clock -= rate_dt
         idx = np.flatnonzero(clock <= 0.0)
         if idx.size:
@@ -222,9 +256,8 @@ def _simulate_chunk(problem, controls, n_steps, dt, chunk, n_paths, burn_steps, 
                 rate[idx] = levels[state[idx]]
                 rate_dt[idx] = rate[idx] * dt
                 rate_sum = None
-        # x - xi dt + noise draws, in that order; every control takes the same draws
+        # x - xi dt + increments, in that order; every control takes the same increments
         flat -= np.multiply(xi, dt, out=move)
-        draws *= noise
         x += draws
         if not (flat.max() <= inner and flat.min() >= -inner):   # a NaN also lands here
             clamps += np.count_nonzero(np.abs(x) > radius, axis=(1, 2))
@@ -277,9 +310,12 @@ def simulate_paths(problem: ProblemSpec, control: FeedbackControl, horizon: floa
 
     ``burn_in`` is the fraction of the horizon discarded before cost
     accumulation; each path's cost is divided by the time it was tallied,
-    ``(steps - burn-in steps) * dt``.  Each step evaluates the feedback and
+    ``(steps - burn-in steps) * dt``.  Paths start in state 1, at nodes drawn
+    from the stationary law of a grid control's chain in state 1, or at the
+    origin under an analytic control.  Each step evaluates the feedback and
     every rate that depends on x once per path, in its current state, and
-    draws one normal per path and axis.  Two x-free rates are resolved once
+    draws one uniform per path and axis for a two-point increment
+    ``+-sqrt(2 dt)``.  Two x-free rates are resolved once
     per path chunk: the per-path rate is rebuilt only after a step in which a
     path switched, and only when the two rates differ.
     The running cost of a tallied step is evaluated once when both states'
@@ -324,11 +360,14 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     n_steps, burn_steps = _check_arguments(problem, max(c.radius for c in controls), horizon,
                                            dt, paths, burn_in, seed, threads)
     stride = max(1, (n_steps - burn_steps) * paths // _SAMPLE_TARGET) if record_samples else 0
-    groups = [controls] if _rates(problem)[1] else [(c,) for c in controls]
+    # each grid control's start law, once and in this process, before any worker forks
+    starts = tuple(_start_cdf(problem, c) for c in controls)
+    groups = ([(controls, starts)] if _rates(problem)[1]
+              else [((c,), (start,)) for c, start in zip(controls, starts)])
     chunks = [(lo // _PATH_CHUNK, min(_PATH_CHUNK, paths - lo))
               for lo in range(0, paths, _PATH_CHUNK)]
-    args = [(problem, group, n_steps, dt, chunk, n, burn_steps, seed, stride)
-            for group in groups for chunk, n in chunks]
+    args = [(problem, group, group_starts, n_steps, dt, chunk, n, burn_steps, seed, stride)
+            for group, group_starts in groups for chunk, n in chunks]
     if threads > 1 and len(args) > 1:
         results = []
         with ProcessPoolExecutor(max_workers=min(threads, len(args)),
@@ -347,7 +386,7 @@ def simulate_controls(problem: ProblemSpec, controls, horizon: float, dt: float,
     # the tallied time, which the nominal horizon * (1 - burn_in) need not equal
     tallied_time = (n_steps - burn_steps) * dt
     estimates = []
-    for g, group in enumerate(groups):
+    for g, (group, _) in enumerate(groups):
         group_results = results[g * len(chunks):(g + 1) * len(chunks)]
         time_in = np.sum([r["time_in"] for r in group_results], axis=0)
         switches_from = np.sum([r["switches_from"] for r in group_results], axis=0)

@@ -31,10 +31,12 @@ refinement: Langou et al., SC'06; Carson & Higham, SIAM J. Sci. Comput. 40,
 2018): on the 2D benchmark their 7.7M nnz(L+U) are 4-byte values.  When the
 policy moved too far for the held factor, it is dropped before the new one is
 built, and the refinement reruns; a fresh float32 factor that cannot be built
-or whose refinement stalls gives way to a float64 one.  A direct solve started
-cold first solves on the 2h grid of the same box, when that grid exists, and
-starts from its feedback (nested iteration, as in full multigrid); if that 2h
-solve fails, the h solve runs cold.
+or whose refinement stalls gives way to a float64 one, and a discount below
+float32's spacing at the diagonal is factored in float64 from the start (on
+the bundled grid, the last two legs of ``vanishing_discount``).  A direct
+solve started cold first solves on the 2h grid of the same box, when that
+grid exists, and starts from its feedback (nested iteration, as in full
+multigrid); if that 2h solve fails, the h solve runs cold.
 """
 
 from __future__ import annotations
@@ -332,6 +334,18 @@ def _refine(factor: LUFactor, matrix: sp.spmatrix, rhs: np.ndarray, ref: int | N
     return u, lam, False
 
 
+def _discount_unresolved(matrix: sp.spmatrix) -> bool:
+    """Whether the discounted ``matrix``'s smallest row sum, its discount, lies below
+    the float32 spacing at its largest diagonal entry: a float32 cast rounds away
+    the margin that makes the matrix nonsingular, and refinement over its factor
+    stalls."""
+    margin = float(np.min(matrix @ np.ones(matrix.shape[0])))
+    # a diagonal beyond float32's range gives a nan spacing here: the float32 try
+    # is made, and its cast check turns it down
+    with np.errstate(over="ignore"):
+        return margin < float(np.spacing(np.float32(matrix.diagonal().max())))
+
+
 def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = None,
                       factor: LUFactor | None = None) -> tuple[np.ndarray, float]:
     """Solve the frozen-control linear system to backward error <= 1e-12.
@@ -348,12 +362,15 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = 
     ``factor`` is an :class:`LUFactor` holder carried between calls (``None``:
     an empty one), and :func:`_refine` is the one refinement loop, in
     float64.  The factors are tried in this order: the held one (same
-    ``ref``), a fresh float32 factor of this matrix, a fresh float64 one.  A
-    float32 factor holds half the bytes of a float64 one; where one step with
-    a fresh float64 factor reaches a componentwise backward error of order eps
-    (Skeel, 1980), each step with a fresh float32 factor shrinks the error by
-    about ``kappa * 2^-24`` (mixed-precision refinement), so a few steps reach
-    the same target.  The float64 factor is built only when the float32 cast
+    ``ref``), a fresh float32 factor of this matrix, a fresh float64 one.  The
+    float32 try is skipped for a discounted system whose smallest row sum (its
+    discount) lies below float32's spacing at its largest diagonal entry
+    (:func:`_discount_unresolved`): the cast rounds that margin away, and its
+    refinement would stall.  A float32 factor holds half the bytes of a
+    float64 one; where one step with a fresh float64 factor reaches a
+    componentwise backward error of order eps (Skeel, 1980), each step with a
+    fresh float32 factor shrinks the error by about ``kappa * 2^-24``
+    (mixed-precision refinement), so a few steps reach the same target.  The float64 factor is built only when the float32 cast
     is not finite, when SuperLU calls the float32 matrix singular (a switching
     rate or a discount below float32's resolution of the diagonal), or when
     the refinement with the fresh float32 factor stalls.  The holder is emptied
@@ -366,12 +383,13 @@ def policy_evaluation(matrix: sp.csr_matrix, rhs: np.ndarray, ref: int | None = 
     rhs = np.asarray(rhs, dtype=float)
     factor = LUFactor() if factor is None else factor
     converged = False
-    rungs = (np.float32, np.float64)
+    rungs = ((np.float64,) if ref is None and _discount_unresolved(matrix)
+             else (np.float32, np.float64))
     if factor.lu is not None and factor.ref == ref:
         u, lam, converged = _refine(factor, matrix, rhs, ref)
         if factor.matrix is matrix:
             # this matrix's own factor has run: only a wider one is left to try
-            rungs = rungs[rungs.index(factor.dtype) + 1:]
+            rungs = () if factor.dtype is np.float64 else (np.float64,)
     for dtype in rungs:
         if converged:
             break
@@ -411,6 +429,31 @@ def stationary_law(factor: LUFactor, ref: int) -> np.ndarray:
     law, _, _ = _refine(factor, _pinned(factor.matrix, ref).T, np.eye(1, n, ref)[0], None,
                         trans="T")
     return law / law.sum()
+
+
+def feedback_law(problem: ProblemSpec, grid: Grid, xi: np.ndarray) -> np.ndarray:
+    """Stationary law (2, n_nodes), mass 1, of the chain that the feedback ``xi``
+    (2, n_nodes, dim) drives on ``grid``.
+
+    The chain is the frozen system's at zero discount, at ``xi`` clamped at
+    ``control_cap(problem, grid)``, the default cap of every Howard policy: an
+    unclamped field that reaches the wall layer's huge values would fill its
+    factor several times over.  The system is pinned at the origin node and
+    factored once through :func:`policy_evaluation` (a zero right-hand side, so
+    that only the factor is built), and :func:`stationary_law` reads the law off
+    that factor.  Raises ``SolverError`` unless the law is finite, has mass 1 and
+    no entry below -roundoff.
+    """
+    xi = _clamp(np.asarray(xi, dtype=float), control_cap(problem, grid))
+    gen = assemble_generator(grid, problem, xi, 0.0)
+    factor = LUFactor()
+    policy_evaluation(gen, np.zeros(gen.shape[0]), grid.origin_index, factor)
+    law = stationary_law(factor, grid.origin_index)
+    roundoff = gen.shape[0] * np.finfo(float).eps
+    if not (np.isfinite(law).all() and abs(law.sum() - 1.0) <= roundoff
+            and law.min() >= -roundoff * law.max()):
+        raise SolverError("the feedback's stationary law is not a probability law to roundoff")
+    return law.reshape(2, grid.n_nodes)
 
 
 def frozen_system(problem: ProblemSpec, grid: Grid, src: np.ndarray, xi: np.ndarray,

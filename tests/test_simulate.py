@@ -13,7 +13,7 @@ from ergodic_hjb.errors import CoefficientError, ParameterError
 from ergodic_hjb.model import truncate_hamiltonian
 from ergodic_hjb.simulate import (
     _PATH_CHUNK, FeedbackControl, empirical_measure, simulate_controls, simulate_paths)
-from ergodic_hjb.solver import extract_control, solve_ergodic_normalized
+from ergodic_hjb.solver import extract_control, feedback_law, solve_ergodic_normalized
 from ergodic_hjb.verify import consistency_report
 from tests.conftest import make_problem, stationarity_residual, with_hamiltonian
 
@@ -194,12 +194,12 @@ def _pinned_run(dim, rates, record_samples=False):
 # the arithmetic of the step loop changed, which must be deliberate and reported;
 # the last key part names the switching rule, the integrated-intensity Exp(1) clock
 PINNED = {
-    ("1d", "constant", "exponential"): (1.9323442577443766, 0.12992210134798604, 123),
-    ("1d", "equal", "exponential"): (1.8071837795135897, 0.12716783303021756, 112),
-    ("1d", "x-dependent", "exponential"): (1.475833503018562, 0.11439304317106695, 91),
-    ("2d", "constant", "exponential"): (2.9579957994477812, 0.15732333781171687, 112),
-    ("2d", "equal", "exponential"): (2.8028468253686065, 0.15730137214030857, 117),
-    ("2d", "x-dependent", "exponential"): (2.8472276195837263, 0.18635977811258528, 97),
+    ("1d", "constant", "exponential"): (1.9921572959779272, 0.10898259132274894, 119),
+    ("1d", "equal", "exponential"): (2.0097090094536734, 0.15104560517889323, 111),
+    ("1d", "x-dependent", "exponential"): (1.7362805878880994, 0.1240195678226829, 85),
+    ("2d", "constant", "exponential"): (3.1695504391824647, 0.15472163095138627, 106),
+    ("2d", "equal", "exponential"): (3.2514415858672656, 0.21704395091273995, 118),
+    ("2d", "x-dependent", "exponential"): (3.236148289268347, 0.20191118622699034, 112),
 }
 
 
@@ -213,22 +213,22 @@ def test_estimates_pinned(case):
 # exact (mean_rate, state_fraction, clamp_count) of the same runs, and the sha256 of
 # the bytes of the kept x, state, control and cost of a record_samples run
 PINNED_TALLIES = {
-    ("1d", "constant"): ((1.4999999999999956, 0.7000000000000024),
-                         (0.4037326388888895, 0.5962673611111104), 0,
-                         "b5b839709a1c5f35e31c04b799351eb7d08811b7fa452dfa0e62c189eb1541bb"),
-    ("1d", "equal"): ((1.0, 1.0), (0.5263454861111111, 0.47365451388888885), 0,
-                      "741112c28f9cda03dfe8252d4546c0ad25b3927e86f193958bc653ad18929cd2"),
-    ("1d", "x-dependent"): ((0.614053279267134, 1.0739186843451192),
-                            (0.7066406249999995, 0.2933593750000006), 0,
-                            "c3c69286424c88471ef0530d4a610deefc450a30dc1e9709874da54b5f1ab04c"),
-    ("2d", "constant"): ((1.4999999999999916, 0.6999999999999998),
-                         (0.3748263888888893, 0.6251736111111107), 0,
-                         "6efe1db635ebb875be9406e6a3dd14554196cfbbef38cb08e0612e98c5050cd3"),
-    ("2d", "equal"): ((1.0, 1.0), (0.5993923611111106, 0.4006076388888893), 4,
-                      "36fb996b204e099b2be8f354ea57ae36324cd8182187d0d29dba16c4706d489c"),
-    ("2d", "x-dependent"): ((0.7484660963157221, 1.1495472348618603),
-                            (0.6750434027777771, 0.32495659722222286), 5,
-                            "faa9ed8d75450e6f91d1d8395eb516ece4f8780ab9ea19b4e56a8801914ada1a"),
+    ("1d", "constant"): ((1.4999999999999962, 0.700000000000002),
+                         (0.38789062500000004, 0.612109375), 7,
+                         "8559399fc5e093d96422d04338177c82837a6b7e4ffe0fe6dafc6301cf3f8bb9"),
+    ("1d", "equal"): ((1.0, 1.0), (0.5667100694444441, 0.4332899305555558), 6,
+                      "235fabd0d9d99e3c01a488f7b9680ca8a969da166989829e7446e5dedccbba2e"),
+    ("1d", "x-dependent"): ((0.6395807721386546, 1.0803933125127156),
+                            (0.6573784722222229, 0.342621527777777), 0,
+                            "529f27b44aa0b0189b76ee970bd17c94c644834962ad4c8bfaee61be351750ae"),
+    ("2d", "constant"): ((1.4999999999999962, 0.7000000000000005),
+                         (0.39136284722222175, 0.6086371527777782), 8,
+                         "38e427cd0bf11ef7c87069256ae19147af4faa2d36637e0285bc3b8a43593bd3"),
+    ("2d", "equal"): ((1.0, 1.0), (0.558159722222222, 0.44184027777777807), 1,
+                      "f575af70988525591e6ad42489d77ecaf0f6129c4d80093cc3a7d5e2900b602d"),
+    ("2d", "x-dependent"): ((0.7708418034207621, 1.1760173410444805),
+                            (0.603732638888889, 0.396267361111111), 3,
+                            "1eb62a8e4ca875c4f6b5f6d5158a3e41c11f81806acea5ce6ad438e6f7a5feb7"),
 }
 
 
@@ -278,7 +278,7 @@ def _box_run(dim, problem=None):
 
 # exact (clamp_count, avg_cost) of _box_run: the count is of entries with |x| > radius
 # over every step, whichever test decides that a step has one
-CLAMPED = {1: (389, 0.7946043341209422), 2: (987, 1.2540856696318006)}
+CLAMPED = {1: (553, 0.8397416790326784), 2: (1231, 1.2878249762922092)}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -404,17 +404,38 @@ def test_worker_failure_surfaces_and_leaves_no_worker(monkeypatch, quadratic_1d)
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stream_is_sfc64_keyed_by_seed_and_chunk(dim):
-    # chunk 0 draws its paths' Exp(1) clocks, then each step's normals path-major, from
-    # SFC64 seeded with SeedSequence([seed, chunk]); under the zero control path 0 sits
-    # at its first normals times sqrt(2 dt) after one step
+    # chunk 0 draws its paths' Exp(1) clocks, then one start uniform per path, then each
+    # step's uniforms path-major, from SFC64 seeded with SeedSequence([seed, chunk]).
+    # Under the zero control path 0 starts at the origin and sits at
+    # copysign(sqrt(2 dt), u - 0.5) after one step; a grid control's path 0 starts at
+    # the first node where the CDF of its law in state 1 exceeds its start uniform
     dt, paths, seed = 1e-2, 3, 11
-    est = simulate_paths(make_problem(dim=dim), FeedbackControl.zero(50.0), horizon=0.1, dt=dt,
-                         paths=paths, burn_in=0.0, seed=seed)
+    run = dict(horizon=0.1, dt=dt, paths=paths, burn_in=0.0, seed=seed)
+    est = simulate_paths(make_problem(dim=dim), FeedbackControl.zero(50.0), **run)
+    problem, ctrl = _pinned_problem(dim, "constant")
+    started = simulate_paths(problem, ctrl, **run)
     gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0])))
     gen.standard_exponential(paths)
-    z = gen.standard_normal((paths, dim))
+    start = gen.random(paths)
+    u = gen.random((paths, dim))
     assert not est.sample_path.x[0].any()
-    assert np.array_equal(est.sample_path.x[1], np.sqrt(2.0 * dt) * z[0])
+    assert np.array_equal(est.sample_path.x[1], np.copysign(np.sqrt(2.0 * dt), u[0] - 0.5))
+    cdf = np.cumsum(np.maximum(feedback_law(problem, ctrl.grid, ctrl.values)[0], 0.0))
+    node = np.argmax(cdf / cdf[-1] > start[0])
+    assert np.array_equal(started.sample_path.x[0], ctrl.grid.points[node])
+    assert started.sample_path.state[0] == 1
+
+
+def test_grid_control_starts_without_startup_bias(quadratic_1d):
+    # the pipeline's small run (R = 4, h = 0.1 direct solve, 128 paths, horizon 2,
+    # burn-in 0.1) at seeds 1-10: the mean of avg_cost - lambda lies within 3 of its
+    # standard errors of 0.  Paths started at the origin, the mode of the law and the
+    # cheapest place, read -0.12, about 6 standard errors
+    solution = solve_ergodic_normalized(quadratic_1d, build_grid(1, 4.0, 0.1))
+    ctrl = extract_control(quadratic_1d, solution)
+    gaps = [simulate_paths(quadratic_1d, ctrl, horizon=2.0, dt=1e-3, paths=128, burn_in=0.1,
+                           seed=seed).avg_cost - solution.lam for seed in range(1, 11)]
+    assert abs(np.mean(gaps)) <= 3 * np.std(gaps, ddof=1) / np.sqrt(len(gaps))
 
 
 def test_sample_path_is_path_zero_of_the_kept_stream():

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergodic_hjb import fields, solver
+from ergodic_hjb import fields, load_config, solver
 from ergodic_hjb.discretize import (
     assemble_generator,
     build_grid,
@@ -200,6 +201,22 @@ class TestPolicyEvaluation:
         with pytest.raises(ParameterError, match="not an average-cost factor pinned at 3"):
             solver.stationary_law(evaluated, 3)
 
+    def test_feedback_law_is_the_law_of_the_clamped_chain(self, rng):
+        # the law of the chain under the field clamped at the control cap, pinned at the
+        # origin: a field far beyond the cap has the law of its clamped self
+        problem = make_problem(alphas=(0.5, 2.0))
+        grid = build_grid(1, 2.0, 0.1)
+        xi = rng.uniform(-2, 2, size=(2, grid.n_nodes, 1))
+        xi[:, :3] *= 1e6
+        law = solver.feedback_law(problem, grid, xi)
+        assert law.shape == (2, grid.n_nodes)
+        clamped = solver._clamp(xi, control_cap(problem, grid))
+        assert np.array_equal(law, solver.feedback_law(problem, grid, clamped))
+        gen_t, m = assemble_generator(grid, problem, clamped, 0.0).T, law.ravel()
+        eps = np.finfo(float).eps
+        assert m.min() >= -eps * m.max() and m.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(gen_t @ m)) <= 16 * eps * np.max(abs(gen_t) @ np.abs(m))
+
     def test_factor_fill_bounded(self, quadratic_2d, monkeypatch):
         # the pinned 2D pattern is structurally symmetric: minimum degree on
         # A + A^T gives nnz(L+U) up to 12.9 nnz(A), column ordering up to 26.1;
@@ -390,6 +407,8 @@ class TestPrecision:
         # error of 1e-15 (or a normwise one of 1e-12), agrees with a float64 direct
         # solve to within the conditioning of both, and ends in float64 exactly
         # when the fresh float32 factor cannot be built or its refinement stalls
+        # (a discount below float32's spacing at the diagonal skips the float32
+        # try; on these examples such a try stalls too)
         rng = np.random.default_rng(seed)
         grid = build_grid(1, 4.0, 0.05) if dim == 1 else build_grid(2, 1.5, 0.25)
         problem = make_problem(dim=dim, alphas=tuple(10.0**r for r in log_rates))
@@ -435,6 +454,24 @@ class TestPrecision:
         small_u, small_lam = policy_evaluation(gen, rhs, ref)
         assert np.max(np.abs(u - small_u)) <= 1e-12 * np.max(np.abs(small_u))
         assert abs(lam - 1e40 * small_lam) <= 1e-12 * max(1.0, abs(1e40 * small_lam))
+
+    def test_unresolved_discount_is_factored_in_float64_at_once(self, quadratic_1d):
+        # the bundled grid's diagonal, 2/h^2 + 1 = 5001 at h = 0.02, has a float32
+        # spacing of 2^-11: below that discount a float32 factor's refinement stalls,
+        # and the evaluation builds the float64 factor without trying it
+        grid = build_grid(1, 6.0, 0.02)
+        zero = np.zeros((2, grid.n_nodes, 1))
+        for discount, dtype in ((2.0**-11, np.float32), (2.0**-12, np.float64)):
+            gen, rhs = _policy_system(quadratic_1d, grid, zero, discount)
+            probe = LUFactor()
+            solver._factor(probe, gen, None, np.float32)
+            assert solver._refine(probe, gen, rhs, None)[2] == (dtype is np.float32)
+            factor = LUFactor()
+            with pytest.MonkeyPatch.context() as mp:
+                sizes = _counting_splu(mp)
+                u, _ = policy_evaluation(gen, rhs, None, factor)
+            assert factor.dtype is dtype and len(sizes) == 1
+            assert np.max(np.abs(gen @ u - rhs)) <= 1e-12 * np.max(abs(gen) @ np.abs(u))
 
 
 class TestCoarseStart:
@@ -525,6 +562,20 @@ class TestVanishingDiscount:
             tuple(f.shifted(5.0) for f in quadratic_1d.sources))
         shifted = vanishing_discount(shifted_problem, grid)
         assert abs(shifted.lam - base.lam - 5.0) <= 1e-6
+
+    def test_bundled_solve_wastes_no_factor(self, caplog):
+        # the bundled quadratic-1d solve: 15 float32 factors, and a float64 one for each
+        # of the discounts 2^-12 and 2^-13, which float32 cannot resolve beside the
+        # diagonal; no float32 factor is built only to be dropped for a float64 one
+        config = load_config("quadratic-1d")
+        grid = build_grid(1, config.grid["radius"], config.grid["h"])
+        with caplog.at_level(logging.DEBUG, logger="ergodic_hjb.solver"):
+            sol = vanishing_discount(config.problem_spec(), grid,
+                                     opts=SolverOptions(**config.solver))
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(" factor:")[0] for m in messages] == ["float32"] * 15 + ["float64"] * 2
+        assert sol.history[-1][0] == 2.0**-13
+        assert sol.lam == 1.4141525474668208
 
     def test_schedule_exhaustion_raises_with_history(self, quadratic_1d):
         grid = build_grid(1, 4.0, 0.1)
